@@ -42,7 +42,6 @@ from .flow import (
     maxflow,
     mincut,
     mincut_without_backedges,
-    split_edges,
     weighted_network,
 )
 from .protocol import (
@@ -52,15 +51,11 @@ from .protocol import (
     Transcript,
     codeword,
     composite_db,
-    decode_heuristic,
-    decode_ml_exact,
     exact_block_distribution,
     make_series_spec,
     reduce_inputs,
-    run_network_protocol,
     run_series_block,
     state_pseudometric,
-    state_update,
     verify_transition_bound,
 )
 from .harness import (

@@ -284,11 +284,7 @@ def restrict(P: Dmc, codewords) -> Dmc:
     if P.output_size**ell > PRODUCT_GUARD:
         raise AlphabetTooLarge(f"output alphabet {P.output_size}^{ell} exceeds the 1e7 guard")
     rows = np.stack([product_row(P, w) for w in words])
-    return Dmc_from_rows(rows)
-
-
-def Dmc_from_rows(rows: np.ndarray, label: str | None = None) -> Dmc:
-    return make_dmc(rows, label=label)
+    return make_dmc(rows)
 
 
 def compose(P1: Dmc, P2: Dmc) -> Dmc:

@@ -24,11 +24,13 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _parse_floats(text: str):
+def float_list(text: str):
+    """Comma-separated floats (an argparse ``type``: bad input is a usage error)."""
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _parse_ints(text: str):
+def int_list(text: str):
+    """Comma-separated integers (an argparse ``type``)."""
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
@@ -55,7 +57,7 @@ def cmd_simulate(args) -> int:
     config = SimConfig(
         seed=args.seed,
         trials=args.trials,
-        horizons=tuple(_parse_ints(args.horizons)),
+        horizons=tuple(args.horizons),
         B=args.block,
         M=args.messages,
         decoder=args.decoder,
@@ -71,7 +73,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    rows = counterexample_experiment(_parse_floats(args.p_grid))
+    rows = counterexample_experiment(args.p_grid)
     print("p,min_db_q,maxflow_bound,maxflow_feedback_bound")
     for r in rows:
         print(f"{_fmt(r.p)},{_fmt(r.min_db_q)},{_fmt(r.maxflow_bound)},{_fmt(r.maxflow_feedback_bound)}")
@@ -143,14 +145,14 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("path")
     ps.add_argument("--messages", type=int, default=2, metavar="M")
     ps.add_argument("--block", type=int, required=True, metavar="B")
-    ps.add_argument("--horizons", required=True, help="comma-separated n values")
+    ps.add_argument("--horizons", type=int_list, required=True, help="comma-separated n values")
     ps.add_argument("--trials", type=int, default=10000)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--decoder", choices=("exact", "heuristic"), default="exact")
     ps.set_defaults(func=cmd_simulate)
 
     pc = sub.add_parser("counterexample", help="three-message counterexample table (CSV)")
-    pc.add_argument("--p-grid", default="1e-2,1e-3,1e-4,1e-5,1e-6")
+    pc.add_argument("--p-grid", type=float_list, default="1e-2,1e-3,1e-4,1e-5,1e-6")
     pc.set_defaults(func=cmd_counterexample)
 
     pd = sub.add_parser("decompose", help="flow decomposition of the weighted graph")
@@ -177,9 +179,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except GraphFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: malformed flag value: {exc}", file=sys.stderr)
         return 2
     except NetexpError as exc:
         print(f"error: {exc}", file=sys.stderr)

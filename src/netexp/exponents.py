@@ -11,12 +11,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import Dmc, bhattacharyya, chernoff, ksym
+from .channel import Dmc, bhattacharyya, chernoff
 from .errors import MTooLarge, ParameterOutOfRange, SearchSpaceTooLarge
 
 MULTISET_GUARD = 10**6
 ZERO_RATE_INPUT_GUARD = 12
-INF_DB_CAP = 1e4
 GRID_STEP_DENOM = 40
 GRID_POINT_BUDGET = 300_000
 ASCENT_RESTARTS = 20
@@ -28,14 +27,11 @@ class ExponentReport:
 
     ``optimizer`` is an input pair, an input tuple, or a simplex distribution
     depending on the operation; None for degenerate one-input channels.
-    ``capped`` flags that infinite Bhattacharyya entries were clamped before
-    optimizing (zero-rate only).
     """
 
     value: float
     optimizer: tuple | None
     method: str
-    capped: bool = False
 
 
 @dataclass(frozen=True)
@@ -166,7 +162,9 @@ def zero_rate_exponent(P: Dmc) -> ExponentReport:
     Global search = simplex grid anchor + pairwise coordinate ascent from the
     grid optimum, the uniform point, random restarts, and the empirical types
     of the best M-tuples for M in {2, 3, 4} (these starts alone certify the
-    (M-1)/M lower bound against the tilde exponent).
+    (M-1)/M lower bound against the tilde exponent).  Two inputs with
+    disjoint output supports make the exponent +inf, attained by splitting
+    the mass evenly between them.
     """
     n = P.input_size
     if n > ZERO_RATE_INPUT_GUARD:
@@ -174,13 +172,17 @@ def zero_rate_exponent(P: Dmc) -> ExponentReport:
     if n == 1:
         return ExponentReport(value=0.0, optimizer=(1.0,), method="closed_form")
     D = _db_matrix(P)
-    capped = bool(np.isinf(D).any())
-    if capped:
-        D = np.where(np.isinf(D), INF_DB_CAP, D)
+    disjoint = np.argwhere(np.isinf(D))
+    if disjoint.size:
+        q = np.zeros(n)
+        q[disjoint[0]] = 0.5
+        return ExponentReport(
+            value=math.inf, optimizer=tuple(float(v) for v in q), method="closed_form"
+        )
 
     if n == 2:
         return ExponentReport(
-            value=float(D[0, 1] / 2.0), optimizer=(0.5, 0.5), method="closed_form", capped=capped
+            value=float(D[0, 1] / 2.0), optimizer=(0.5, 0.5), method="closed_form"
         )
 
     starts = [np.full(n, 1.0 / n)]
@@ -210,7 +212,7 @@ def zero_rate_exponent(P: Dmc) -> ExponentReport:
         if val > best_val:
             best_val, best_q = val, q
     return ExponentReport(
-        value=best_val, optimizer=tuple(float(v) for v in best_q), method="grid_plus_ascent", capped=capped
+        value=best_val, optimizer=tuple(float(v) for v in best_q), method="grid_plus_ascent"
     )
 
 
@@ -249,8 +251,3 @@ def bsc_feedback_exponent_m3(p: float) -> float:
     if not 0 < p < 0.5:
         raise ParameterOutOfRange(f"need p in (0, 1/2), got {p}")
     return -math.log(p ** (1 / 3) * (1 - p) ** (2 / 3) + p ** (2 / 3) * (1 - p) ** (1 / 3))
-
-
-def _check_ksym_consistency(K: int, M: int, p: float, tol: float = 1e-9) -> bool:
-    """Cross-check the closed form against the exhaustive tilde search."""
-    return abs(ksym_closed_form(K, M, p) - tilde_exponent(ksym(K, p), M).value) <= tol

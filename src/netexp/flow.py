@@ -1,6 +1,6 @@
 """Exponent-weighted directed multigraphs: maxflow, mincut, flow
-decomposition into simple paths, back-edge-free mincut search, and the
-parallel-edge splitting transformation used to make paths edge-disjoint.
+decomposition into simple paths, per-path edge budgets, and back-edge-free
+mincut search.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Dmc
-from .errors import BTooSmall, GraphTooLarge, ParameterOutOfRange
+from .errors import GraphTooLarge, ParameterOutOfRange
 from .exponents import exponent_two, tilde_exponent, zero_rate_exponent
 
 FLOW_TOL = 1e-12
@@ -371,47 +371,3 @@ def path_edge_budgets(dec: PathDecomposition, B: int):
             ratio = dec.paths[i].value / fsum
             budgets[(i, eid)] = math.ceil(ratio * B - 1e-9)
     return budgets, users
-
-
-@dataclass(frozen=True)
-class SplitRecord:
-    new_edge_id: int
-    orig_edge_id: int
-    path_index: int
-    sub_block: int
-
-
-@dataclass(frozen=True)
-class SplitResult:
-    network: Network
-    records: tuple
-
-
-def split_edges(net: Network, dec: PathDecomposition, B: int) -> SplitResult:
-    """Replace each shared edge by one parallel edge per path using it.
-
-    The new edge for path i carries B_i = ceil(f_i / f_e * B) sub-uses and
-    capacity B_i * c_e / (B + k); the total sub-uses per original edge stay
-    within B + k.  Edges carrying no decomposed flow are dropped.
-    """
-    k = len(dec.paths)
-    if B < k:
-        raise BTooSmall(f"need B >= number of paths ({k}), got {B}")
-    budgets, users = path_edge_budgets(dec, B)
-    cap_by_id = {e.id: e.capacity for e in net.edges}
-    meta_by_id = {e.id: e for e in net.edges}
-    new_edges = []
-    records = []
-    for eid in sorted(users):
-        total_sub = sum(budgets[(i, eid)] for i in users[eid])
-        if total_sub > B + k:
-            raise BTooSmall(f"sub-block total {total_sub} exceeds B + k = {B + k} on edge {eid}")
-        for i in users[eid]:
-            sub = budgets[(i, eid)]
-            new_id = len(new_edges)
-            e = meta_by_id[eid]
-            cap = sub * cap_by_id[eid] / (B + k)
-            new_edges.append(NetEdge(e.tail, e.head, cap, new_id))
-            records.append(SplitRecord(new_edge_id=new_id, orig_edge_id=eid, path_index=i, sub_block=sub))
-    network = Network(net.node_count, net.source, net.destination, tuple(new_edges))
-    return SplitResult(network=network, records=tuple(records))

@@ -20,6 +20,7 @@ from .channel import (
 )
 from .errors import (
     AlphabetTooLarge,
+    BoundsViolation,
     DistributionUnavailable,
     InsufficientData,
     ParameterOutOfRange,
@@ -119,7 +120,8 @@ def analyze(G: ChannelGraph, M: int) -> BoundsReport:
     """Per-edge exponents, the three maxflow bounds, and structural flags.
 
     The sandwich maxflow_tilde <= maxflow_two and the 4x (2x under M=2 or
-    all-reversible) approximation are asserted before returning.
+    all-reversible) approximation are checked before returning; a breach
+    raises BoundsViolation.
     """
     cache: dict[int, tuple] = {}
     edges = []
@@ -158,10 +160,12 @@ def analyze(G: ChannelGraph, M: int) -> BoundsReport:
     if G.node_count <= 20:
         backedge_free = mincut_without_backedges(net_tilde) is not None
 
-    assert f_tilde <= f_two + 1e-9, "tilde-weighted maxflow exceeded two-message maxflow"
-    assert ratio <= 4 + 1e-9, "approximation ratio above 4"
-    if M == 2 or all_rev:
-        assert ratio <= 2 + 1e-9, "approximation ratio above 2 in the reversible/M=2 regime"
+    if f_tilde > f_two + 1e-9:
+        raise BoundsViolation("tilde-weighted maxflow exceeded two-message maxflow")
+    if ratio > 4 + 1e-9:
+        raise BoundsViolation("approximation ratio above 4")
+    if (M == 2 or all_rev) and ratio > 2 + 1e-9:
+        raise BoundsViolation("approximation ratio above 2 in the reversible/M=2 regime")
 
     return BoundsReport(
         M=M,
@@ -259,6 +263,11 @@ def simulate(G: ChannelGraph, config: SimConfig) -> SimResult:
     deterministically derived substreams; NETEXP_THREADS > 1 parallelizes over
     those pairs without changing any count.
     """
+    threads = os.environ.get("NETEXP_THREADS", "1")
+    try:
+        workers = max(1, int(threads))
+    except ValueError:
+        raise ParameterOutOfRange(f"NETEXP_THREADS must be an integer, got {threads!r}") from None
     plan = build_network_plan(G, config.M, config.B)
     dists = None
     if config.decoder == "exact":
@@ -272,7 +281,6 @@ def simulate(G: ChannelGraph, config: SimConfig) -> SimResult:
         for h_idx, n in enumerate(config.horizons)
         for m in range(1, config.M + 1)
     ]
-    workers = max(1, int(os.environ.get("NETEXP_THREADS", "1")))
 
     def run_cell(cell):
         h_idx, n, m = cell

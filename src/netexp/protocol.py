@@ -244,30 +244,15 @@ def _states_from_loglik(msg_ll: np.ndarray, flow_value: float, half: int):
     return m_idx, ell
 
 
-def state_update(y, channel, B: int, M: int, flow_value: float, state_priors=None) -> NodeState:
-    """Receiving node's state from one block.
+def _relay_states(chan, M: int, B: int, flow_value: float, y: np.ndarray):
+    """Receiving relay's (m_idx, ell) for each row of raw base-symbol blocks.
 
-    With ``state_priors`` omitted, hypothesis likelihoods marginalize the
-    sender's confidence uniformly: P(y|m) = mean over ell of P(y|codeword).
-    ``state_priors`` (shape (M, M*(B/2+1))) supplies exact predecessor state
-    occupancies per source hypothesis instead.
+    Hypothesis likelihoods marginalize the sender's confidence uniformly:
+    P(y|m) = mean over ell of P(y|codeword(m, ell)).
     """
-    base, words = _hop_view(channel, M)
-    y_arr = np.asarray(y, dtype=np.int64)[None, :]
-    if y_arr.shape[1] != B * words.shape[1]:
-        raise BoundsViolation(f"block length {y_arr.shape[1]} != B*ell = {B * words.shape[1]}")
-    la = _symbol_logliks(base.log_probs, words, y_arr, B)
-    ll = _state_logliks(la, B)
-    if state_priors is None:
-        msg_ll = _uniform_message_loglik(ll)
-    else:
-        pri = np.asarray(state_priors)
-        with np.errstate(divide="ignore"):
-            logpri = np.log(pri)
-        flat = ll.reshape(1, -1)
-        msg_ll = np.stack([logsumexp(flat[0] + logpri[m]) for m in range(M)])[None, :]
-    m_idx, ell = _states_from_loglik(msg_ll, flow_value, B // 2)
-    return NodeState(m=int(m_idx[0]) + 1, ell=int(ell[0]))
+    base, words = _hop_view(chan, M)
+    ll = _state_logliks(_symbol_logliks(base.log_probs, words, y, B), B)
+    return _states_from_loglik(_uniform_message_loglik(ll), flow_value, B // 2)
 
 
 def _sample_symbols(probs: np.ndarray, x_idx: np.ndarray, rng) -> np.ndarray:
@@ -275,7 +260,7 @@ def _sample_symbols(probs: np.ndarray, x_idx: np.ndarray, rng) -> np.ndarray:
     u = rng.random(x_idx.shape)
     y = np.empty(x_idx.shape, dtype=np.int64)
     cums = np.cumsum(probs, axis=1)
-    for a in np.unique(x_idx):
+    for a in range(probs.shape[0]):
         mask = x_idx == a
         y[mask] = np.searchsorted(cums[a], u[mask], side="right")
     np.minimum(y, probs.shape[1] - 1, out=y)
@@ -314,29 +299,37 @@ def make_series_spec(channels, M: int, B: int) -> SeriesSpec:
     return SeriesSpec(channels=reduced, M=M, B=B, flow_value=flow_value)
 
 
+def _hop_blocks(spec: SeriesSpec, m: int, n_blocks: int, rng):
+    """The protocol engine: n_blocks independent sequential block runs.
+
+    Yields (m_idx, ell, sent, y) per hop: the sending node's states, the
+    protocol symbols it sends (0-based) and the raw base-symbol blocks the
+    receiving node gets.  A relay's state is computed only once the next hop
+    is requested, so the destination's state is never computed here.
+    """
+    if not 1 <= m <= spec.M:
+        raise BoundsViolation(f"message {m} outside 1..{spec.M}")
+    table = _codeword_table(spec.M, spec.B)
+    m_idx = np.full(n_blocks, m - 1, dtype=np.int64)
+    ell = np.full(n_blocks, spec.B // 2, dtype=np.int64)
+    for hop, chan in enumerate(spec.channels):
+        base, words = _hop_view(chan, spec.M)
+        sent = table[m_idx, ell]
+        y = _sample_symbols(base.probs, words[sent].reshape(n_blocks, -1), rng)
+        yield m_idx, ell, sent, y
+        if hop < len(spec.channels) - 1:
+            m_idx, ell = _relay_states(chan, spec.M, spec.B, spec.flow_value, y)
+
+
 def run_series_blocks_batch(spec: SeriesSpec, m: int, n_blocks: int, rng) -> np.ndarray:
     """Vectorized sequential block transmissions: n_blocks independent runs.
 
     Returns the destination's raw base-symbol blocks, shape
     (n_blocks, B * ell_of_final_hop).  Nodes hold no state across blocks.
     """
-    if not 1 <= m <= spec.M:
-        raise BoundsViolation(f"message {m} outside 1..{spec.M}")
-    table = _codeword_table(spec.M, spec.B)
-    half = spec.B // 2
-    m_idx = np.full(n_blocks, m - 1, dtype=np.int64)
-    ell = np.full(n_blocks, half, dtype=np.int64)
     y = None
-    for hop, chan in enumerate(spec.channels):
-        base, words = _hop_view(chan, spec.M)
-        sent = table[m_idx, ell]
-        sent_base = words[sent].reshape(n_blocks, -1)
-        y = _sample_symbols(base.probs, sent_base, rng)
-        if hop < len(spec.channels) - 1:
-            la = _symbol_logliks(base.log_probs, words, y, spec.B)
-            ll = _state_logliks(la, spec.B)
-            msg_ll = _uniform_message_loglik(ll)
-            m_idx, ell = _states_from_loglik(msg_ll, spec.flow_value, half)
+    for *_, y in _hop_blocks(spec, m, n_blocks, rng):
+        pass
     return y
 
 
@@ -344,33 +337,22 @@ def run_series_block(spec: SeriesSpec, m: int, rng) -> Transcript:
     """One sequential block transmission with a full per-hop transcript.
 
     The source starts at full confidence (m, B/2); each relay applies the
-    uniform-prior state update.  Deterministic given the rng state.
+    uniform-prior state update.  The draws are those of a one-row
+    ``run_series_blocks_batch``.
     """
-    if not 1 <= m <= spec.M:
-        raise BoundsViolation(f"message {m} outside 1..{spec.M}")
-    table = _codeword_table(spec.M, spec.B)
-    half = spec.B // 2
-    state = NodeState(m=m, ell=half)
-    hops = []
-    y = None
-    for chan in spec.channels:
-        base, words = _hop_view(chan, spec.M)
-        sent = table[state.m - 1, state.ell][None, :]
-        sent_base = words[sent].reshape(1, -1)
-        y = _sample_symbols(base.probs, sent_base, rng)
-        la = _symbol_logliks(base.log_probs, words, y, spec.B)
-        ll = _state_logliks(la, spec.B)
-        msg_ll = _uniform_message_loglik(ll)
-        m_idx, ell_arr = _states_from_loglik(msg_ll, spec.flow_value, half)
-        state = NodeState(m=int(m_idx[0]) + 1, ell=int(ell_arr[0]))
-        hops.append(
-            HopRecord(
-                sent=tuple(int(s) + 1 for s in sent[0]),
-                received=tuple(int(v) for v in y[0]),
-                state=state,
-            )
+    hops = list(_hop_blocks(spec, m, 1, rng))
+    y_last = hops[-1][3]
+    states = [(m_idx, ell) for m_idx, ell, _, _ in hops[1:]]
+    states.append(_relay_states(spec.channels[-1], spec.M, spec.B, spec.flow_value, y_last))
+    records = tuple(
+        HopRecord(
+            sent=tuple(int(s) + 1 for s in sent[0]),
+            received=tuple(int(v) for v in y[0]),
+            state=NodeState(m=int(m_idx[0]) + 1, ell=int(ell[0])),
         )
-    return Transcript(hops=tuple(hops), final_block=tuple(int(v) for v in y[0]))
+        for (_, _, sent, y), (m_idx, ell) in zip(hops, states)
+    )
+    return Transcript(hops=records, final_block=tuple(int(v) for v in y_last[0]))
 
 
 @dataclass(frozen=True)
@@ -454,13 +436,11 @@ def series_forward_trace(spec: SeriesSpec, update_mode: str = "uniform") -> Forw
 def exact_block_distribution(spec: SeriesSpec, update_mode: str = "uniform") -> CompositeDistribution:
     """Exact per-message distribution of the destination's block."""
     trace = series_forward_trace(spec, update_mode=update_mode)
-    final = spec.channels[-1]
-    base = final.base if isinstance(final, ReducedChannel) else final
-    ell = final.ell if isinstance(final, ReducedChannel) else 1
+    base, words = _hop_view(spec.channels[-1], spec.M)
     return CompositeDistribution(
         log_dists=trace.block_logdists[-1],
         base_output_size=base.output_size,
-        block_symbols=spec.B * ell,
+        block_symbols=spec.B * words.shape[1],
     )
 
 
@@ -648,42 +628,6 @@ def build_network_plan(G: ChannelGraph, M: int, B: int) -> NetworkPlan:
     return NetworkPlan(M=M, B=B, window=window, paths=tuple(paths))
 
 
-@dataclass(frozen=True)
-class NetworkRun:
-    """Destination observations from one protocol run: per path, the raw
-    base-symbol blocks in transmission order."""
-
-    plan: NetworkPlan
-    horizon: int
-    message: int
-    path_blocks: tuple
-
-
-def run_network_protocol(G: ChannelGraph, M: int, B: int, n: int, m: int, rng) -> NetworkRun:
-    """Run the multipath protocol for one trial.
-
-    Information flows along each decomposition path independently (fresh
-    state every block, disjoint rng substreams per path and block) and is
-    aggregated only by the destination's decoder.
-    """
-    plan = build_network_plan(G, M, B)
-    return run_planned_protocol(plan, n, m, rng)
-
-
-def run_planned_protocol(plan: NetworkPlan, n: int, m: int, rng) -> NetworkRun:
-    counts = plan.blocks_per_path(n)
-    streams = rng.spawn(sum(counts))
-    pos = 0
-    path_blocks = []
-    for p, t in zip(plan.paths, counts):
-        blocks = []
-        for _ in range(t):
-            blocks.append(run_series_blocks_batch(p.spec, m, 1, streams[pos])[0])
-            pos += 1
-        path_blocks.append(np.stack(blocks))
-    return NetworkRun(plan=plan, horizon=n, message=m, path_blocks=tuple(path_blocks))
-
-
 def _encode_blocks(blocks: np.ndarray, base_out: int) -> np.ndarray:
     """Row-major digit index of each base-symbol block."""
     idx = np.zeros(blocks.shape[0], dtype=np.int64)
@@ -709,23 +653,3 @@ def block_scores_heuristic(blocks: np.ndarray, final_channel, M: int, B: int) ->
     la = _symbol_logliks(base.log_probs, words, blocks, B)
     ll = _state_logliks(la, B)
     return ll.max(axis=2)
-
-
-def decode_ml_exact(run: NetworkRun, dists) -> int:
-    """Exact ML message estimate: sum per-path, per-block log-likelihoods."""
-    total = np.zeros(run.plan.M)
-    for blocks, cd in zip(run.path_blocks, dists):
-        if cd is None:
-            raise DistributionUnavailable("missing exact distribution for a path")
-        total += block_scores_ml(blocks, cd).sum(axis=0)
-    return int(np.argmax(total)) + 1
-
-
-def decode_heuristic(run: NetworkRun, specs=None) -> int:
-    """Scalable surrogate decoder scoring blocks against the final hop's
-    codeword family (no exponent guarantee)."""
-    total = np.zeros(run.plan.M)
-    for p, blocks in zip(run.plan.paths, run.path_blocks):
-        spec = p.spec
-        total += block_scores_heuristic(blocks, spec.channels[-1], spec.M, spec.B).sum(axis=0)
-    return int(np.argmax(total)) + 1

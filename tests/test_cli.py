@@ -50,6 +50,14 @@ class TestAnalyzeCommand:
     def test_missing_file_exit_2(self, capsys):
         assert main(["analyze", str(GRAPHS / "missing.json")]) == 2
 
+    def test_noiseless_zero_rate_is_inf(self, capsys):
+        code, out = run_cli(capsys, "analyze", str(GRAPHS / "noiseless.json"), "--weights", "zero")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["maxflow"] == "inf"
+        assert obj["maxflow_zero_rate"] == "inf"
+        assert all(e["exponent_zero_rate"] == "inf" for e in obj["edges"])
+
     def test_twelve_significant_digits(self, capsys):
         _, out = run_cli(capsys, "analyze", str(GRAPHS / "series-2-bsc.json"))
         assert "0.510825623766" in out  # 12 significant digits
@@ -86,6 +94,21 @@ class TestSimulateCommand:
         assert code == 3
         assert "block size must be even" in err
 
+    def test_malformed_horizons_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", str(GRAPHS / "series-2-bsc.json"), "--block", "4", "--horizons", "12,x"])
+        assert exc.value.code == 2
+        assert "--horizons" in capsys.readouterr().err
+
+    def test_non_integer_threads_exit_3(self, capsys, monkeypatch):
+        monkeypatch.setenv("NETEXP_THREADS", "abc")
+        code = main([
+            "simulate", str(GRAPHS / "series-2-bsc.json"),
+            "--block", "4", "--horizons", "12", "--trials", "10",
+        ])
+        assert code == 3
+        assert "NETEXP_THREADS" in capsys.readouterr().err
+
 
 class TestCounterexampleCommand:
     def test_single_p(self, capsys):
@@ -112,6 +135,12 @@ class TestCounterexampleCommand:
 
     def test_empty_grid_exit_3(self, capsys):
         assert main(["counterexample", "--p-grid", ""]) == 3
+
+    def test_malformed_grid_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["counterexample", "--p-grid", "0.01,abc"])
+        assert exc.value.code == 2
+        assert "--p-grid" in capsys.readouterr().err
 
 
 class TestDecomposeCommand:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from netexp.channel import bsc, identity_channel, ksym
-from netexp.errors import BTooSmall, GraphTooLarge, ParameterOutOfRange
+from netexp.errors import GraphTooLarge, ParameterOutOfRange
 from netexp.flow import (
     ChannelGraph,
     Flow,
@@ -17,7 +17,7 @@ from netexp.flow import (
     maxflow,
     mincut,
     mincut_without_backedges,
-    split_edges,
+    path_edge_budgets,
     weighted_network,
 )
 from netexp.harness import counterexample_graph
@@ -216,22 +216,18 @@ class TestMincutWithoutBackedges:
             mincut_without_backedges(Network(22, 0, 21, edges))
 
 
-class TestSplitEdges:
+class TestPathEdgeBudgets:
     def test_single_path_keeps_full_block(self):
         net = series_net(0.5, 0.2)
-        dec = decompose(net, maxflow(net))
-        res = split_edges(net, dec, 10)
-        assert all(r.sub_block == 10 for r in res.records)
-        assert len(res.network.edges) == 2
+        budgets, _ = path_edge_budgets(decompose(net, maxflow(net)), 10)
+        assert budgets == {(0, 0): 10, (0, 1): 10}
 
     def test_two_equal_paths(self):
         edges = (NetEdge(0, 1, 1.0, 0), NetEdge(0, 1, 1.0, 1), NetEdge(1, 2, 2.0, 2))
         net = Network(3, 0, 2, edges)
         dec = decompose(net, maxflow(net))
-        res = split_edges(net, dec, 10)
-        shared = [r for r in res.records if r.orig_edge_id == 2]
-        assert sorted(r.sub_block for r in shared) == [5, 5]
-        assert sum(r.sub_block for r in shared) <= 10 + len(dec.paths)
+        budgets, users = path_edge_budgets(dec, 10)
+        assert sorted(budgets[(i, 2)] for i in users[2]) == [5, 5]
 
     def test_three_equal_paths(self):
         edges = (
@@ -241,13 +237,12 @@ class TestSplitEdges:
         net = Network(3, 0, 2, edges)
         dec = decompose(net, maxflow(net))
         assert len(dec.paths) == 3
-        res = split_edges(net, dec, 10)
-        shared = [r for r in res.records if r.orig_edge_id == 3]
-        assert [r.sub_block for r in shared] == [4, 4, 4]
-        assert sum(r.sub_block for r in shared) <= 10 + 3
+        budgets, users = path_edge_budgets(dec, 10)
+        assert [budgets[(i, 3)] for i in users[3]] == [4, 4, 4]
+        assert sum(budgets[(i, 3)] for i in users[3]) <= 10 + 3
 
     def test_capacity_bound(self, rng):
-        # each new edge keeps sub_block * c_e >= B * f_i
+        # each path's budget keeps budget * c_e >= B * f_i on every edge it uses
         B = 16
         for _ in range(50):
             net = rand_network(rng)
@@ -257,20 +252,10 @@ class TestSplitEdges:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 dec = decompose(net, fl)
-            if not dec.paths or B < len(dec.paths):
-                continue
-            res = split_edges(net, dec, B)
+            budgets, _ = path_edge_budgets(dec, B)
             caps = {e.id: e.capacity for e in net.edges}
-            for r in res.records:
-                f_i = dec.paths[r.path_index].value
-                assert r.sub_block * caps[r.orig_edge_id] >= B * f_i - 1e-6
-
-    def test_b_too_small(self):
-        edges = (NetEdge(0, 1, 1.0, 0), NetEdge(0, 1, 1.0, 1), NetEdge(1, 2, 2.0, 2))
-        net = Network(3, 0, 2, edges)
-        dec = decompose(net, maxflow(net))
-        with pytest.raises(BTooSmall):
-            split_edges(net, dec, 1)
+            for (i, eid), sub in budgets.items():
+                assert sub * caps[eid] >= B * dec.paths[i].value - 1e-6
 
 
 class TestMonotonicity:

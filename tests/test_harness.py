@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from netexp.channel import bsc, identity_channel, ksym, make_dmc
-from netexp.errors import AlphabetTooLarge, InsufficientData, ParameterOutOfRange
-from netexp.flow import make_channel_graph
+from netexp import harness
+from netexp.errors import AlphabetTooLarge, BoundsViolation, InsufficientData, ParameterOutOfRange
+from netexp.flow import Flow, make_channel_graph
 from netexp.harness import (
     SimConfig,
     SimResult,
@@ -95,6 +96,17 @@ class TestAnalyze:
             "backedge_free_mincut_exists",
         }
         assert obj["edges"][0]["exponent_two"] == pytest.approx(0.510825623766)
+
+    def test_broken_sandwich_raises(self, monkeypatch):
+        # maxflows in call order: tilde, two, zero; tilde above two is a breach
+        totals = iter([2.0, 1.0, 1.0])
+        monkeypatch.setattr(
+            harness, "maxflow",
+            lambda net: Flow(edge_flows=np.zeros(len(net.edges)), total=next(totals)),
+        )
+        G = make_channel_graph(3, 0, 2, [(0, 1, bsc(0.1)), (1, 2, bsc(0.2))])
+        with pytest.raises(BoundsViolation, match="exceeded two-message maxflow"):
+            analyze(G, 2)
 
 
 class TestSimulate:

@@ -12,30 +12,33 @@ from netexp.errors import (
     StateSpaceTooLarge,
 )
 from netexp.flow import make_channel_graph
+from netexp.harness import _cell_errors
 from netexp.protocol import (
     NodeState,
     SeriesSpec,
+    _codeword_table,
+    _relay_states,
     build_network_plan,
     block_scores_ml,
     codeword,
-    decode_heuristic,
-    decode_ml_exact,
     exact_block_distribution,
     make_series_spec,
     min_pairwise_composite_db,
     ml_error_probs,
     reduce_inputs,
-    run_network_protocol,
-    run_planned_protocol,
     run_series_block,
     run_series_blocks_batch,
     series_forward_trace,
     state_pseudometric,
-    state_update,
     verify_transition_bound,
 )
 
 DB_BSC01 = -math.log(0.6)
+
+
+def relay_state(chan, M, B, flow_value, y):
+    m_idx, ell = _relay_states(chan, M, B, flow_value, np.asarray([y]))
+    return NodeState(m=int(m_idx[0]) + 1, ell=int(ell[0]))
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +76,14 @@ class TestCodeword:
                             assert d_h == abs(l1 - l2)
                         else:
                             assert d_h >= l1 + l2
+
+    def test_engine_table_matches_codeword(self):
+        for M in (2, 3, 4):
+            for B in (2, 4, 6, 8, 10):
+                tab = _codeword_table(M, B)
+                for m in range(1, M + 1):
+                    for ell in range(B // 2 + 1):
+                        assert tuple(tab[m - 1, ell] + 1) == codeword(m, ell, B, M)
 
 
 class TestPseudometric:
@@ -142,7 +153,7 @@ class TestStateUpdate:
         B, M = 6, 3
         chan = identity_channel(3)
         y = [s - 1 for s in codeword(2, B // 2, B, M)]
-        st = state_update(y, chan, B, M, 1.0)
+        st = relay_state(chan, M, B, 1.0, y)
         assert st == NodeState(2, B // 2)
 
     def test_equidistant_gives_zero(self):
@@ -150,28 +161,18 @@ class TestStateUpdate:
         from netexp.channel import bec
 
         B, M = 4, 2
-        st = state_update([2, 2, 2, 2], bec(0.3), B, M, 1.0)
+        st = relay_state(bec(0.3), M, B, 1.0, [2, 2, 2, 2])
         assert st == NodeState(m=1, ell=0)  # tie resolved to the lowest index
 
     def test_golden_reduced_chain(self, reduced_bsc01_2hop):
         # frozen from the exact likelihood table of the reduced chain
         channels, flow_value, _ = reduced_bsc01_2hop
         Q = channels[0].to_dmc()
-        st = state_update((1, 1, 2, 2), Q, 4, 2, flow_value)
+        st = relay_state(Q, 2, 4, flow_value, (1, 1, 2, 2))
         assert st == NodeState(m=1, ell=2)
         # base-granularity call agrees with the materialized channel
-        st2 = state_update((0, 1, 0, 1, 1, 0, 1, 0), channels[0], 4, 2, flow_value)
+        st2 = relay_state(channels[0], 2, 4, flow_value, (0, 1, 0, 1, 1, 0, 1, 0))
         assert st2 == st
-
-    def test_exact_priors_mode(self, reduced_bsc01_2hop):
-        channels, flow_value, _ = reduced_bsc01_2hop
-        Q = channels[0].to_dmc()
-        half = 2
-        priors = np.zeros((2, 2 * (half + 1)))
-        priors[0, 0 * (half + 1) + half] = 1.0
-        priors[1, 1 * (half + 1) + half] = 1.0
-        st = state_update((1, 1, 1, 1), Q, 4, 2, flow_value, state_priors=priors)
-        assert st.m == 1
 
 
 class TestRunSeriesBlock:
@@ -198,6 +199,15 @@ class TestRunSeriesBlock:
             "hop=2 state=(1,1) sent=1112 recv=01000010"
         )
         assert t.final_block == (0, 1, 0, 0, 0, 0, 1, 0)
+
+    def test_transcript_is_one_row_batch(self, reduced_bsc01_2hop):
+        channels, flow_value, _ = reduced_bsc01_2hop
+        spec = SeriesSpec(channels=channels, M=2, B=4, flow_value=flow_value)
+        for seed in range(5):
+            for m in (1, 2):
+                t = run_series_block(spec, m, np.random.default_rng(seed))
+                batch = run_series_blocks_batch(spec, m, 1, np.random.default_rng(seed))
+                assert t.final_block == tuple(batch[0])
 
     def test_one_hop_matches_oracle_3sigma(self):
         # single hop, M=2: ML over single blocks vs exact enumerated error
@@ -308,8 +318,8 @@ class TestNetworkProtocol:
         p = plan.paths[0]
         assert p.spec.B == 4  # floor(8 / 2!) kept even
         assert plan.blocks_per_path(40) == [40 // 8 - 2]
-        run = run_planned_protocol(plan, 40, 1, np.random.default_rng(0))
-        assert run.path_blocks[0].shape == (3, 8)
+        blocks = run_series_blocks_batch(p.spec, 1, 3, np.random.default_rng(0))
+        assert blocks.shape == (3, 8)
 
     def test_diamond_two_independent_paths(self):
         G = make_channel_graph(
@@ -318,17 +328,17 @@ class TestNetworkProtocol:
         )
         plan = build_network_plan(G, 2, 4)
         assert len(plan.paths) == 2
-        run = run_planned_protocol(plan, 16, 2, np.random.default_rng(5))
-        assert len(run.path_blocks) == 2
-        # both decoders accept the observation bundle
+        assert len(plan.blocks_per_path(16)) == 2
+        # both decoders aggregate the two paths' blocks
         dists = [exact_block_distribution(p.spec) for p in plan.paths]
-        assert decode_ml_exact(run, dists) in (1, 2)
-        assert decode_heuristic(run) in (1, 2)
+        for decoder in ("exact", "heuristic"):
+            assert 0 <= _cell_errors(plan, dists, decoder, 16, 2, 50, 5, 0) <= 50
 
     def test_horizon_too_short(self):
         G = make_channel_graph(3, 0, 2, [(0, 1, bsc(0.1)), (1, 2, bsc(0.1))])
+        plan = build_network_plan(G, 2, 4)
         with pytest.raises(HorizonTooShort):
-            run_network_protocol(G, 2, 4, 8, 1, np.random.default_rng(0))
+            plan.blocks_per_path(8)
 
     def test_pipelining_audit(self):
         # per-edge raw channel uses over the horizon never exceed n
@@ -363,9 +373,11 @@ class TestNetworkProtocol:
 
         plan = build_network_plan(counterexample_graph(0.01), 3, 12)
         assert sorted(p.nodes for p in plan.paths) == [(0, 1, 3), (0, 2, 3)]
-        run = run_planned_protocol(plan, 5 * plan.window, 3, np.random.default_rng(2))
-        for p, blocks in zip(plan.paths, run.path_blocks):
-            assert blocks.shape[0] == 5 - len(p.edge_ids)
+        counts = plan.blocks_per_path(5 * plan.window)
+        rng = np.random.default_rng(2)
+        for p, t in zip(plan.paths, counts):
+            assert t == 5 - len(p.edge_ids)
+            assert run_series_blocks_batch(p.spec, 3, t, rng).shape[0] == t
 
     def test_block_budget_too_small(self):
         from netexp.errors import BTooSmall
@@ -377,14 +389,12 @@ class TestNetworkProtocol:
         with pytest.raises(BTooSmall):
             build_network_plan(G, 2, 2)  # 2 uses per window < 2 * M!
 
-    def test_decode_requires_distributions(self):
-        from netexp.errors import DistributionUnavailable
+    def test_fewer_uses_than_paths(self):
+        from netexp.errors import BTooSmall
 
-        G = make_channel_graph(3, 0, 2, [(0, 1, bsc(0.1)), (1, 2, bsc(0.1))])
-        plan = build_network_plan(G, 2, 4)
-        run = run_planned_protocol(plan, 16, 1, np.random.default_rng(0))
-        with pytest.raises(DistributionUnavailable):
-            decode_ml_exact(run, [None])
+        G = make_channel_graph(2, 0, 1, [(0, 1, bsc(0.1)), (0, 1, bsc(0.2)), (0, 1, bsc(0.3))])
+        with pytest.raises(BTooSmall, match="number of paths"):
+            build_network_plan(G, 2, 2)
 
     def test_fresh_state_every_block(self):
         # blocks at different indices come from disjoint substreams and
@@ -404,10 +414,9 @@ class TestNetworkProtocol:
 
     def test_same_rng_reproducible(self):
         G = make_channel_graph(3, 0, 2, [(0, 1, bsc(0.1)), (1, 2, bsc(0.1))])
-        r1 = run_network_protocol(G, 2, 4, 20, 1, np.random.default_rng(77))
-        r2 = run_network_protocol(G, 2, 4, 20, 1, np.random.default_rng(77))
-        for a, b in zip(r1.path_blocks, r2.path_blocks):
-            assert (a == b).all()
+        plan = build_network_plan(G, 2, 4)
+        counts = [_cell_errors(plan, None, "heuristic", 20, 1, 2000, 77, 0) for _ in range(2)]
+        assert counts[0] == counts[1]
 
 
 class TestDecoders:
@@ -417,12 +426,9 @@ class TestDecoders:
         )
         plan = build_network_plan(G, 2, 4)
         dists = [exact_block_distribution(p.spec) for p in plan.paths]
-        rng = np.random.default_rng(1)
         for m in (1, 2):
-            for _ in range(5):
-                run = run_planned_protocol(plan, 24, m, rng)
-                assert decode_ml_exact(run, dists) == m
-                assert decode_heuristic(run) == m
+            for decoder in ("exact", "heuristic"):
+                assert _cell_errors(plan, dists, decoder, 24, m, 5, 1, 0) == 0
 
     def test_single_hop_ml_agrees_with_pairwise_test(self):
         # exhaustive over all B=2 blocks of the reduced single-hop channel

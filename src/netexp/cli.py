@@ -85,9 +85,13 @@ def cmd_decompose(args) -> int:
     net = weighted_network(gf.graph, args.weights, M=args.messages if args.weights == "tilde" else None)
     dec = decompose(net, maxflow(net))
     names = gf.nodes
+    caps = {e.id: e.capacity for e in net.edges}
     for p in dec.paths:
         route = "->".join(names[v] for v in p.nodes)
-        print(f"{route} value={_fmt(p.value)}")
+        # maxflow carries +inf capacities as a finite sentinel; a path of
+        # infinite edges has infinite value whatever share of it it got
+        value = math.inf if all(math.isinf(caps[eid]) for eid in p.edge_ids) else p.value
+        print(f"{route} value={_fmt(value)}")
     return 0
 
 

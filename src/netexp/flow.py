@@ -1,6 +1,6 @@
 """Exponent-weighted directed multigraphs: maxflow, mincut, flow
-decomposition into simple paths, per-path edge budgets, and back-edge-free
-mincut search.
+decomposition into simple paths, per-path edge budgets, and the
+back-edge-free mincut test (one extra maxflow).
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ class ChannelGraph:
         for e in self.edges:
             if not (0 <= e.tail < self.node_count and 0 <= e.head < self.node_count):
                 raise ParameterOutOfRange(f"edge {e.id} has endpoints outside the node range")
-        if not _reachable(self.node_count, [(e.tail, e.head) for e in self.edges], self.source, self.destination):
+        if self.destination not in _reach(self.node_count, [(e.tail, e.head) for e in self.edges], self.source):
             raise ParameterOutOfRange("no directed path from source to destination")
 
 
@@ -109,7 +109,8 @@ class PathDecomposition:
         return sum(p.value for p in self.paths)
 
 
-def _reachable(node_count, arcs, src, dst) -> bool:
+def _reach(node_count, arcs, src) -> frozenset:
+    """Nodes reachable from src over the (tail, head) arcs."""
     adj = [[] for _ in range(node_count)]
     for t, h in arcs:
         adj[t].append(h)
@@ -118,13 +119,11 @@ def _reachable(node_count, arcs, src, dst) -> bool:
     q = deque([src])
     while q:
         u = q.popleft()
-        if u == dst:
-            return True
         for v in adj[u]:
             if not seen[v]:
                 seen[v] = True
                 q.append(v)
-    return False
+    return frozenset(v for v in range(node_count) if seen[v])
 
 
 def weighted_network(G: ChannelGraph, mode: str, M: int | None = None) -> Network:
@@ -210,25 +209,16 @@ def mincut(net: Network, flow: Flow | None = None) -> Cut:
     """Residual-reachability cut for a maximum flow; size matches the flow total."""
     if flow is None:
         flow = maxflow(net)
-    n = net.node_count
-    adj = [[] for _ in range(n)]
-    for i, e in enumerate(net.edges):
-        cap = e.capacity if math.isfinite(e.capacity) else net.sentinel()
-        if cap - flow.edge_flows[i] > 1e-9:
-            adj[e.tail].append(e.head)
-        if flow.edge_flows[i] > 1e-9:
-            adj[e.head].append(e.tail)
-    seen = [False] * n
-    seen[net.source] = True
-    q = deque([net.source])
-    while q:
-        u = q.popleft()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                q.append(v)
-    side_a = frozenset(i for i in range(n) if seen[i])
-    side_b = frozenset(i for i in range(n) if not seen[i])
+    sentinel = net.sentinel()
+    arcs = []
+    for e, f in zip(net.edges, flow.edge_flows):
+        cap = e.capacity if math.isfinite(e.capacity) else sentinel
+        if cap - f > 1e-9:
+            arcs.append((e.tail, e.head))
+        if f > 1e-9:
+            arcs.append((e.head, e.tail))
+    side_a = _reach(net.node_count, arcs, net.source)
+    side_b = frozenset(range(net.node_count)) - side_a
     return Cut(side_a=side_a, side_b=side_b, size=_cut_size(net, side_a))
 
 
@@ -260,29 +250,39 @@ def brute_force_mincut(net: Network) -> Cut:
     return Cut(side_a=side_a, side_b=side_b, size=size)
 
 
-def mincut_without_backedges(net: Network) -> Cut | None:
-    """Among minimum cuts, return one with no positive-capacity back-edges.
+def mincut_without_backedges(net: Network, flow: Flow | None = None) -> Cut | None:
+    """A minimum cut with no positive-capacity back-edge, or None if none exists.
 
-    Ties are resolved toward fewer back-edges, then lexicographic node-set
-    order.  Returns None when every minimum cut has a back-edge.
+    A back-edge runs from the sink side into the source side.  Giving every
+    positive-capacity edge a reverse twin of capacity +inf makes exactly the
+    cuts with a back-edge infinite and leaves the others at their size, so
+    one more maxflow on that augmented network decides the question: a
+    back-edge-free minimum cut exists iff its maxflow equals the original
+    within 1e-9.  The cut returned is the residual-reachability cut of the
+    augmented flow, i.e. the source-minimal back-edge-free minimum cut.
+
+    When the original maxflow is infinite every cut is minimum, and the
+    answer is the set of nodes that reach the source over positive-capacity
+    edges, provided the destination is not among them.  `flow`, a maximum
+    flow of `net`, saves recomputing it.
     """
-    if net.node_count > 20:
-        raise GraphTooLarge(f"exhaustive cut search supports at most 20 nodes, got {net.node_count}")
-    min_size = brute_force_mincut(net).size
-    best = None
-    for side_a in _all_partitions(net):
-        size = _cut_size(net, side_a)
-        if size > min_size + 1e-9:
-            continue
-        backs = sum(1 for e in net.edges if e.head in side_a and e.tail not in side_a and e.capacity > 0)
-        key = (backs, tuple(sorted(side_a)))
-        if best is None or key < best[0]:
-            best = (key, side_a, size)
-    (backs, _), side_a, size = best
-    if backs > 0:
-        return None
+    total = (maxflow(net) if flow is None else flow).total
+    if total >= net.sentinel() - 1e-9:
+        reverse = [(e.head, e.tail) for e in net.edges if e.capacity > 0]
+        side_a = _reach(net.node_count, reverse, net.source)
+        if net.destination in side_a:
+            return None
+    else:
+        m = len(net.edges)
+        twins = tuple(NetEdge(e.head, e.tail, math.inf, m + i)
+                      for i, e in enumerate(net.edges) if e.capacity > 0)
+        aug = Network(net.node_count, net.source, net.destination, net.edges + twins)
+        aug_flow = maxflow(aug)
+        if abs(aug_flow.total - total) > 1e-9:
+            return None
+        side_a = mincut(aug, aug_flow).side_a
     side_b = frozenset(range(net.node_count)) - side_a
-    return Cut(side_a=side_a, side_b=side_b, size=size)
+    return Cut(side_a=side_a, side_b=side_b, size=_cut_size(net, side_a))
 
 
 def _sink_reachable(adj, remaining, start, sink, blocked) -> bool:

@@ -78,7 +78,7 @@ class BoundsReport:
     maxflow_zero: float
     ratio_two_over_tilde: float
     all_reversible: bool
-    backedge_free_mincut_exists: bool | None
+    backedge_free_mincut_exists: bool
 
     def to_json_obj(self) -> dict:
         def num(v):
@@ -144,7 +144,8 @@ def analyze(G: ChannelGraph, M: int) -> BoundsReport:
     net_tilde = weighted_network(G, "tilde", M)
     net_two = weighted_network(G, "two")
     net_zero = weighted_network(G, "zero")
-    f_tilde = _effective_total(net_tilde, maxflow(net_tilde).total)
+    flow_tilde = maxflow(net_tilde)
+    f_tilde = _effective_total(net_tilde, flow_tilde.total)
     f_two = _effective_total(net_two, maxflow(net_two).total)
     f_zero = _effective_total(net_zero, maxflow(net_zero).total)
 
@@ -156,9 +157,7 @@ def analyze(G: ChannelGraph, M: int) -> BoundsReport:
         ratio = f_two / f_tilde
 
     all_rev = all(e.reversible for e in edges)
-    backedge_free = None
-    if G.node_count <= 20:
-        backedge_free = mincut_without_backedges(net_tilde) is not None
+    backedge_free = mincut_without_backedges(net_tilde, flow_tilde) is not None
 
     if f_tilde > f_two + 1e-9:
         raise BoundsViolation("tilde-weighted maxflow exceeded two-message maxflow")
@@ -193,6 +192,8 @@ class SimConfig:
         if self.trials < 1:
             raise ParameterOutOfRange("trials must be >= 1")
         hs = tuple(self.horizons)
+        if not hs:
+            raise ParameterOutOfRange("at least one horizon is required")
         if any(b <= a for a, b in zip(hs, hs[1:])):
             raise ParameterOutOfRange("horizons must be strictly increasing")
         if self.decoder not in ("exact", "heuristic"):

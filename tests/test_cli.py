@@ -94,6 +94,14 @@ class TestSimulateCommand:
         assert code == 3
         assert "block size must be even" in err
 
+    def test_empty_horizons_exit_3(self, capsys):
+        code, out = run_cli(
+            capsys, "simulate", str(GRAPHS / "series-2-bsc.json"),
+            "--block", "4", "--horizons", "", "--trials", "10",
+        )
+        assert code == 3
+        assert out == ""
+
     def test_malformed_horizons_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", str(GRAPHS / "series-2-bsc.json"), "--block", "4", "--horizons", "12,x"])
@@ -164,6 +172,16 @@ class TestDecomposeCommand:
         assert code == 0
         routes = [line.split(" ")[0] for line in out1.strip().splitlines()]
         assert routes == ["1->2->4", "1->3->4"]
+
+    def test_noiseless_path_value_is_inf(self, capsys):
+        code, out = run_cli(capsys, "decompose", str(GRAPHS / "noiseless.json"))
+        assert code == 0
+        assert out.strip().splitlines() == ["s->r->t value=inf"]
+
+    def test_diamond_two_weights(self, capsys):
+        code, out = run_cli(capsys, "decompose", str(GRAPHS / "diamond.json"), "--weights", "two")
+        assert code == 0
+        assert out == "s->a->t value=0.510825623766\ns->b->t value=0.223143551314\n"
 
 
 class TestOracleCommand:

@@ -22,6 +22,7 @@ from netexp.flow import (
 )
 from netexp.harness import counterexample_graph
 from conftest import rand_network
+from flow_oracles import enumerate_mincut_without_backedges
 
 
 def series_net(*caps):
@@ -210,10 +211,66 @@ class TestMincutWithoutBackedges:
         net = weighted_network(counterexample_graph(0.01), "tilde", 3)
         assert mincut_without_backedges(net) is None
 
+    def test_forty_nodes_answered(self):
+        # a 40-node chain with a back-edge out of every odd node; the unique
+        # minimum cut sits behind the cheapest chain edge, and it has a
+        # back-edge exactly when that edge ends in an odd node
+        forward = [NetEdge(i, i + 1, 1.0 if i != 9 else 0.25, i) for i in range(39)]
+        back = [NetEdge(i, i - 1, 0.5, 39 + k) for k, i in enumerate(range(1, 40, 2))]
+        net = Network(40, 0, 39, tuple(forward + back))
+        cut = mincut_without_backedges(net)
+        assert cut is not None
+        assert cut.side_a == frozenset(range(10))
+        assert cut.size == 0.25
+        # move the bottleneck onto an edge whose head has a back-edge into side a
+        forward[9] = NetEdge(9, 10, 1.0, 9)
+        forward[10] = NetEdge(10, 11, 0.25, 10)
+        net = Network(40, 0, 39, tuple(forward + back))
+        assert mincut_without_backedges(net) is None
+
+    def test_infinite_maxflow(self):
+        # every cut is minimum; one exists iff t cannot reach s
+        assert mincut_without_backedges(series_net(math.inf, math.inf)).side_a == frozenset({0})
+        edges = (NetEdge(0, 1, math.inf, 0), NetEdge(1, 0, 0.5, 1))
+        assert mincut_without_backedges(Network(2, 0, 1, edges)) is None
+        edges = (NetEdge(0, 1, math.inf, 0), NetEdge(1, 0, 0.0, 1))
+        assert mincut_without_backedges(Network(2, 0, 1, edges)) is not None
+
+    def test_matches_enumeration_oracle(self):
+        # capacities mix +inf, 0, tied dyadic values and U[0,1] draws
+        rng = np.random.default_rng(20261018)
+        levels = [math.inf, 0.0, 0.25, 0.5, 0.5, 0.75, 1.0]
+        found = 0
+        for _ in range(2000):
+            n = int(rng.integers(2, 11))
+            edges = []
+            for j in range(int(rng.integers(1, 2 * n + 3))):
+                t, h = (int(v) for v in rng.choice(n, size=2, replace=False))
+                cap = levels[int(rng.integers(len(levels)))] if rng.random() < 0.7 else float(rng.random())
+                edges.append(NetEdge(t, h, cap, j))
+            net = Network(n, 0, n - 1, tuple(edges))
+            cut = mincut_without_backedges(net)
+            assert (cut is None) == (enumerate_mincut_without_backedges(net) is None)
+            if cut is None:
+                continue
+            found += 1
+            want = brute_force_mincut(net).size
+            assert cut.size == want or abs(cut.size - want) <= 1e-9
+            assert net.source in cut.side_a and net.destination in cut.side_b
+            assert not any(e.capacity > 0 and e.tail in cut.side_b and e.head in cut.side_a
+                           for e in net.edges)
+        assert 400 < found < 1600  # both answers are well represented
+
+
+class TestEnumerationOracle:
+    def test_counterexample_has_none(self):
+        net = weighted_network(counterexample_graph(0.01), "tilde", 3)
+        assert enumerate_mincut_without_backedges(net) is None
+
     def test_guard(self):
         edges = tuple(NetEdge(i, i + 1, 1.0, i) for i in range(21))
         with pytest.raises(GraphTooLarge):
-            mincut_without_backedges(Network(22, 0, 21, edges))
+            enumerate_mincut_without_backedges(Network(22, 0, 21, edges))
 
 
 class TestPathEdgeBudgets:

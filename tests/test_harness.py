@@ -87,6 +87,16 @@ class TestAnalyze:
             rep = analyze(G, M)  # invariants asserted inside
             assert rep.maxflow_tilde <= rep.maxflow_two + 1e-9
 
+    def test_backedge_flag_above_twenty_nodes(self):
+        # a 24-node chain with a noisy back-edge into every other node
+        edges = [(i, i + 1, bsc(0.1)) for i in range(23)]
+        edges += [(i, i - 1, bsc(0.2)) for i in range(2, 24, 2)]
+        rep = analyze(make_channel_graph(24, 0, 23, edges), 2)
+        assert rep.backedge_free_mincut_exists is True
+        edges += [(23, 0, bsc(0.3))]
+        rep = analyze(make_channel_graph(24, 0, 23, edges), 2)
+        assert rep.backedge_free_mincut_exists is False
+
     def test_json_obj_shape(self):
         G = make_channel_graph(3, 0, 2, [(0, 1, bsc(0.1)), (1, 2, bsc(0.2))])
         obj = analyze(G, 2).to_json_obj()
@@ -155,6 +165,10 @@ class TestSimulate:
             SimConfig(seed=0, trials=10, horizons=(10, 10), B=2, M=2)
         with pytest.raises(ParameterOutOfRange):
             SimConfig(seed=0, trials=10, horizons=(10,), B=2, M=2, decoder="magic")
+
+    def test_empty_horizons_rejected(self):
+        with pytest.raises(ParameterOutOfRange, match="at least one horizon"):
+            SimConfig(seed=0, trials=10, horizons=(), B=2, M=2)
 
     def test_exact_decoder_guard_translated(self):
         from netexp.errors import DistributionUnavailable

@@ -220,22 +220,30 @@ def chernoff(P: Dmc, x: int, xp: int) -> DivergenceResult:
     return DivergenceResult(value=best_val, argmax_s=best_s)
 
 
-def is_pairwise_reversible(P: Dmc, tol: float = 1e-7):
+def pairwise_chernoff(P: Dmc) -> dict:
+    """Optimized Chernoff divergence of every input pair, keyed (x, x') with
+    x < x' in lexicographic order."""
+    n = P.input_size
+    return {(x, xp): chernoff(P, x, xp) for x in range(n) for xp in range(x + 1, n)}
+
+
+def is_pairwise_reversible(P: Dmc, tol: float = 1e-7, *, pairs: dict | None = None):
     """Check whether every input pair's Chernoff optimum is attained at s=1/2.
 
     Returns ``(flag, witness)``; witness is ``(x, x', s*)`` for the first
-    violating pair when the flag is False, else None.
+    violating pair when the flag is False, else None.  ``pairs``, the
+    channel's :func:`pairwise_chernoff`, saves recomputing it.
     """
     if tol <= 0:
         raise ParameterOutOfRange(f"tol must be positive, got {tol}")
-    for x in range(P.input_size):
-        for xp in range(x + 1, P.input_size):
-            mid = chernoff_at(P, x, xp, 0.5)
-            opt = chernoff(P, x, xp)
-            if math.isinf(opt.value) and math.isinf(mid):
-                continue
-            if opt.value > mid + tol:
-                return False, (x, xp, opt.argmax_s)
+    if pairs is None:
+        pairs = pairwise_chernoff(P)
+    for (x, xp), opt in pairs.items():
+        mid = chernoff_at(P, x, xp, 0.5)
+        if math.isinf(opt.value) and math.isinf(mid):
+            continue
+        if opt.value > mid + tol:
+            return False, (x, xp, opt.argmax_s)
     return True, None
 
 

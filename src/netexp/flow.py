@@ -126,6 +126,19 @@ def _reach(node_count, arcs, src) -> frozenset:
     return frozenset(v for v in range(node_count) if seen[v])
 
 
+def channel_network(G: ChannelGraph, capacity) -> Network:
+    """Network on G's edges with capacity(channel) as each edge's capacity,
+    evaluated once per distinct channel object."""
+    cache: dict[int, float] = {}
+    edges = []
+    for e in G.edges:
+        key = id(e.channel)
+        if key not in cache:
+            cache[key] = capacity(e.channel)
+        edges.append(NetEdge(e.tail, e.head, cache[key], e.id))
+    return Network(G.node_count, G.source, G.destination, tuple(edges))
+
+
 def weighted_network(G: ChannelGraph, mode: str, M: int | None = None) -> Network:
     """Assign each edge the selected 1-hop exponent of its channel as capacity.
 
@@ -134,21 +147,13 @@ def weighted_network(G: ChannelGraph, mode: str, M: int | None = None) -> Networ
     """
     if mode == "tilde" and (M is None or M < 2):
         raise ParameterOutOfRange("mode 'tilde' requires M >= 2")
-    cache: dict[int, float] = {}
-    edges = []
-    for e in G.edges:
-        key = id(e.channel)
-        if key not in cache:
-            if mode == "two":
-                cache[key] = exponent_two(e.channel).value
-            elif mode == "tilde":
-                cache[key] = tilde_exponent(e.channel, M).value
-            elif mode == "zero":
-                cache[key] = zero_rate_exponent(e.channel).value
-            else:
-                raise ParameterOutOfRange(f"unknown weight mode {mode!r}")
-        edges.append(NetEdge(e.tail, e.head, cache[key], e.id))
-    return Network(G.node_count, G.source, G.destination, tuple(edges))
+    if mode == "two":
+        return channel_network(G, lambda P: exponent_two(P).value)
+    if mode == "tilde":
+        return channel_network(G, lambda P: tilde_exponent(P, M).value)
+    if mode == "zero":
+        return channel_network(G, lambda P: zero_rate_exponent(P).value)
+    raise ParameterOutOfRange(f"unknown weight mode {mode!r}")
 
 
 def maxflow(net: Network) -> Flow:

@@ -14,7 +14,6 @@ from .channel import (
     bhattacharyya,
     bsc,
     identity_channel,
-    is_pairwise_reversible,
     ksym,
     make_dmc,
 )
@@ -26,8 +25,8 @@ from .errors import (
     ParameterOutOfRange,
     StateSpaceTooLarge,
 )
-from .exponents import berlekamp_codebook, bsc_feedback_exponent_m3, exponent_two, tilde_exponent, zero_rate_exponent
-from .flow import ChannelGraph, NetEdge, Network, make_channel_graph, maxflow, mincut_without_backedges, weighted_network
+from .exponents import berlekamp_codebook, bsc_feedback_exponent_m3, channel_exponents, tilde_exponent
+from .flow import ChannelGraph, NetEdge, Network, channel_network, make_channel_graph, maxflow, mincut_without_backedges, weighted_network
 from .protocol import (
     NetworkPlan,
     block_scores_heuristic,
@@ -123,27 +122,21 @@ def analyze(G: ChannelGraph, M: int) -> BoundsReport:
     all-reversible) approximation are checked before returning; a breach
     raises BoundsViolation.
     """
-    cache: dict[int, tuple] = {}
+    channels = {id(e.channel): e.channel for e in G.edges}
+    records = {key: channel_exponents(P, M) for key, P in channels.items()}
     edges = []
     for e in G.edges:
-        key = id(e.channel)
-        if key not in cache:
-            cache[key] = (
-                exponent_two(e.channel).value,
-                tilde_exponent(e.channel, M).value,
-                zero_rate_exponent(e.channel).value,
-                is_pairwise_reversible(e.channel)[0],
-            )
-        two, til, zero, rev = cache[key]
+        rec = records[id(e.channel)]
         edges.append(
             EdgeBounds(
                 edge_id=e.id, tail=e.tail, head=e.head, label=e.channel.label,
-                exp_two=two, exp_tilde=til, exp_zero=zero, reversible=rev,
+                exp_two=rec.two.value, exp_tilde=rec.tilde.value,
+                exp_zero=rec.zero_rate.value, reversible=rec.reversible,
             )
         )
-    net_tilde = weighted_network(G, "tilde", M)
-    net_two = weighted_network(G, "two")
-    net_zero = weighted_network(G, "zero")
+    net_tilde = channel_network(G, lambda P: records[id(P)].tilde.value)
+    net_two = channel_network(G, lambda P: records[id(P)].two.value)
+    net_zero = channel_network(G, lambda P: records[id(P)].zero_rate.value)
     flow_tilde = maxflow(net_tilde)
     f_tilde = _effective_total(net_tilde, flow_tilde.total)
     f_two = _effective_total(net_two, maxflow(net_two).total)

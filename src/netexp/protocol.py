@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .channel import Dmc, restrict
 from .errors import (
@@ -25,7 +24,7 @@ from .errors import (
     ParameterOutOfRange,
     StateSpaceTooLarge,
 )
-from .exponents import berlekamp_codebook, tilde_exponent
+from .exponents import permutation_codebook, tilde_exponent
 from .flow import ChannelGraph, decompose, maxflow, path_edge_budgets, weighted_network
 
 EXACT_BLOCK_GUARD = 10**6
@@ -128,6 +127,28 @@ class CompositeDistribution:
     log_dists: np.ndarray
     base_output_size: int
     block_symbols: int
+
+
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) over ``axis`` (all axes when None) for real input,
+    step for step as ``scipy.special.logsumexp`` computes it, so bit-identical;
+    its direct-formula fallback is evaluated only when a result is non-finite."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, axis=axis, keepdims=True)
+        is_max = a == a_max
+        m = np.sum(is_max, axis=axis, keepdims=True, dtype=a.dtype)
+        rest = a.copy(order="K")
+        rest[is_max] = -np.inf
+        s = np.sum(np.exp(rest - a_max), axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out = np.where(bad, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)), out)
+    out = np.squeeze(out, axis=axis)
+    return out[()] if out.ndim == 0 else out
 
 
 def codeword(m: int, ell: int, B: int, M: int) -> tuple:
@@ -281,10 +302,10 @@ def reduce_inputs(channels, M: int):
     reduced = []
     flow_value = math.inf
     for P in channels:
-        cb = berlekamp_codebook(P, M)
-        tval = tilde_exponent(P, M).value
-        pair_db = ell * tval
-        reduced.append(ReducedChannel(base=P, words=cb.words, ell=ell, pair_db=pair_db))
+        report = tilde_exponent(P, M)
+        pair_db = ell * report.value
+        words = permutation_codebook(report, M).words
+        reduced.append(ReducedChannel(base=P, words=words, ell=ell, pair_db=pair_db))
         flow_value = min(flow_value, pair_db)
     return tuple(reduced), float(flow_value), ell
 

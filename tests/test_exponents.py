@@ -4,11 +4,22 @@ import math
 import numpy as np
 import pytest
 
-from netexp.channel import bhattacharyya, bsc, identity_channel, ksym, make_dmc, power, product
+from netexp.channel import (
+    bhattacharyya,
+    bsc,
+    identity_channel,
+    is_pairwise_reversible,
+    ksym,
+    make_dmc,
+    power,
+    product,
+)
 from netexp.errors import MTooLarge, ParameterOutOfRange, SearchSpaceTooLarge
 from netexp.exponents import (
+    _db_matrix,
     berlekamp_codebook,
     bsc_feedback_exponent_m3,
+    channel_exponents,
     exponent_two,
     ksym_closed_form,
     tilde_exponent,
@@ -19,6 +30,27 @@ from conftest import rand_dmc, rand_reversible
 DB_BSC01 = -math.log(0.6)
 # -log(2 sqrt(p(1-2p)) + p) at p=0.1; the ternary symmetric pairwise distance
 E2_KSYM3 = -math.log(2 * math.sqrt(0.1 * 0.8) + 0.1)
+
+
+def kkt_channels(rng, count):
+    """Seeded channels with 3 to 8 inputs: random, with structural zeros,
+    products of reversible channels, and random ones with duplicated rows."""
+    out = []
+    while len(out) < count:
+        kind = len(out) % 4
+        if kind == 0:
+            P = rand_dmc(rng, max_in=8, max_out=6)
+        elif kind == 1:
+            P = rand_dmc(rng, max_in=8, max_out=6, zeros=True)
+        elif kind == 2:
+            P = product(rand_reversible(rng, max_inputs=4), rand_reversible(rng, max_inputs=2))
+        else:
+            base = rand_dmc(rng, max_in=5, max_out=5)
+            rows = rng.integers(0, base.input_size, size=int(rng.integers(3, 9)))
+            P = make_dmc(base.probs[rows])
+        if 3 <= P.input_size <= 8 and not np.isinf(_db_matrix(P)).any():
+            out.append(P)
+    return out
 
 
 class TestExponentTwo:
@@ -147,6 +179,37 @@ class TestZeroRate:
     def test_input_guard(self):
         with pytest.raises(SearchSpaceTooLarge):
             zero_rate_exponent(ksym(13, 0.001))
+
+    def test_kkt_certificate(self, rng):
+        # a maximizer of q^T D q on the simplex has (Dq)_i <= q^T D q for
+        # every input, with equality on its support
+        for P in kkt_channels(rng, 200):
+            rep = zero_rate_exponent(P)
+            assert rep.method == "support_enumeration"
+            q = np.array(rep.optimizer)
+            assert q.min() >= 0 and abs(q.sum() - 1) < 1e-12
+            grad = _db_matrix(P) @ q
+            assert grad.max() <= rep.value + 1e-12
+            assert np.all(np.abs(grad[q > 0] - rep.value) <= 1e-12)
+
+    def test_ksym12_uniform(self):
+        p = 0.005
+        rep = zero_rate_exponent(ksym(12, p))
+        d = -math.log(2 * math.sqrt(p * (1 - 11 * p)) + 10 * p)
+        assert abs(rep.value - d * 11 / 12) < 1e-12
+        assert max(abs(v - 1 / 12) for v in rep.optimizer) < 1e-12
+
+
+class TestChannelExponents:
+    def test_record_matches_public_functions(self, rng):
+        for i in range(60):
+            P = rand_reversible(rng) if i % 3 == 0 else rand_dmc(rng, zeros=i % 3 == 2)
+            M = int(rng.integers(2, 5))
+            rec = channel_exponents(P, M)
+            assert rec.two == exponent_two(P)
+            assert rec.tilde == tilde_exponent(P, M)
+            assert rec.zero_rate == zero_rate_exponent(P)
+            assert rec.reversible == is_pairwise_reversible(P)[0]
 
 
 class TestBerlekampCodebook:

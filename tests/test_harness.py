@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from netexp.channel import bsc, identity_channel, ksym, make_dmc
-from netexp import harness
+from netexp import channel, exponents, harness
 from netexp.errors import AlphabetTooLarge, BoundsViolation, InsufficientData, ParameterOutOfRange
 from netexp.flow import Flow, make_channel_graph
 from netexp.harness import (
@@ -106,6 +106,25 @@ class TestAnalyze:
             "backedge_free_mincut_exists",
         }
         assert obj["edges"][0]["exponent_two"] == pytest.approx(0.510825623766)
+
+    def test_exponents_once_per_distinct_channel(self, monkeypatch):
+        # one BSC object on three edges, one ternary channel on the fourth
+        calls = {"zero": 0, "chernoff": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(exponents, "zero_rate_exponent",
+                            counted("zero", exponents.zero_rate_exponent))
+        monkeypatch.setattr(channel, "chernoff", counted("chernoff", channel.chernoff))
+        shared = bsc(0.1)
+        G = make_channel_graph(4, 0, 3, [(0, 1, shared), (1, 2, shared), (2, 3, shared),
+                                         (0, 3, ksym(3, 0.1))])
+        analyze(G, 2)
+        assert calls == {"zero": 2, "chernoff": 1 + 3}
 
     def test_broken_sandwich_raises(self, monkeypatch):
         # maxflows in call order: tilde, two, zero; tilde above two is a breach

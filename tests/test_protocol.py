@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from netexp.channel import bhattacharyya, bsc, identity_channel, ksym
+from netexp.channel import bhattacharyya, bsc, identity_channel, ksym, make_dmc
 from netexp.errors import (
     BoundsViolation,
     HorizonTooShort,
@@ -11,6 +11,8 @@ from netexp.errors import (
     ParameterOutOfRange,
     StateSpaceTooLarge,
 )
+from netexp import protocol
+from netexp.exponents import berlekamp_codebook
 from netexp.flow import make_channel_graph
 from netexp.harness import _cell_errors
 from netexp.protocol import (
@@ -22,6 +24,7 @@ from netexp.protocol import (
     block_scores_ml,
     codeword,
     exact_block_distribution,
+    logsumexp,
     make_series_spec,
     min_pairwise_composite_db,
     ml_error_probs,
@@ -146,6 +149,45 @@ class TestReduceInputs:
     def test_m_guard(self):
         with pytest.raises(MTooLarge):
             reduce_inputs([bsc(0.1)], 5)
+
+
+    def test_one_tilde_exponent_per_hop(self, monkeypatch):
+        calls = []
+        real = protocol.tilde_exponent
+
+        def counted(P, M):
+            calls.append(P)
+            return real(P, M)
+
+        monkeypatch.setattr(protocol, "tilde_exponent", counted)
+        chans = [bsc(0.1), ksym(3, 0.05), make_dmc([[0.7, 0.2, 0.1], [0.1, 0.1, 0.8], [0.3, 0.4, 0.3]])]
+        reduced, _, _ = reduce_inputs(chans, 3)
+        assert calls == chans
+        for P, r in zip(chans, reduced):
+            assert r.words == berlekamp_codebook(P, 3).words
+
+
+class TestLogsumexp:
+    def test_bit_identical_to_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        rng = np.random.default_rng(1234)
+        checked = 0
+        for shape in [(7,), (1,), (5, 4), (3, 1), (4, 3, 5), (2, 6, 3), (6, 2, 2, 3)]:
+            for _ in range(40):
+                a = rng.normal(scale=rng.choice([0.1, 3.0, 300.0]), size=shape)
+                a = np.round(a, int(rng.integers(0, 3)))  # rounding makes ties common
+                a[rng.random(shape) < 0.3] = -np.inf
+                if a.ndim > 1 and rng.random() < 0.5:
+                    a[int(rng.integers(0, shape[0]))] = -np.inf  # an all -inf row
+                for arr in (a, a.T):
+                    for axis in [None, *range(arr.ndim), -1]:
+                        got = logsumexp(arr, axis=axis)
+                        want = special.logsumexp(arr, axis=axis)
+                        assert type(got) is type(want)
+                        assert np.shape(got) == np.shape(want)
+                        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+                        checked += 1
+        assert checked > 2000
 
 
 class TestStateUpdate:

@@ -7,7 +7,7 @@ log domain.  All values are in nats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,10 +75,12 @@ class Dmc:
 
 @dataclass(frozen=True)
 class DivergenceResult:
-    """Optimized Chernoff divergence: value in nats plus the maximizing s."""
+    """Optimized Chernoff divergence: value in nats, the maximizing s, and
+    the value at s=1/2 (the Bhattacharyya distance)."""
 
     value: float
     argmax_s: float = 0.5
+    at_half: float = field(kw_only=True)
 
 
 def make_dmc(probs, label: str | None = None) -> Dmc:
@@ -186,7 +188,7 @@ def chernoff(P: Dmc, x: int, xp: int) -> DivergenceResult:
     lx, ly = P.log_probs[x], P.log_probs[xp]
     mask = np.isfinite(lx) & np.isfinite(ly)
     if not mask.any():
-        return DivergenceResult(value=math.inf, argmax_s=0.5)
+        return DivergenceResult(value=math.inf, argmax_s=0.5, at_half=math.inf)
 
     la = lx[mask]
     lb = ly[mask]
@@ -217,7 +219,7 @@ def chernoff(P: Dmc, x: int, xp: int) -> DivergenceResult:
     for val, s in candidates[1:]:
         if val > best_val + 1e-13:
             best_val, best_s = val, s
-    return DivergenceResult(value=best_val, argmax_s=best_s)
+    return DivergenceResult(value=best_val, argmax_s=best_s, at_half=candidates[0][0])
 
 
 def pairwise_chernoff(P: Dmc) -> dict:
@@ -239,7 +241,7 @@ def is_pairwise_reversible(P: Dmc, tol: float = 1e-7, *, pairs: dict | None = No
     if pairs is None:
         pairs = pairwise_chernoff(P)
     for (x, xp), opt in pairs.items():
-        mid = chernoff_at(P, x, xp, 0.5)
+        mid = opt.at_half
         if math.isinf(opt.value) and math.isinf(mid):
             continue
         if opt.value > mid + tol:

@@ -224,30 +224,31 @@ def _cell_errors(plan: NetworkPlan, dists, decoder: str, n: int, m: int, trials:
                  seed: int, h_idx: int) -> int:
     """Error count for one (horizon, message) cell; deterministic in its key.
 
-    Each (path, block) slot gets a substream keyed by (h_idx, m, path, block);
-    all trials of the slot are sampled from it in a fixed chunk layout, so
-    results do not depend on worker scheduling.
+    Each (path, block) slot gets a substream keyed by (h_idx, m, path, block)
+    and samples its trials from it chunk after chunk in a fixed chunk layout,
+    so results do not depend on worker scheduling.  Trial chunks are the
+    outer loop, so memory holds one chunk's scores, not every trial's.
     """
     counts = plan.blocks_per_path(n)
-    scores = np.zeros((trials, plan.M))
-    for p, t in zip(plan.paths, counts):
-        spec = p.spec
-        for b_idx in range(t):
-            ss = np.random.SeedSequence(entropy=seed, spawn_key=(h_idx, m, p.index, b_idx))
-            rng = np.random.Generator(np.random.PCG64(ss))
-            done = 0
-            while done < trials:
-                chunk = min(_TRIAL_CHUNK, trials - done)
-                blocks = run_series_blocks_batch(spec, m, chunk, rng)
-                if decoder == "exact":
-                    scores[done : done + chunk] += block_scores_ml(blocks, dists[p.index])
-                else:
-                    scores[done : done + chunk] += block_scores_heuristic(
-                        blocks, spec.channels[-1], spec.M, spec.B
-                    )
-                done += chunk
-    decided = np.argmax(scores, axis=1) + 1
-    return int(np.count_nonzero(decided != m))
+    slots = [
+        (p, np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(entropy=seed, spawn_key=(h_idx, m, p.index, b_idx)))))
+        for p, t in zip(plan.paths, counts)
+        for b_idx in range(t)
+    ]
+    errors = 0
+    for done in range(0, trials, _TRIAL_CHUNK):
+        chunk = min(_TRIAL_CHUNK, trials - done)
+        scores = np.zeros((chunk, plan.M))
+        for p, rng in slots:
+            spec = p.spec
+            blocks = run_series_blocks_batch(spec, m, chunk, rng)
+            if decoder == "exact":
+                scores += block_scores_ml(blocks, dists[p.index])
+            else:
+                scores += block_scores_heuristic(blocks, spec.channels[-1], spec.M, spec.B)
+        errors += int(np.count_nonzero(np.argmax(scores, axis=1) + 1 != m))
+    return errors
 
 
 def simulate(G: ChannelGraph, config: SimConfig) -> SimResult:

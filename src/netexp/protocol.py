@@ -202,15 +202,30 @@ def _codeword_table(M: int, B: int) -> np.ndarray:
 
 
 def _symbol_logliks(base_logp: np.ndarray, words: np.ndarray, y: np.ndarray, B: int) -> np.ndarray:
-    """Per-use log-likelihoods la[a, n, r] = log P(chunk r of y_n | symbol a+1)."""
+    """Per-use log-likelihoods la[a, n, r] = log P(chunk r of y_n | symbol a+1).
+
+    A chunk's first g raw digits key one row of a table that holds their
+    summed log-likelihoods; the remaining digits are added one at a time.
+    Every sum runs over the digits in order from 0.0, so the floats do not
+    depend on g.  g is the largest with out**g no larger than the chunk
+    count, so the table is never bigger than the data it replaces.  The
+    result is a view whose memory runs use-major, la[a, :, r] contiguous.
+    """
     M, ell = words.shape
     N = y.shape[0]
-    yr = y.reshape(N, B, ell)
-    la = np.zeros((M, N, B))
-    for a in range(M):
-        for j in range(ell):
-            la[a] += base_logp[words[a, j]][yr[:, :, j]]
-    return la
+    out = base_logp.shape[1]
+    digits = y.reshape(N * B, ell)
+    g = 0
+    while g < ell and out ** (g + 1) <= N * B:
+        g += 1
+    table = np.zeros((M, 1))
+    for j in range(g):
+        table = (table[:, :, None] + base_logp[words[:, j]][:, None, :]).reshape(M, -1)
+    key = digits[:, :g] @ out ** np.arange(g - 1, -1, -1, dtype=np.int64)
+    la = np.take(table, key.reshape(N, B).T, axis=1)
+    for j in range(g, ell):
+        la += np.take(base_logp[words[:, j]], digits[:, j].reshape(N, B).T, axis=1)
+    return la.transpose(0, 2, 1)
 
 
 def _state_logliks(la: np.ndarray, B: int) -> np.ndarray:
@@ -218,22 +233,27 @@ def _state_logliks(la: np.ndarray, B: int) -> np.ndarray:
 
     Codewords are two homogeneous segments, so a prefix sum for the leading
     symbol plus a suffix sum for the trailing one covers every ell at once.
-    Sums never mix +inf and -inf, so zeros in the channel stay -inf.
+    Both run over the uses in sequence, as ``cumsum`` does, for all symbols
+    and blocks at once.  Sums never mix +inf and -inf, so zeros in the
+    channel stay -inf.
     """
     M, N, _ = la.shape
     half = B // 2
-    cols = half + np.arange(half + 1)
-    prefix = np.empty((M, N, B + 1))
-    suffix = np.empty((M, N, B + 1))
-    for a in range(M):
-        prefix[a, :, 0] = 0.0
-        np.cumsum(la[a], axis=1, out=prefix[a, :, 1:])
-        suffix[a, :, B] = 0.0
-        suffix[a, :, :B] = np.cumsum(la[a][:, ::-1], axis=1)[:, ::-1]
+    uses = la.transpose(2, 0, 1)  # (B, M, N)
+    prefix = np.empty((half + 1, M, N))  # sums of the first half..B uses
+    prefix[0] = uses[0]
+    for r in range(1, half):
+        prefix[0] += uses[r]
+    for e in range(1, half + 1):
+        np.add(prefix[e - 1], uses[half + e - 1], out=prefix[e])
+    suffix = np.empty((half + 1, M, N))  # sums of the last half..0 uses
+    suffix[half] = 0.0
+    suffix[half - 1] = uses[B - 1]
+    for e in range(half - 2, -1, -1):
+        np.add(suffix[e + 1], uses[half + e], out=suffix[e])
+    nxt = (np.arange(M) + 1) % M
     ll = np.empty((N, M, half + 1))
-    for m_idx in range(M):
-        nxt = (m_idx + 1) % M
-        ll[:, m_idx, :] = prefix[m_idx][:, cols] + suffix[nxt][:, cols]
+    np.add(prefix.transpose(2, 1, 0), suffix[:, nxt].transpose(2, 1, 0), out=ll)
     return ll
 
 
@@ -276,15 +296,29 @@ def _relay_states(chan, M: int, B: int, flow_value: float, y: np.ndarray):
     return _states_from_loglik(_uniform_message_loglik(ll), flow_value, B // 2)
 
 
-def _sample_symbols(probs: np.ndarray, x_idx: np.ndarray, rng) -> np.ndarray:
-    """Inverse-CDF sampling of channel outputs for a matrix of inputs."""
-    u = rng.random(x_idx.shape)
-    y = np.empty(x_idx.shape, dtype=np.int64)
-    cums = np.cumsum(probs, axis=1)
-    for a in range(probs.shape[0]):
-        mask = x_idx == a
-        y[mask] = np.searchsorted(cums[a], u[mask], side="right")
-    np.minimum(y, probs.shape[1] - 1, out=y)
+def _sampling_thresholds(probs: np.ndarray, words: np.ndarray, B: int) -> np.ndarray:
+    """Inverse-CDF table of one hop for :func:`_sample_symbols`.
+
+    Entry [k, s, i] is the cumulative probability of raw outputs 0..k at raw
+    position i of the codeword of sender state s = m_idx * (B/2+1) + ell,
+    for k < out-1.
+    """
+    M = words.shape[0]
+    raw = words[_codeword_table(M, B)].reshape(M * (B // 2 + 1), -1)
+    return np.cumsum(probs, axis=1)[:, :-1].T[:, raw]
+
+
+def _sample_symbols(thresholds: np.ndarray, state: np.ndarray, rng) -> np.ndarray:
+    """Inverse-CDF sampling of the raw outputs of each sender's codeword.
+
+    One row of ``thresholds`` (see :func:`_sampling_thresholds`) per sender
+    state; counting the thresholds at or below a uniform draw is
+    ``searchsorted(side="right")`` clamped to the last output.
+    """
+    u = rng.random((state.shape[0], thresholds.shape[2]))
+    y = np.zeros(u.shape, dtype=np.int64)
+    for thr in thresholds:
+        y += np.take(thr, state, axis=0) <= u
     return y
 
 
@@ -323,21 +357,21 @@ def make_series_spec(channels, M: int, B: int) -> SeriesSpec:
 def _hop_blocks(spec: SeriesSpec, m: int, n_blocks: int, rng):
     """The protocol engine: n_blocks independent sequential block runs.
 
-    Yields (m_idx, ell, sent, y) per hop: the sending node's states, the
-    protocol symbols it sends (0-based) and the raw base-symbol blocks the
-    receiving node gets.  A relay's state is computed only once the next hop
-    is requested, so the destination's state is never computed here.
+    Yields (m_idx, ell, y) per hop: the sending node's states and the raw
+    base-symbol blocks the receiving node gets.  A relay's state is computed
+    only once the next hop is requested, so the destination's state is never
+    computed here.
     """
     if not 1 <= m <= spec.M:
         raise BoundsViolation(f"message {m} outside 1..{spec.M}")
-    table = _codeword_table(spec.M, spec.B)
+    half = spec.B // 2
     m_idx = np.full(n_blocks, m - 1, dtype=np.int64)
-    ell = np.full(n_blocks, spec.B // 2, dtype=np.int64)
+    ell = np.full(n_blocks, half, dtype=np.int64)
     for hop, chan in enumerate(spec.channels):
         base, words = _hop_view(chan, spec.M)
-        sent = table[m_idx, ell]
-        y = _sample_symbols(base.probs, words[sent].reshape(n_blocks, -1), rng)
-        yield m_idx, ell, sent, y
+        thresholds = _sampling_thresholds(base.probs, words, spec.B)
+        y = _sample_symbols(thresholds, m_idx * (half + 1) + ell, rng)
+        yield m_idx, ell, y
         if hop < len(spec.channels) - 1:
             m_idx, ell = _relay_states(chan, spec.M, spec.B, spec.flow_value, y)
 
@@ -362,16 +396,17 @@ def run_series_block(spec: SeriesSpec, m: int, rng) -> Transcript:
     ``run_series_blocks_batch``.
     """
     hops = list(_hop_blocks(spec, m, 1, rng))
-    y_last = hops[-1][3]
-    states = [(m_idx, ell) for m_idx, ell, _, _ in hops[1:]]
+    y_last = hops[-1][2]
+    states = [(m_idx, ell) for m_idx, ell, _ in hops[1:]]
     states.append(_relay_states(spec.channels[-1], spec.M, spec.B, spec.flow_value, y_last))
+    table = _codeword_table(spec.M, spec.B)
     records = tuple(
         HopRecord(
-            sent=tuple(int(s) + 1 for s in sent[0]),
+            sent=tuple(int(s) + 1 for s in table[m_send[0], ell_send[0]]),
             received=tuple(int(v) for v in y[0]),
             state=NodeState(m=int(m_idx[0]) + 1, ell=int(ell[0])),
         )
-        for (_, _, sent, y), (m_idx, ell) in zip(hops, states)
+        for (m_send, ell_send, y), (m_idx, ell) in zip(hops, states)
     )
     return Transcript(hops=records, final_block=tuple(int(v) for v in y_last[0]))
 

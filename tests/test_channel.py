@@ -16,6 +16,7 @@ from netexp.channel import (
     is_pairwise_reversible,
     ksym,
     make_dmc,
+    pairwise_chernoff,
     power,
     product,
     restrict,
@@ -218,6 +219,31 @@ class TestPairwiseReversible:
     def test_random_family(self, rng):
         for _ in range(25):
             assert is_pairwise_reversible(rand_reversible(rng))[0]
+
+    def test_reads_midpoint_from_the_optimizer(self, rng):
+        # d_C(1/2) carried by chernoff equals a fresh chernoff_at(.., 0.5), so
+        # flags and witnesses match a check that recomputes it per pair
+        def recomputed(P, tol=1e-7):
+            for (x, xp), opt in pairwise_chernoff(P).items():
+                mid = chernoff_at(P, x, xp, 0.5)
+                if math.isinf(opt.value) and math.isinf(mid):
+                    continue
+                if opt.value > mid + tol:
+                    return False, (x, xp, opt.argmax_s)
+            return True, None
+
+        channels = [rand_dmc(rng, zeros=bool(i % 2)) for i in range(40)]
+        channels += [rand_reversible(rng) for _ in range(10)]
+        channels += [make_dmc([[1.0, 0.0], [0.0, 1.0]]), make_dmc([[1.0, 0.0], [0.5, 0.5]])]
+        flags = set()
+        for P in channels:
+            for (x, xp), opt in pairwise_chernoff(P).items():
+                mid = chernoff_at(P, x, xp, 0.5)
+                assert opt.at_half == mid or (math.isinf(opt.at_half) and math.isinf(mid))
+            got = is_pairwise_reversible(P)
+            assert got == recomputed(P)
+            flags.add(got[0])
+        assert flags == {True, False}
 
 
 class TestProductPower:

@@ -85,6 +85,38 @@ class TestSimulateCommand:
         assert code == 0
         assert out == GOLDEN.read_text()
 
+    # Per-cell counts of the heuristic decoder at M=3 over the two diamond
+    # paths (each reduced use spends 3! raw uses), recorded before the
+    # protocol kernels became table lookups.  At B=48 no cell errs in 2000
+    # trials, so B=12 pins nonzero counts on the same path.
+    HEURISTIC_M3 = {
+        ("48", "144"): (
+            "n,message,errors,trials,p_hat,ci_lo,ci_hi\n"
+            "144,1,0,2000,0,0,0.00191704728125\n"
+            "144,2,0,2000,0,0,0.00191704728125\n"
+            "144,3,0,2000,0,0,0.00191704728125\n"
+        ),
+        ("12", "36,48"): (
+            "n,message,errors,trials,p_hat,ci_lo,ci_hi\n"
+            "36,1,61,2000,0.0305,0.0238173954902,0.0389827119069\n"
+            "36,2,123,2000,0.0615,0.0517881702341,0.0728930802315\n"
+            "36,3,116,2000,0.058,0.048578071454,0.0691165983426\n"
+            "48,1,13,2000,0.0065,0.00380259649407,0.0110895291725\n"
+            "48,2,43,2000,0.0215,0.0160007805091,0.0288338337391\n"
+            "48,3,31,2000,0.0155,0.0109409729337,0.0219166458818\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("block, horizons", sorted(HEURISTIC_M3))
+    def test_heuristic_m3_counts(self, capsys, block, horizons):
+        code, out = run_cli(
+            capsys, "simulate", str(GRAPHS / "diamond.json"), "--messages", "3",
+            "--block", block, "--horizons", horizons, "--trials", "2000", "--seed", "7",
+            "--decoder", "heuristic",
+        )
+        assert code == 0
+        assert out == self.HEURISTIC_M3[(block, horizons)]
+
     def test_odd_block_exit_3(self, capsys):
         code = main([
             "simulate", str(GRAPHS / "series-2-bsc.json"),

@@ -22,6 +22,7 @@ from netexp.harness import (
     wilson_interval,
 )
 from conftest import rand_dmc, rand_channel_graph
+import protocol_oracles as oracles
 
 DB_BSC01 = -math.log(0.6)
 
@@ -176,6 +177,25 @@ class TestSimulate:
             else:
                 os.environ["NETEXP_THREADS"] = old
         assert r1.rows == r2.rows
+
+    @pytest.mark.parametrize("graph, M, B, n, decoder", [
+        (make_channel_graph(4, 0, 3, [(0, 1, bsc(0.1)), (1, 3, bsc(0.1)),
+                                      (0, 2, bsc(0.2)), (2, 3, bsc(0.2))]), 3, 12, 48, "heuristic"),
+        (make_channel_graph(3, 0, 2, [(0, 1, bsc(0.05)), (1, 2, bsc(0.05))]), 2, 4, 24, "exact"),
+    ])
+    def test_chunk_outer_loop_matches_slot_outer_loop(self, monkeypatch, graph, M, B, n, decoder):
+        # 300 trials in chunks of 64: four full chunks and a partial one
+        from netexp.protocol import build_network_plan, exact_block_distribution
+
+        monkeypatch.setattr(harness, "_TRIAL_CHUNK", 64)
+        plan = build_network_plan(graph, M, B)
+        assert sum(plan.blocks_per_path(n)) >= 2
+        dists = [exact_block_distribution(p.spec) for p in plan.paths] if decoder == "exact" else None
+        got = [harness._cell_errors(plan, dists, decoder, n, m, 300, 5, 1) for m in range(1, M + 1)]
+        want = [oracles.cell_errors(plan, dists, decoder, n, m, 300, 5, 1, chunk_size=64)
+                for m in range(1, M + 1)]
+        assert got == want
+        assert sum(got) > 0
 
     def test_config_validation(self):
         with pytest.raises(ParameterOutOfRange, match="block size must be even"):

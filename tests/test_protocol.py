@@ -12,6 +12,7 @@ from netexp.errors import (
     StateSpaceTooLarge,
 )
 from netexp import protocol
+import protocol_oracles as oracles
 from netexp.exponents import berlekamp_codebook
 from netexp.flow import make_channel_graph
 from netexp.harness import _cell_errors
@@ -541,3 +542,120 @@ class TestMakeSeriesSpec:
         spec = make_series_spec([bsc(0.1), bsc(0.2)], 2, 6)
         assert spec.B == 6 and spec.M == 2
         assert abs(spec.flow_value - 2 * (-math.log(0.8))) < 1e-9
+
+
+class _FixedDraws:
+    """Stands in for a generator: ``random`` hands back prepared uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, shape):
+        assert shape == self.u.shape
+        return self.u
+
+
+def _kernel_channel(rng, n_in, n_out):
+    """Random transition rows with structural zeros, kept exactly as drawn
+    (no renormalization), so some rows' cumulative sums end below 1.0."""
+    mat = rng.random((n_in, n_out))
+    mat[rng.random((n_in, n_out)) < 0.3] = 0.0
+    for row in mat:
+        if row.sum() == 0:
+            row[int(rng.integers(0, n_out))] = 1.0
+    return mat / mat.sum(axis=1, keepdims=True)
+
+
+class TestTableKernels:
+    """The table-driven kernels equal the direct per-input and per-symbol
+    loops of ``tests/protocol_oracles.py`` bit for bit."""
+
+    CASES = [(M, ell, B) for M in (2, 3, 4) for ell in (1, 2, 6, 24) for B in (2, 4, 8, 48)]
+
+    def test_sampler_matches_searchsorted(self):
+        rng = np.random.default_rng(11)
+        short_rows = 0
+        for M, ell, B in self.CASES:
+            n_out = int(rng.integers(2, 6))
+            n_in = int(rng.integers(M, M + 3))
+            probs = _kernel_channel(rng, n_in, n_out)
+            short_rows += int((np.cumsum(probs, axis=1)[:, -1] < 1.0).sum())
+            words = rng.integers(0, n_in, (M, ell))
+            N = int(rng.integers(1, 40))
+            m_idx = rng.integers(0, M, N)
+            lvl = rng.integers(0, B // 2 + 1, N)
+            u = rng.random((N, B * ell))
+            # draws at and beyond every cumulative sum, up to just below 1.0
+            cums = np.cumsum(probs, axis=1)
+            u.flat[: n_in * n_out] = cums.ravel()[: u.size]
+            u.flat[-1] = np.nextafter(1.0, 0.0)
+            x = words[_codeword_table(M, B)[m_idx, lvl]].reshape(N, -1)
+            want = oracles.sample_symbols(probs, x, _FixedDraws(u))
+            thr = protocol._sampling_thresholds(probs, words, B)
+            got = protocol._sample_symbols(thr, m_idx * (B // 2 + 1) + lvl, _FixedDraws(u))
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (M, ell, B)
+        assert short_rows > 0
+
+    def test_sampler_clamps_past_a_short_cumsum(self):
+        # this row's cumulative sum ends at 0.9999999999999999: a draw there
+        # counts every threshold, and the clamp keeps the last output
+        probs = np.array([[0.7, 0.2, 0.1], [0.0, 0.5, 0.5]])
+        assert np.cumsum(probs[0])[-1] < 1.0
+        words = np.array([[0], [1]])
+        state = np.array([0, 1, 2, 3])
+        u = np.full((4, 2), np.nextafter(1.0, 0.0))
+        u[1, 0] = 0.7
+        x = words[_codeword_table(2, 2).reshape(4, 2)[state]].reshape(4, -1)
+        want = oracles.sample_symbols(probs, x, _FixedDraws(u))
+        thr = protocol._sampling_thresholds(probs, words, 2)
+        got = protocol._sample_symbols(thr, state, _FixedDraws(u))
+        assert np.array_equal(got, want)
+        assert want[0, 0] == 2 and want[1, 0] == 1
+
+    def test_sampler_consumes_the_same_stream(self):
+        probs = _kernel_channel(np.random.default_rng(3), 4, 3)
+        words = np.array([[0, 1], [2, 3], [1, 0]])
+        state = np.array([0, 4, 7, 2, 5])
+        thr = protocol._sampling_thresholds(probs, words, 4)
+        rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
+        x = words[_codeword_table(3, 4).reshape(9, 4)[state]].reshape(5, -1)
+        assert np.array_equal(protocol._sample_symbols(thr, state, rng_a),
+                              oracles.sample_symbols(probs, x, rng_b))
+        assert rng_a.random() == rng_b.random()
+
+    def test_symbol_and_state_logliks(self):
+        rng = np.random.default_rng(12)
+        neg_inf = 0
+        for M, ell, B in self.CASES:
+            n_out = int(rng.integers(2, 6))
+            n_in = int(rng.integers(M, M + 3))
+            with np.errstate(divide="ignore"):
+                logp = np.log(_kernel_channel(rng, n_in, n_out))
+            words = rng.integers(0, n_in, (M, ell))
+            for N in (1, 7):
+                y = rng.integers(0, n_out, (N, B * ell))
+                want = oracles.symbol_logliks(logp, words, y, B)
+                got = protocol._symbol_logliks(logp, words, y, B)
+                assert np.array_equal(got, want), (M, ell, B, N)
+                neg_inf += int(np.isneginf(want).sum())
+                ll_want = oracles.state_logliks(want, B)
+                assert np.array_equal(protocol._state_logliks(got, B), ll_want)
+                assert np.array_equal(protocol._state_logliks(want, B), ll_want)
+        assert neg_inf > 0
+
+    def test_exact_law_and_decoder_paths(self):
+        # the exact law reads ell=1 words over the whole block alphabet; the
+        # heuristic decoder reads the reduced codewords
+        spec = make_series_spec([bsc(0.1), make_dmc([[0.7, 0.3, 0.0], [0.0, 0.2, 0.8]])], 2, 4)
+        Q = spec.channels[1].to_dmc()
+        blocks = protocol._enumerate_blocks(Q.output_size, 4)
+        ident = np.arange(2, dtype=np.int64)[:, None]
+        la = protocol._symbol_logliks(Q.log_probs, ident, blocks, 4)
+        assert np.array_equal(la, oracles.symbol_logliks(Q.log_probs, ident, blocks, 4))
+        base, words = protocol._hop_view(spec.channels[1], 2)
+        y = run_series_blocks_batch(spec, 2, 300, np.random.default_rng(4))
+        want = oracles.state_logliks(oracles.symbol_logliks(base.log_probs, words, y, 4), 4)
+        assert np.array_equal(
+            protocol.block_scores_heuristic(y, spec.channels[1], 2, 4), want.max(axis=2)
+        )

@@ -22,7 +22,6 @@ from .channel import (
 from .exponents import (
     Codebook,
     ExponentReport,
-    berlekamp_codebook,
     bsc_feedback_exponent_m3,
     exponent_two,
     ksym_closed_form,
@@ -49,14 +48,11 @@ from .protocol import (
     NodeState,
     SeriesSpec,
     Transcript,
-    codeword,
     composite_db,
     exact_block_distribution,
     make_series_spec,
     reduce_inputs,
     run_series_block,
-    state_pseudometric,
-    verify_transition_bound,
 )
 from .harness import (
     BoundsReport,
@@ -65,7 +61,6 @@ from .harness import (
     analyze,
     counterexample_experiment,
     fit_exponent,
-    oracle_exponent_1hop,
     simulate,
     wilson_interval,
 )

@@ -60,10 +60,6 @@ class Dmc:
     def output_size(self) -> int:
         return self.probs.shape[1]
 
-    def row(self, x: int) -> np.ndarray:
-        self.check_input(x)
-        return self.probs[x]
-
     def check_input(self, x: int) -> None:
         if not 0 <= x < self.input_size:
             raise IndexOutOfRange(f"input index {x} outside [0, {self.input_size})")
@@ -326,14 +322,14 @@ def channel_from_obj(obj) -> Dmc:
     raise ParameterOutOfRange(f"unknown channel kind {kind!r}")
 
 
-def channel_to_obj(P: Dmc) -> dict:
-    """Serialize a channel; named constructors keep their compact form."""
-    label = P.label or ""
-    if label.startswith("bsc("):
-        return {"kind": "bsc", "p": float(label[4:-1])}
-    if label.startswith("bec("):
-        return {"kind": "bec", "p": float(label[4:-1])}
-    if label.startswith("ksym("):
-        k_str, p_str = label[5:-1].split(",")
-        return {"kind": "ksym", "k": int(k_str), "p": float(p_str)}
-    return {"kind": "matrix", "rows": [[float(v) for v in row] for row in P.probs]}
+def channel_to_obj(P: Dmc, obj) -> dict:
+    """Canonical form of ``obj``, the serialized channel that
+    :func:`channel_from_obj` built P from.  Named kinds keep their compact
+    form with the parameters exactly as parsed; a matrix lists P's
+    normalized rows."""
+    kind = obj["kind"]
+    if kind == "matrix":
+        return {"kind": "matrix", "rows": [[float(v) for v in row] for row in P.probs]}
+    if kind == "ksym":
+        return {"kind": "ksym", "k": int(obj["k"]), "p": float(obj["p"])}
+    return {"kind": kind, "p": float(obj["p"])}

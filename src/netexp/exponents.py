@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Dmc, bhattacharyya, is_pairwise_reversible, pairwise_chernoff
-from .errors import MTooLarge, ParameterOutOfRange, SearchSpaceTooLarge
+from .errors import ParameterOutOfRange, SearchSpaceTooLarge
 
 MULTISET_GUARD = 10**6
 ZERO_RATE_INPUT_GUARD = 12
@@ -200,14 +200,6 @@ def permutation_codebook(report: ExponentReport, M: int) -> Codebook:
     perms = list(itertools.permutations(range(M)))
     words = tuple(tuple(tup[sigma[m]] for sigma in perms) for m in range(M))
     return Codebook(M=M, ell=math.factorial(M), words=words)
-
-
-def berlekamp_codebook(P: Dmc, M: int) -> Codebook:
-    """Permutation codebook of length M! whose pairwise distances all equal
-    M! times the tilde exponent of P."""
-    if M < 2 or M > 6:
-        raise MTooLarge(f"codebook construction supports 2 <= M <= 6, got {M}")
-    return permutation_codebook(tilde_exponent(P, M), M)
 
 
 def ksym_closed_form(K: int, M: int, p: float) -> float:

@@ -70,17 +70,15 @@ class Network:
     destination: int
     edges: tuple
 
-    def finite_cap_sum(self) -> float:
-        return sum(e.capacity for e in self.edges if math.isfinite(e.capacity))
-
     def sentinel(self) -> float:
         """Stand-in for +inf: strictly larger than any finite maxflow."""
-        return 1.0 + self.finite_cap_sum()
+        return 1.0 + sum(e.capacity for e in self.edges if math.isfinite(e.capacity))
 
 
 @dataclass(frozen=True)
 class Flow:
-    """Per-edge flow values (indexed like net.edges) and the total s->t value."""
+    """Per-edge flow values (indexed like net.edges) and the total s->t value,
+    +inf when the maxflow is unbounded."""
 
     edge_flows: np.ndarray
     total: float
@@ -160,8 +158,9 @@ def maxflow(net: Network) -> Flow:
     """Maximum flow by augmenting shortest residual paths (Edmonds-Karp).
 
     Infinite capacities are replaced internally by a sentinel exceeding the
-    sum of all finite capacities, which keeps the arithmetic finite and makes
-    "the maxflow is infinite" detectable as total >= sentinel.
+    sum of all finite capacities, which keeps the arithmetic finite; a total
+    that reaches the sentinel (within 1e-9) is returned as +inf.  Edge flows
+    keep the sentinel-based values.
     """
     n = net.node_count
     m = len(net.edges)
@@ -207,6 +206,8 @@ def maxflow(net: Network) -> Flow:
 
     flows = np.maximum(res[1::2], 0.0)
     flows[flows < FLOW_TOL] = 0.0
+    if total >= sentinel - 1e-9:
+        total = math.inf
     return Flow(edge_flows=flows, total=total)
 
 
@@ -272,7 +273,7 @@ def mincut_without_backedges(net: Network, flow: Flow | None = None) -> Cut | No
     flow of `net`, saves recomputing it.
     """
     total = (maxflow(net) if flow is None else flow).total
-    if total >= net.sentinel() - 1e-9:
+    if math.isinf(total):
         reverse = [(e.head, e.tail) for e in net.edges if e.capacity > 0]
         side_a = _reach(net.node_count, reverse, net.source)
         if net.destination in side_a:

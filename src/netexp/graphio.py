@@ -60,7 +60,7 @@ def parse_graph_obj(obj) -> GraphFile:
         _require(isinstance(eid, str), f"{field}.id", "edge id must be a string")
         edges.append(GraphEdge(tail=index[eo["from"]], head=index[eo["to"]], channel=chan, id=i))
         edge_objs.append({"from": eo["from"], "to": eo["to"],
-                          "channel": channel_to_obj(chan), "id": eid})
+                          "channel": channel_to_obj(chan, eo["channel"]), "id": eid})
 
     try:
         graph = ChannelGraph(

@@ -18,14 +18,13 @@ from .channel import (
     make_dmc,
 )
 from .errors import (
-    AlphabetTooLarge,
     BoundsViolation,
     DistributionUnavailable,
     InsufficientData,
     ParameterOutOfRange,
     StateSpaceTooLarge,
 )
-from .exponents import berlekamp_codebook, bsc_feedback_exponent_m3, channel_exponents, tilde_exponent
+from .exponents import bsc_feedback_exponent_m3, channel_exponents, tilde_exponent
 from .flow import ChannelGraph, NetEdge, Network, channel_network, make_channel_graph, maxflow, mincut_without_backedges, weighted_network
 from .protocol import (
     NetworkPlan,
@@ -112,6 +111,8 @@ class BoundsReport:
 
 
 def _effective_total(net: Network, total: float) -> float:
+    """+inf for a total at the sentinel: the rule `maxflow` applies itself.
+    Nothing in netexp calls it; the benchmark's checks do."""
     return math.inf if total >= net.sentinel() - 1e-9 else total
 
 
@@ -138,9 +139,9 @@ def analyze(G: ChannelGraph, M: int) -> BoundsReport:
     net_two = channel_network(G, lambda P: records[id(P)].two.value)
     net_zero = channel_network(G, lambda P: records[id(P)].zero_rate.value)
     flow_tilde = maxflow(net_tilde)
-    f_tilde = _effective_total(net_tilde, flow_tilde.total)
-    f_two = _effective_total(net_two, maxflow(net_two).total)
-    f_zero = _effective_total(net_zero, maxflow(net_zero).total)
+    f_tilde = flow_tilde.total
+    f_two = maxflow(net_two).total
+    f_zero = maxflow(net_zero).total
 
     if f_tilde == 0 and f_two == 0:
         ratio = 1.0
@@ -179,7 +180,6 @@ class SimConfig:
     B: int
     M: int
     decoder: str = "exact"
-    messages: str = "worst_case"
 
     def __post_init__(self):
         if self.trials < 1:
@@ -191,8 +191,6 @@ class SimConfig:
             raise ParameterOutOfRange("horizons must be strictly increasing")
         if self.decoder not in ("exact", "heuristic"):
             raise ParameterOutOfRange(f"unknown decoder {self.decoder!r}")
-        if self.messages not in ("worst_case", "uniform"):
-            raise ParameterOutOfRange(f"unknown message aggregation {self.messages!r}")
         if self.B % 2 != 0 or self.B < 2:
             raise ParameterOutOfRange("block size must be even and at least 2")
 
@@ -212,8 +210,7 @@ class SimRow:
 class SimResult:
     config: SimConfig
     rows: tuple
-    aggregate: tuple  # (n, p_hat) per horizon, per config.messages
-    fitted: tuple | None  # (slope, stderr) when >= 3 horizons have errors
+    aggregate: tuple  # (n, worst-case p_hat over the messages) per horizon
     skipped_horizons: tuple
 
 
@@ -293,33 +290,10 @@ def simulate(G: ChannelGraph, config: SimConfig) -> SimResult:
         rows.append(SimRow(n=n, message=m, errors=e, trials=config.trials,
                            p_hat=e / config.trials, ci_lo=lo, ci_hi=hi))
 
-    aggregate = []
-    for n in config.horizons:
-        ps = [r.p_hat for r in rows if r.n == n]
-        agg = max(ps) if config.messages == "worst_case" else sum(ps) / len(ps)
-        aggregate.append((n, agg))
-
-    fitted = None
+    aggregate = tuple((n, max(r.p_hat for r in rows if r.n == n)) for n in config.horizons)
     skipped = tuple(n for n, p in aggregate if p == 0.0)
-    usable = [(n, p) for n, p in aggregate if p > 0.0]
-    if len(usable) >= 3:
-        fitted = _ols_exponent(usable)
-
-    return SimResult(config=config, rows=tuple(rows), aggregate=tuple(aggregate),
-                     fitted=fitted, skipped_horizons=skipped)
-
-
-def _ols_exponent(points):
-    xs = np.array([n for n, _ in points], dtype=float)
-    ys = np.array([-math.log(p) for _, p in points])
-    xbar, ybar = xs.mean(), ys.mean()
-    sxx = float(((xs - xbar) ** 2).sum())
-    slope = float(((xs - xbar) * (ys - ybar)).sum() / sxx)
-    resid = ys - (ybar + slope * (xs - xbar))
-    dof = len(xs) - 2
-    sigma2 = float((resid**2).sum() / dof) if dof > 0 else 0.0
-    stderr = math.sqrt(sigma2 / sxx)
-    return slope, stderr
+    return SimResult(config=config, rows=tuple(rows), aggregate=aggregate,
+                     skipped_horizons=skipped)
 
 
 def fit_exponent(result: SimResult):
@@ -333,7 +307,15 @@ def fit_exponent(result: SimResult):
         raise InsufficientData(
             f"need at least 3 horizons with errors, have {len(usable)}"
         )
-    return _ols_exponent(usable)
+    xs = np.array([n for n, _ in usable], dtype=float)
+    ys = np.array([-math.log(p) for _, p in usable])
+    xbar, ybar = xs.mean(), ys.mean()
+    sxx = float(((xs - xbar) ** 2).sum())
+    slope = float(((xs - xbar) * (ys - ybar)).sum() / sxx)
+    resid = ys - (ybar + slope * (xs - xbar))
+    sigma2 = float((resid**2).sum() / (len(xs) - 2))
+    stderr = math.sqrt(sigma2 / sxx)
+    return slope, stderr
 
 
 def counterexample_channel(p: float) -> Dmc:
@@ -410,23 +392,3 @@ def counterexample_experiment(p_grid) -> list:
             )
         )
     return rows
-
-
-def oracle_exponent_1hop(P: Dmc, M: int, n: int) -> float:
-    """Exact worst-case ML error probability of the permutation codebook
-    repeated cyclically to length n, by full output enumeration."""
-    if P.output_size**n > 10**7:
-        raise AlphabetTooLarge(f"{P.output_size}^{n} outputs exceed the 1e7 guard")
-    cb = berlekamp_codebook(P, M)
-    words = [[cb.words[m][j % cb.ell] for j in range(n)] for m in range(M)]
-    L = np.zeros((M, 1))
-    for j in range(n):
-        cols = np.array([words[m][j] for m in range(M)])
-        L = (L[:, :, None] + P.log_probs[cols][:, None, :]).reshape(M, -1)
-    decisions = np.argmax(L, axis=0)
-    worst = 0.0
-    for m_idx in range(M):
-        wrong = decisions != m_idx
-        p_err = float(np.exp(L[m_idx][wrong]).sum()) if wrong.any() else 0.0
-        worst = max(worst, p_err)
-    return worst

@@ -55,10 +55,6 @@ class ReducedChannel:
     def input_size(self) -> int:
         return len(self.words)
 
-    @property
-    def output_size(self) -> int:
-        return self.base.output_size**self.ell
-
     def to_dmc(self) -> Dmc:
         return restrict(self.base, self.words)
 
@@ -151,27 +147,6 @@ def logsumexp(a, axis=None):
     return out[()] if out.ndim == 0 else out
 
 
-def codeword(m: int, ell: int, B: int, M: int) -> tuple:
-    """Sorted state block: B/2+ell copies of m, then B/2-ell copies of m's
-    successor (wrapping M back to 1)."""
-    if B % 2 != 0 or B < 2:
-        raise BoundsViolation("block size must be even and at least 2")
-    if not 1 <= m <= M:
-        raise BoundsViolation(f"message {m} outside 1..{M}")
-    if not 0 <= ell <= B // 2:
-        raise BoundsViolation(f"confidence {ell} outside 0..{B // 2}")
-    nxt = m % M + 1
-    return (m,) * (B // 2 + ell) + (nxt,) * (B // 2 - ell)
-
-
-def state_pseudometric(a: NodeState, b: NodeState, flow_value: float) -> float:
-    """Belief distance: |f|*|ell1-ell2| on equal messages, else |f|*(ell1+ell2)."""
-    steps = abs(a.ell - b.ell) if a.m == b.m else a.ell + b.ell
-    if steps == 0:
-        return 0.0  # even when flow_value is infinite
-    return flow_value * steps
-
-
 def _hop_view(chan, M: int):
     """Uniform (base channel, codeword table) view of a hop channel.
 
@@ -186,11 +161,9 @@ def _hop_view(chan, M: int):
     return chan, np.arange(M, dtype=np.int64)[:, None]
 
 
-def _as_dmc(chan) -> Dmc:
-    return chan.to_dmc() if isinstance(chan, ReducedChannel) else chan
-
-
 def _codeword_table(M: int, B: int) -> np.ndarray:
+    """Sorted state blocks tab[m_idx, ell]: B/2+ell copies of m_idx, then
+    B/2-ell copies of its successor (wrapping M-1 back to 0)."""
     half = B // 2
     tab = np.empty((M, half + 1, B), dtype=np.int64)
     for m_idx in range(M):
@@ -418,9 +391,6 @@ class ForwardTrace:
 
     occupancies: tuple
     block_logdists: tuple
-    out_sizes: tuple
-    spec: SeriesSpec
-    update_mode: str
 
 
 def _enumerate_blocks(out_size: int, B: int) -> np.ndarray:
@@ -442,21 +412,23 @@ def series_forward_trace(spec: SeriesSpec, update_mode: str = "uniform") -> Forw
     M, B = spec.M, spec.B
     half = B // 2
     n_states = M * (half + 1)
-    table = _codeword_table(M, B)
 
     occ = np.zeros((M, n_states))
     for m_idx in range(M):
         occ[m_idx, m_idx * (half + 1) + half] = 1.0
     occupancies = [occ]
     block_logdists = []
-    out_sizes = []
 
     for chan in spec.channels:
-        Q = _as_dmc(chan)
-        if Q.output_size**B > EXACT_BLOCK_GUARD:
+        # the guard reads the base sizes, so it fires before to_dmc builds
+        # the restriction's out**ell product columns
+        base, words = _hop_view(chan, M)
+        symbols = B * words.shape[1]
+        if base.output_size**symbols > EXACT_BLOCK_GUARD:
             raise StateSpaceTooLarge(
-                f"{Q.output_size}^{B} block outcomes exceed the exact-enumeration guard"
+                f"{base.output_size}^{symbols} block outcomes exceed the exact-enumeration guard"
             )
+        Q = chan.to_dmc() if isinstance(chan, ReducedChannel) else chan
         blocks = _enumerate_blocks(Q.output_size, B)
         la = _symbol_logliks(Q.log_probs, np.arange(M, dtype=np.int64)[:, None], blocks, B)
         ll = _state_logliks(la, B)  # (K, M, half+1)
@@ -478,15 +450,8 @@ def series_forward_trace(spec: SeriesSpec, update_mode: str = "uniform") -> Forw
             nxt[m_idx] = np.bincount(sidx, weights=np.exp(ld[m_idx]), minlength=n_states)
         occupancies.append(nxt)
         block_logdists.append(ld)
-        out_sizes.append(Q.output_size)
 
-    return ForwardTrace(
-        occupancies=tuple(occupancies),
-        block_logdists=tuple(block_logdists),
-        out_sizes=tuple(out_sizes),
-        spec=spec,
-        update_mode=update_mode,
-    )
+    return ForwardTrace(occupancies=tuple(occupancies), block_logdists=tuple(block_logdists))
 
 
 def exact_block_distribution(spec: SeriesSpec, update_mode: str = "uniform") -> CompositeDistribution:
@@ -510,89 +475,6 @@ def composite_db(cd: CompositeDistribution, m1: int, m2: int) -> float:
     return max(-float(logsumexp(0.5 * (l1[mask] + l2[mask]))), 0.0)
 
 
-def min_pairwise_composite_db(cd: CompositeDistribution) -> float:
-    M = cd.log_dists.shape[0]
-    return min(composite_db(cd, a + 1, b + 1) for a in range(M) for b in range(a + 1, M))
-
-
-def ml_error_probs(cd: CompositeDistribution) -> np.ndarray:
-    """Exact maximum-likelihood error probability per message (ties to the
-    lowest index), decoding a single block."""
-    ld = cd.log_dists
-    M = ld.shape[0]
-    decisions = np.argmax(ld, axis=0)
-    errs = np.empty(M)
-    for m_idx in range(M):
-        wrong = decisions != m_idx
-        errs[m_idx] = float(np.exp(ld[m_idx][wrong]).sum()) if wrong.any() else 0.0
-    return errs
-
-
-@dataclass(frozen=True)
-class TransitionReport:
-    """Slack audit of the state-occupancy and block-divergence inequalities."""
-
-    all_hold: bool
-    min_slack_occupancy: float
-    min_slack_divergence: float
-    details: tuple
-
-
-def verify_transition_bound(spec: SeriesSpec) -> TransitionReport:
-    """Check, by exact enumeration, that every reachable state's probability
-    decays with its distance from the source state, and that per-hop block
-    divergences stay above the chained lower bound.
-
-    Both checks use the exact-occupancy update variant.
-    """
-    trace = series_forward_trace(spec, update_mode="exact")
-    M, B = spec.M, spec.B
-    half = B // 2
-    f = spec.flow_value
-    logmb = math.log(M * (B + 1))
-    logm1 = math.log(M - 1) if M > 1 else 0.0
-
-    details = []
-    min_occ = math.inf
-    for j, occ in enumerate(trace.occupancies):
-        for m1 in range(1, M + 1):
-            for mp in range(1, M + 1):
-                for ellp in range(half + 1):
-                    p = occ[m1 - 1, (mp - 1) * (half + 1) + ellp]
-                    lhs = -math.log(p) if p > 0 else math.inf
-                    dist = state_pseudometric(NodeState(m1, half), NodeState(mp, ellp), f)
-                    rhs = 2 * dist - 2 * j * logmb - 2 * j * f - j * logm1
-                    slack = lhs - rhs
-                    details.append(("occupancy", j, m1, (mp, ellp), slack))
-                    if math.isfinite(slack):
-                        min_occ = min(min_occ, slack)
-
-    min_div = math.inf
-    for j, ld in enumerate(trace.block_logdists):
-        rhs = B * f - 2 * (j + 1) * logmb - 2 * j * f - j * logm1
-        for m1 in range(1, M + 1):
-            for m2 in range(m1 + 1, M + 1):
-                l1, l2 = ld[m1 - 1], ld[m2 - 1]
-                mask = np.isfinite(l1) & np.isfinite(l2)
-                lhs = math.inf if not mask.any() else max(
-                    -float(logsumexp(0.5 * (l1[mask] + l2[mask]))), 0.0
-                )
-                slack = lhs - rhs
-                details.append(("divergence", j, m1, m2, slack))
-                if math.isfinite(slack):
-                    min_div = min(min_div, slack)
-
-    all_hold = (min_occ >= -1e-9 or math.isinf(min_occ)) and (
-        min_div >= -1e-9 or math.isinf(min_div)
-    )
-    return TransitionReport(
-        all_hold=all_hold,
-        min_slack_occupancy=min_occ,
-        min_slack_divergence=min_div,
-        details=tuple(details),
-    )
-
-
 @dataclass(frozen=True)
 class PathPlan:
     """Schedule for one decomposition path: its reduced chain and budgets."""
@@ -603,7 +485,6 @@ class PathPlan:
     edge_budgets: tuple
     spec: SeriesSpec
     ell_factor: int
-    flow_share: float
 
 
 @dataclass(frozen=True)
@@ -678,7 +559,6 @@ def build_network_plan(G: ChannelGraph, M: int, B: int) -> NetworkPlan:
                 edge_budgets=tuple(budgets[(i, eid)] for eid in p.edge_ids),
                 spec=spec,
                 ell_factor=ell,
-                flow_share=p.value,
             )
         )
     return NetworkPlan(M=M, B=B, window=window, paths=tuple(paths))

@@ -1,13 +1,29 @@
-"""Reference forms of the protocol kernels and of the simulate cell loop.
+"""Reference forms of the protocol kernels and of the simulate cell loop,
+and exact-enumeration oracles on a chain's protocol law.
 
 The engine in ``netexp.protocol`` computes the kernels' quantities with
 table lookups, and ``harness._cell_errors`` loops over trial chunks on the
 outside; these direct forms (per-input masks, per-symbol loops, slot-outer
-loop) are the oracles their results must equal bit for bit.
+loop) are the oracles their results must equal bit for bit.  The law
+oracles (exact ML error, the state-transition inequalities) read
+``series_forward_trace`` and ``exact_block_distribution``.
 """
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
-from netexp.protocol import block_scores_heuristic, block_scores_ml, run_series_blocks_batch
+from netexp.protocol import (
+    CompositeDistribution,
+    NodeState,
+    SeriesSpec,
+    block_scores_heuristic,
+    block_scores_ml,
+    composite_db,
+    logsumexp,
+    run_series_blocks_batch,
+    series_forward_trace,
+)
 
 
 def sample_symbols(probs: np.ndarray, x_idx: np.ndarray, rng) -> np.ndarray:
@@ -79,3 +95,94 @@ def cell_errors(plan, dists, decoder: str, n: int, m: int, trials: int, seed: in
                 done += chunk
     decided = np.argmax(scores, axis=1) + 1
     return int(np.count_nonzero(decided != m))
+
+
+def state_pseudometric(a: NodeState, b: NodeState, flow_value: float) -> float:
+    """Belief distance: |f|*|ell1-ell2| on equal messages, else |f|*(ell1+ell2)."""
+    steps = abs(a.ell - b.ell) if a.m == b.m else a.ell + b.ell
+    if steps == 0:
+        return 0.0  # even when flow_value is infinite
+    return flow_value * steps
+
+
+def min_pairwise_composite_db(cd: CompositeDistribution) -> float:
+    M = cd.log_dists.shape[0]
+    return min(composite_db(cd, a + 1, b + 1) for a in range(M) for b in range(a + 1, M))
+
+
+def ml_error_probs(cd: CompositeDistribution) -> np.ndarray:
+    """Exact maximum-likelihood error probability per message (ties to the
+    lowest index), decoding a single block."""
+    ld = cd.log_dists
+    M = ld.shape[0]
+    decisions = np.argmax(ld, axis=0)
+    errs = np.empty(M)
+    for m_idx in range(M):
+        wrong = decisions != m_idx
+        errs[m_idx] = float(np.exp(ld[m_idx][wrong]).sum()) if wrong.any() else 0.0
+    return errs
+
+
+@dataclass(frozen=True)
+class TransitionReport:
+    """Slack audit of the state-occupancy and block-divergence inequalities."""
+
+    all_hold: bool
+    min_slack_occupancy: float
+    min_slack_divergence: float
+    details: tuple
+
+
+def verify_transition_bound(spec: SeriesSpec) -> TransitionReport:
+    """Check, by exact enumeration, that every reachable state's probability
+    decays with its distance from the source state, and that per-hop block
+    divergences stay above the chained lower bound.
+
+    Both checks use the exact-occupancy update variant.
+    """
+    trace = series_forward_trace(spec, update_mode="exact")
+    M, B = spec.M, spec.B
+    half = B // 2
+    f = spec.flow_value
+    logmb = math.log(M * (B + 1))
+    logm1 = math.log(M - 1) if M > 1 else 0.0
+
+    details = []
+    min_occ = math.inf
+    for j, occ in enumerate(trace.occupancies):
+        for m1 in range(1, M + 1):
+            for mp in range(1, M + 1):
+                for ellp in range(half + 1):
+                    p = occ[m1 - 1, (mp - 1) * (half + 1) + ellp]
+                    lhs = -math.log(p) if p > 0 else math.inf
+                    dist = state_pseudometric(NodeState(m1, half), NodeState(mp, ellp), f)
+                    rhs = 2 * dist - 2 * j * logmb - 2 * j * f - j * logm1
+                    slack = lhs - rhs
+                    details.append(("occupancy", j, m1, (mp, ellp), slack))
+                    if math.isfinite(slack):
+                        min_occ = min(min_occ, slack)
+
+    min_div = math.inf
+    for j, ld in enumerate(trace.block_logdists):
+        rhs = B * f - 2 * (j + 1) * logmb - 2 * j * f - j * logm1
+        for m1 in range(1, M + 1):
+            for m2 in range(m1 + 1, M + 1):
+                l1, l2 = ld[m1 - 1], ld[m2 - 1]
+                mask = np.isfinite(l1) & np.isfinite(l2)
+                lhs = math.inf if not mask.any() else max(
+                    -float(logsumexp(0.5 * (l1[mask] + l2[mask]))), 0.0
+                )
+                slack = lhs - rhs
+                details.append(("divergence", j, m1, m2, slack))
+                if math.isfinite(slack):
+                    min_div = min(min_div, slack)
+
+    all_hold = (min_occ >= -1e-9 or math.isinf(min_occ)) and (
+        min_div >= -1e-9 or math.isinf(min_div)
+    )
+    return TransitionReport(
+        all_hold=all_hold,
+        min_slack_occupancy=min_occ,
+        min_slack_divergence=min_div,
+        details=tuple(details),
+    )

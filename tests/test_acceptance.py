@@ -23,14 +23,12 @@ from netexp.protocol import (
     SeriesSpec,
     block_scores_ml,
     exact_block_distribution,
-    min_pairwise_composite_db,
-    ml_error_probs,
     reduce_inputs,
     run_series_blocks_batch,
-    verify_transition_bound,
 )
 from netexp.protocol import _encode_blocks
 from conftest import rand_dmc, rand_network, rand_channel_graph, rand_reversible
+from protocol_oracles import min_pairwise_composite_db, ml_error_probs, verify_transition_bound
 
 DB_BSC01 = -math.log(0.6)
 E2_KSYM3 = -math.log(2 * math.sqrt(0.1 * 0.8) + 0.1)  # = 0.4069380549...

@@ -392,7 +392,7 @@ class TestSerialization:
     ])
     def test_round_trip(self, obj):
         P = channel_from_obj(obj)
-        Q = channel_from_obj(channel_to_obj(P))
+        Q = channel_from_obj(channel_to_obj(P, obj))
         assert np.allclose(P.probs, Q.probs)
 
     def test_unknown_kind(self):

@@ -13,12 +13,34 @@ from netexp.errors import GraphFileError
 ROOT = Path(__file__).resolve().parent.parent
 GRAPHS = ROOT / "graphs"
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_simulate.csv"
+CLI_GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden"
+SAMPLE_GRAPHS = ("counterexample", "diamond", "noiseless", "series-2-bsc", "series-2-bsc005")
+
+# (golden file stem, argv): stdout recorded before the second
+# implementations and test-only code left src/
+CLI_GOLDEN_CASES = (
+    [(f"analyze-{g}-m{M}", ["analyze", str(GRAPHS / f"{g}.json"), "--messages", M])
+     for g in SAMPLE_GRAPHS for M in ("2", "3")]
+    + [(f"decompose-{g}-{w}", ["decompose", str(GRAPHS / f"{g}.json"), "--weights", w])
+       for g in SAMPLE_GRAPHS for w in ("two", "tilde")]
+    + [("counterexample-default", ["counterexample"])]
+    + [(f"oracle-{g}-{mode}", ["oracle", str(GRAPHS / f"{g}.json"), "--messages", "2",
+                               "--block", "4", "--mode", mode])
+       for g in ("series-2-bsc", "series-2-bsc005") for mode in ("uniform", "exact")]
+)
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+@pytest.mark.parametrize("stem, argv", CLI_GOLDEN_CASES, ids=[c[0] for c in CLI_GOLDEN_CASES])
+def test_cli_golden_stdout(capsys, stem, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == (CLI_GOLDEN / f"{stem}.txt").read_text()
 
 
 class TestAnalyzeCommand:
@@ -247,6 +269,25 @@ class TestDumpNormalized:
             assert np.allclose(a.channel.probs, b.channel.probs)
         # normalizing twice is a fixed point
         assert dump_normalized(reparsed) == out.strip()
+
+    @pytest.mark.parametrize("chan", [
+        {"kind": "bsc", "p": 0.123456789},
+        {"kind": "bec", "p": 0.123456789},
+        {"kind": "ksym", "k": 3, "p": 0.123456789},
+    ])
+    def test_round_trip_keeps_parameters(self, capsys, tmp_path, chan):
+        original = tmp_path / "graph.json"
+        original.write_text(json.dumps({
+            "nodes": ["s", "t"], "source": "s", "destination": "t",
+            "edges": [{"from": "s", "to": "t", "channel": chan}],
+        }))
+        code, dumped = run_cli(capsys, "analyze", str(original), "--dump-normalized")
+        assert code == 0
+        normalized = tmp_path / "normalized.json"
+        normalized.write_text(dumped)
+        a, b = (load_graph_file(str(p)).graph.edges[0].channel for p in (original, normalized))
+        assert a.probs.tobytes() == b.probs.tobytes()
+        assert run_cli(capsys, "analyze", str(normalized)) == run_cli(capsys, "analyze", str(original))
 
 
 class TestByteDeterminism:

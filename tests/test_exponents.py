@@ -14,14 +14,14 @@ from netexp.channel import (
     power,
     product,
 )
-from netexp.errors import MTooLarge, ParameterOutOfRange, SearchSpaceTooLarge
+from netexp.errors import ParameterOutOfRange, SearchSpaceTooLarge
 from netexp.exponents import (
     _db_matrix,
-    berlekamp_codebook,
     bsc_feedback_exponent_m3,
     channel_exponents,
     exponent_two,
     ksym_closed_form,
+    permutation_codebook,
     tilde_exponent,
     zero_rate_exponent,
 )
@@ -212,6 +212,10 @@ class TestChannelExponents:
             assert rec.reversible == is_pairwise_reversible(P)[0]
 
 
+def berlekamp_codebook(P, M):
+    return permutation_codebook(tilde_exponent(P, M), M)
+
+
 class TestBerlekampCodebook:
     def test_bsc_m2(self):
         cb = berlekamp_codebook(bsc(0.1), 2)
@@ -251,10 +255,6 @@ class TestBerlekampCodebook:
     def test_single_input(self):
         cb = berlekamp_codebook(make_dmc([[0.4, 0.6]]), 3)
         assert cb.words[0] == cb.words[1] == cb.words[2]
-
-    def test_m_guard(self):
-        with pytest.raises(MTooLarge):
-            berlekamp_codebook(bsc(0.1), 7)
 
 
 class TestClosedForms:

@@ -17,11 +17,11 @@ from netexp.harness import (
     counterexample_experiment,
     counterexample_graph,
     fit_exponent,
-    oracle_exponent_1hop,
     simulate,
     wilson_interval,
 )
 from conftest import rand_dmc, rand_channel_graph
+from exponent_oracles import oracle_exponent_1hop
 import protocol_oracles as oracles
 
 DB_BSC01 = -math.log(0.6)
@@ -34,8 +34,7 @@ def synthetic_result(points, trials=10**6):
         for n, p in points
     )
     cfg = SimConfig(seed=0, trials=trials, horizons=tuple(n for n, _ in points), B=2, M=2)
-    usable = [(n, p) for n, p in points if p > 0]
-    return SimResult(config=cfg, rows=rows, aggregate=tuple(points), fitted=None,
+    return SimResult(config=cfg, rows=rows, aggregate=tuple(points),
                      skipped_horizons=tuple(n for n, p in points if p == 0))
 
 
@@ -147,16 +146,18 @@ class TestSimulate:
         cfg = SimConfig(seed=1, trials=500, horizons=(12, 16), B=4, M=2, decoder="heuristic")
         res = simulate(G, cfg)
         assert all(r.errors == 0 for r in res.rows)
-        assert res.fitted is None and len(res.skipped_horizons) == 2
+        assert len(res.skipped_horizons) == 2
+        with pytest.raises(InsufficientData):
+            fit_exponent(res)
 
     def test_single_hop_single_block_matches_oracle(self):
-        from netexp.protocol import build_network_plan, exact_block_distribution, ml_error_probs
+        from netexp.protocol import build_network_plan, exact_block_distribution
 
         G = make_channel_graph(2, 0, 1, [(0, 1, bsc(0.1))])
         cfg = SimConfig(seed=11, trials=10**5, horizons=(8,), B=4, M=2, decoder="exact")
         res = simulate(G, cfg)
         plan = build_network_plan(G, 2, 4)
-        exact = ml_error_probs(exact_block_distribution(plan.paths[0].spec))
+        exact = oracles.ml_error_probs(exact_block_distribution(plan.paths[0].spec))
         for r in res.rows:
             want = exact[r.message - 1]
             sigma = math.sqrt(want * (1 - want) / r.trials)
@@ -218,15 +219,6 @@ class TestSimulate:
         cfg = SimConfig(seed=0, trials=10, horizons=(36,), B=24, M=3, decoder="exact")
         with pytest.raises(DistributionUnavailable):
             simulate(G, cfg)
-
-    def test_uniform_aggregation(self):
-        G = make_channel_graph(3, 0, 2, [(0, 1, bsc(0.1)), (1, 2, bsc(0.1))])
-        cfg = SimConfig(seed=3, trials=3000, horizons=(12, 16, 20), B=4, M=2,
-                        decoder="heuristic", messages="uniform")
-        res = simulate(G, cfg)
-        for n, agg in res.aggregate:
-            ps = [r.p_hat for r in res.rows if r.n == n]
-            assert agg == pytest.approx(sum(ps) / len(ps))
 
     def test_heuristic_error_rate_trend(self):
         # worst-case heuristic error is non-increasing in n (2 sigma slack)

@@ -1,11 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from netexp.channel import bhattacharyya, bsc, identity_channel, ksym, make_dmc
 from netexp.errors import (
-    BoundsViolation,
     HorizonTooShort,
     MTooLarge,
     ParameterOutOfRange,
@@ -13,7 +13,7 @@ from netexp.errors import (
 )
 from netexp import protocol
 import protocol_oracles as oracles
-from netexp.exponents import berlekamp_codebook
+from netexp.exponents import permutation_codebook, tilde_exponent
 from netexp.flow import make_channel_graph
 from netexp.harness import _cell_errors
 from netexp.protocol import (
@@ -23,21 +23,28 @@ from netexp.protocol import (
     _relay_states,
     build_network_plan,
     block_scores_ml,
-    codeword,
     exact_block_distribution,
     logsumexp,
     make_series_spec,
-    min_pairwise_composite_db,
-    ml_error_probs,
     reduce_inputs,
     run_series_block,
     run_series_blocks_batch,
     series_forward_trace,
+)
+from protocol_oracles import (
+    min_pairwise_composite_db,
+    ml_error_probs,
     state_pseudometric,
     verify_transition_bound,
 )
 
 DB_BSC01 = -math.log(0.6)
+
+
+def codeword(m, ell, B, M):
+    """Protocol symbols (1..M) of state (m, ell)'s block, read from the
+    engine's codeword table."""
+    return tuple(int(s) + 1 for s in _codeword_table(M, B)[m - 1, ell])
 
 
 def relay_state(chan, M, B, flow_value, y):
@@ -61,11 +68,6 @@ class TestCodeword:
     def test_full_confidence(self):
         assert codeword(1, 3, 6, 4) == (1,) * 6
 
-    @pytest.mark.parametrize("args", [(0, 1, 4, 2), (3, 0, 4, 2), (1, 3, 4, 2), (1, 0, 5, 2)])
-    def test_bounds(self, args):
-        with pytest.raises(BoundsViolation):
-            codeword(*args)
-
     def test_hamming_separation_exhaustive(self):
         # different messages: distance >= l1 + l2; same message: exactly |l1 - l2|
         for M in (2, 3, 4):
@@ -82,12 +84,14 @@ class TestCodeword:
                             assert d_h >= l1 + l2
 
     def test_engine_table_matches_codeword(self):
+        # the definition: B/2+ell copies of m, then B/2-ell of its successor
         for M in (2, 3, 4):
             for B in (2, 4, 6, 8, 10):
                 tab = _codeword_table(M, B)
                 for m in range(1, M + 1):
                     for ell in range(B // 2 + 1):
-                        assert tuple(tab[m - 1, ell] + 1) == codeword(m, ell, B, M)
+                        want = (m,) * (B // 2 + ell) + (m % M + 1,) * (B // 2 - ell)
+                        assert tuple(tab[m - 1, ell] + 1) == want
 
 
 class TestPseudometric:
@@ -165,7 +169,7 @@ class TestReduceInputs:
         reduced, _, _ = reduce_inputs(chans, 3)
         assert calls == chans
         for P, r in zip(chans, reduced):
-            assert r.words == berlekamp_codebook(P, 3).words
+            assert r.words == permutation_codebook(tilde_exponent(P, 3), 3).words
 
 
 class TestLogsumexp:
@@ -306,6 +310,39 @@ class TestExactBlockDistribution:
         spec = SeriesSpec(channels=channels, M=3, B=4, flow_value=flow_value)
         with pytest.raises(StateSpaceTooLarge):
             exact_block_distribution(spec)
+
+    def test_guard_fires_before_the_power_is_built(self):
+        # 12 outputs at M=3: a reduced use has 12^6 outputs, and building
+        # them took ~200 MB before the 12^12-block guard was read
+        P = make_dmc(np.random.default_rng(5).dirichlet(np.ones(12), size=3))
+        spec = make_series_spec([P], 3, 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(StateSpaceTooLarge):
+                exact_block_distribution(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("B", [2, 4, 6])
+    def test_exact_law_relays_like_the_sampler(self, B):
+        # The exact law decides relay states from the restriction's product
+        # rows (log of a product), the sampler with _relay_states (sums of
+        # per-symbol logs).  On the golden chain they agree on every block,
+        # so the occupancies the sampler's decisions give are the law's.
+        spec = make_series_spec([bsc(0.05), bsc(0.05)], 2, B)
+        trace = series_forward_trace(spec)
+        n_states = spec.M * (B // 2 + 1)
+        for j, chan in enumerate(spec.channels):
+            base, words = protocol._hop_view(chan, spec.M)
+            # raw blocks in the law's block order (row-major digits)
+            y = protocol._enumerate_blocks(base.output_size, B * words.shape[1])
+            m_idx, ell = _relay_states(chan, spec.M, B, spec.flow_value, y)
+            ld = trace.block_logdists[j]
+            occ = np.stack([np.bincount(m_idx * (B // 2 + 1) + ell, weights=np.exp(ld[m]),
+                                        minlength=n_states) for m in range(spec.M)])
+            assert np.array_equal(occ, trace.occupancies[j + 1])
 
     def test_monte_carlo_total_variation(self, reduced_bsc01_2hop):
         channels, flow_value, _ = reduced_bsc01_2hop

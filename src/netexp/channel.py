@@ -32,7 +32,8 @@ GOLDEN_TOL = 1e-10
 
 
 def _lse(v: np.ndarray) -> float:
-    """log(sum(exp(v))) for small 1-d arrays; much cheaper than scipy here."""
+    """log(sum(exp(v))) of a small 1-d array, shifted by its maximum; a
+    non-finite maximum is returned as it is."""
     mx = v.max()
     if not np.isfinite(mx):
         return float(mx)

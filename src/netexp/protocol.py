@@ -334,6 +334,11 @@ def _hop_blocks(spec: SeriesSpec, m: int, n_blocks: int, rng):
     base-symbol blocks the receiving node gets.  A relay's state is computed
     only once the next hop is requested, so the destination's state is never
     computed here.
+
+    A relay's state is a row-wise function of its block, so when the hop's
+    out**L possible blocks are no more than the rows, each block is decided
+    once and every row reads its state by the block's digit key; the table
+    is never bigger than the batch it replaces.
     """
     if not 1 <= m <= spec.M:
         raise BoundsViolation(f"message {m} outside 1..{spec.M}")
@@ -346,7 +351,15 @@ def _hop_blocks(spec: SeriesSpec, m: int, n_blocks: int, rng):
         y = _sample_symbols(thresholds, m_idx * (half + 1) + ell, rng)
         yield m_idx, ell, y
         if hop < len(spec.channels) - 1:
-            m_idx, ell = _relay_states(chan, spec.M, spec.B, spec.flow_value, y)
+            out, L = base.output_size, y.shape[1]
+            if out**L <= n_blocks:  # Python ints: no int64 wrap-around
+                m_tab, ell_tab = _relay_states(
+                    chan, spec.M, spec.B, spec.flow_value, _enumerate_blocks(out, L)
+                )
+                key = _encode_blocks(y, out)
+                m_idx, ell = m_tab[key], ell_tab[key]
+            else:
+                m_idx, ell = _relay_states(chan, spec.M, spec.B, spec.flow_value, y)
 
 
 def run_series_blocks_batch(spec: SeriesSpec, m: int, n_blocks: int, rng) -> np.ndarray:
@@ -394,16 +407,20 @@ class ForwardTrace:
 
 
 def _enumerate_blocks(out_size: int, B: int) -> np.ndarray:
-    count = out_size**B
-    digits = np.stack(np.unravel_index(np.arange(count), (out_size,) * B), axis=1)
-    return digits.astype(np.int64)
+    """Every block of B base symbols in row-major digit order (first digit
+    slowest), so row k is the block whose ``_encode_blocks`` key is k."""
+    place = out_size ** np.arange(B - 1, -1, -1, dtype=np.int64)
+    digits = np.arange(out_size**B, dtype=np.int64)[:, None] // place
+    digits %= out_size
+    return digits
 
 
 def series_forward_trace(spec: SeriesSpec, update_mode: str = "uniform") -> ForwardTrace:
     """Exact forward pass: enumerate every hop's block alphabet, map blocks to
     states deterministically, and propagate state occupancies.
 
-    ``update_mode='uniform'`` mirrors the sampled protocol; ``'exact'`` lets
+    ``update_mode='uniform'`` decides relay states with the sampled relays'
+    own ``_relay_states``, so it is the sampled protocol's law; ``'exact'`` lets
     each node weight hypothesis likelihoods by the true predecessor state
     occupancies (computable without data since the protocol is known).
     """
@@ -430,8 +447,8 @@ def series_forward_trace(spec: SeriesSpec, update_mode: str = "uniform") -> Forw
             )
         Q = chan.to_dmc() if isinstance(chan, ReducedChannel) else chan
         blocks = _enumerate_blocks(Q.output_size, B)
-        la = _symbol_logliks(Q.log_probs, np.arange(M, dtype=np.int64)[:, None], blocks, B)
-        ll = _state_logliks(la, B)  # (K, M, half+1)
+        ident = np.arange(M, dtype=np.int64)[:, None]
+        ll = _state_logliks(_symbol_logliks(Q.log_probs, ident, blocks, B), B)  # (K, M, half+1)
         flat = ll.reshape(ll.shape[0], n_states)
         prev = occupancies[-1]
         with np.errstate(divide="ignore"):
@@ -440,10 +457,13 @@ def series_forward_trace(spec: SeriesSpec, update_mode: str = "uniform") -> Forw
         for m_idx in range(M):
             ld[m_idx] = logsumexp(flat + logocc[m_idx][None, :], axis=1)
         if update_mode == "uniform":
-            msg_ll = _uniform_message_loglik(ll)
+            # the sampled relays' own decision; restrict's outputs run
+            # row-major over the base digits, so these rows are the law's
+            midx, ell = _relay_states(
+                chan, M, B, spec.flow_value, _enumerate_blocks(base.output_size, symbols)
+            )
         else:
-            msg_ll = ld.T
-        midx, ell = _states_from_loglik(msg_ll, spec.flow_value, half)
+            midx, ell = _states_from_loglik(ld.T, spec.flow_value, half)
         sidx = midx * (half + 1) + ell
         nxt = np.zeros((M, n_states))
         for m_idx in range(M):

@@ -2,10 +2,11 @@
 and exact-enumeration oracles on a chain's protocol law.
 
 The engine in ``netexp.protocol`` computes the kernels' quantities with
-table lookups, and ``harness._cell_errors`` loops over trial chunks on the
-outside; these direct forms (per-input masks, per-symbol loops, slot-outer
-loop) are the oracles their results must equal bit for bit.  The law
-oracles (exact ML error, the state-transition inequalities) read
+table lookups and decides each distinct relay block once, and
+``harness._cell_errors`` loops over trial chunks on the outside; these
+direct forms (per-input masks, per-symbol loops, per-row relay decisions,
+slot-outer loop) are the oracles their results must equal bit for bit.  The
+law oracles (exact ML error, the state-transition inequalities) read
 ``series_forward_trace`` and ``exact_block_distribution``.
 """
 import math
@@ -17,6 +18,10 @@ from netexp.protocol import (
     CompositeDistribution,
     NodeState,
     SeriesSpec,
+    _hop_view,
+    _relay_states,
+    _sample_symbols,
+    _sampling_thresholds,
     block_scores_heuristic,
     block_scores_ml,
     composite_db,
@@ -36,6 +41,20 @@ def sample_symbols(probs: np.ndarray, x_idx: np.ndarray, rng) -> np.ndarray:
         y[mask] = np.searchsorted(cums[a], u[mask], side="right")
     np.minimum(y, probs.shape[1] - 1, out=y)
     return y
+
+
+def hop_blocks(spec: SeriesSpec, m: int, n_blocks: int, rng):
+    """The protocol engine with every relay deciding every row directly."""
+    half = spec.B // 2
+    m_idx = np.full(n_blocks, m - 1, dtype=np.int64)
+    ell = np.full(n_blocks, half, dtype=np.int64)
+    for hop, chan in enumerate(spec.channels):
+        base, words = _hop_view(chan, spec.M)
+        thresholds = _sampling_thresholds(base.probs, words, spec.B)
+        y = _sample_symbols(thresholds, m_idx * (half + 1) + ell, rng)
+        yield m_idx, ell, y
+        if hop < len(spec.channels) - 1:
+            m_idx, ell = _relay_states(chan, spec.M, spec.B, spec.flow_value, y)
 
 
 def symbol_logliks(base_logp: np.ndarray, words: np.ndarray, y: np.ndarray, B: int) -> np.ndarray:

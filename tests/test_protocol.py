@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from netexp.channel import bhattacharyya, bsc, identity_channel, ksym, make_dmc
+from netexp.channel import bec, bhattacharyya, bsc, identity_channel, ksym, make_dmc
 from netexp.errors import (
     HorizonTooShort,
     MTooLarge,
@@ -325,13 +325,21 @@ class TestExactBlockDistribution:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
-    @pytest.mark.parametrize("B", [2, 4, 6])
-    def test_exact_law_relays_like_the_sampler(self, B):
-        # The exact law decides relay states from the restriction's product
-        # rows (log of a product), the sampler with _relay_states (sums of
-        # per-symbol logs).  On the golden chain they agree on every block,
-        # so the occupancies the sampler's decisions give are the law's.
-        spec = make_series_spec([bsc(0.05), bsc(0.05)], 2, B)
+    @pytest.mark.parametrize(
+        "P, M, B",
+        [
+            pytest.param(bsc(0.05), 2, 2, id="2"),
+            pytest.param(bsc(0.05), 2, 4, id="4"),
+            pytest.param(bsc(0.05), 2, 6, id="6"),
+            # here a log of the restriction's product rows would decide 4515
+            # of the 531441 blocks differently from the sampler's sums of logs
+            pytest.param(ksym(3, 0.05), 3, 2, id="ksym3-M3-2"),
+        ],
+    )
+    def test_exact_law_relays_like_the_sampler(self, P, M, B):
+        # The occupancies the sampler's relay decisions give on every block
+        # are the law's, float for float.
+        spec = make_series_spec([P, P], M, B)
         trace = series_forward_trace(spec)
         n_states = spec.M * (B // 2 + 1)
         for j, chan in enumerate(spec.channels):
@@ -696,3 +704,50 @@ class TestTableKernels:
         assert np.array_equal(
             protocol.block_scores_heuristic(y, spec.channels[1], 2, 4), want.max(axis=2)
         )
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            make_series_spec([bsc(0.05)] * 3, 2, 2),  # the golden hop: 2^4 blocks
+            SeriesSpec(channels=(bsc(0.05),) * 3, M=2, B=4, flow_value=0.8),
+            # zero entries: -inf likelihoods in every table row
+            SeriesSpec(channels=(bec(0.3),) * 3, M=2, B=4, flow_value=0.35),
+            SeriesSpec(channels=(ksym(3, 0.05),) * 3, M=3, B=4, flow_value=0.9),
+        ],
+        ids=["bsc-reduced", "bsc", "bec", "ksym3-M3"],
+    )
+    def test_relay_table_equals_direct_decisions(self, spec, monkeypatch):
+        # Each relay reads its state from a table of every possible block
+        # once out**L <= n_blocks; below that it decides each row itself.
+        # States and every hop's blocks equal the per-row engine's.
+        base, words = protocol._hop_view(spec.channels[0], spec.M)
+        K = base.output_size ** (spec.B * words.shape[1])
+        keyed = []  # rows gathered from a table, per relay
+        encode = protocol._encode_blocks
+
+        def spy(y, out):
+            keyed.append(len(y))
+            return encode(y, out)
+
+        monkeypatch.setattr(protocol, "_encode_blocks", spy)
+        for n in (K - 1, K, 4 * K):
+            for m in range(1, spec.M + 1):
+                keyed.clear()
+                got = list(protocol._hop_blocks(spec, m, n, np.random.default_rng(n + m)))
+                want = list(oracles.hop_blocks(spec, m, n, np.random.default_rng(n + m)))
+                assert keyed == ([] if n < K else [n, n])
+                assert len(got) == len(want) == 3
+                for (gm, ge, gy), (wm, we, wy) in zip(got, want):
+                    assert gm.dtype == wm.dtype and ge.dtype == we.dtype
+                    assert np.array_equal(gm, wm) and np.array_equal(ge, we)
+                    assert np.array_equal(gy, wy)
+
+    def test_one_output_channel_with_long_blocks(self):
+        # 1**L <= n_blocks for any L: the relay table has one row, and
+        # enumerating it must not build an L-dimensional index
+        spec = SeriesSpec(channels=(make_dmc([[1.0], [1.0]]),) * 2, M=2, B=70, flow_value=1.0)
+        hops = list(protocol._hop_blocks(spec, 2, 5, np.random.default_rng(0)))
+        assert hops[1][2].shape == (5, 70) and not hops[1][2].any()
+        assert not hops[1][0].any() and not hops[1][1].any()  # no evidence: (1, 0)
+        trace = series_forward_trace(spec)
+        assert trace.occupancies[-1][:, 0].tolist() == [1.0, 1.0]

@@ -39,6 +39,68 @@ def test_no_scipy_import_in_src():
     assert found == [], f"scipy import in src/netexp: {', '.join(found)}"
 
 
+CACHE_DECORATORS = ("cache", "lru_cache", "cached_property")
+MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+
+def _cross_call_state(tree) -> list:
+    """Lines that can keep state from one call to the next: a functools
+    cache decorator anywhere, or a module-level dict, list or set."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                if name in CACHE_DECORATORS:
+                    found.append((dec.lineno, f"@{name}"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            continue
+        mutable = isinstance(value, MUTABLE_DISPLAYS) or (
+            isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Name)
+            and value.func.id in ("dict", "list", "set")
+        )
+        if mutable:
+            found.append((node.lineno, "module-level container"))
+    return found
+
+
+def test_no_cross_call_state_in_src():
+    # Tables (the relays' decision table among them) live for one call, so
+    # output cannot depend on what ran before or on NETEXP_THREADS.
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    found = [
+        f"{path.name}:{line} {what}"
+        for path in files
+        for line, what in _cross_call_state(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    ]
+    assert found == [], f"state kept across calls in src/netexp: {', '.join(found)}"
+
+
+def test_cross_call_state_rule_catches_each_form():
+    src = (
+        "import functools\nfrom functools import lru_cache, cache\n"
+        "__all__ = [n for n in dir()]\n"
+        "A = {}\nB: list = []\nC = set()\nD = dict(a=1)\nE = {k: 1 for k in 'ab'}\n"
+        "F = (1, 2)\nG = frozenset()\n"
+        "@functools.lru_cache(maxsize=None)\ndef f(): pass\n"
+        "@cache\ndef g(): pass\n"
+        "class K:\n    @functools.cached_property\n    def h(self): pass\n"
+        "def k():\n    local = []\n    return local\n"
+    )
+    lines = [line for line, _ in _cross_call_state(ast.parse(src))]
+    assert sorted(lines) == [4, 5, 6, 7, 8, 11, 13, 16]
+
+
 def _names_used(node) -> set:
     """Identifiers a piece of code refers to: names, attribute names, and
     string constants that are identifiers (the benchmark's tracer names the

@@ -26,6 +26,13 @@ def _require(cond: bool, field: str, msg: str) -> None:
         raise GraphFileError(f"{field}: {msg}")
 
 
+def _node_index(index: dict, value, field: str) -> int:
+    """Index of a node reference; a list or object cannot name a node."""
+    _require(isinstance(value, str), field, f"node id must be a string, got {value!r}")
+    _require(value in index, field, f"unknown node id {value!r}")
+    return index[value]
+
+
 def parse_graph_obj(obj) -> GraphFile:
     _require(isinstance(obj, dict), "$", "graph file must be a JSON object")
     for key in ("nodes", "source", "destination", "edges"):
@@ -35,9 +42,9 @@ def parse_graph_obj(obj) -> GraphFile:
     _require(all(isinstance(v, str) for v in nodes), "nodes", "node ids must be strings")
     _require(len(set(nodes)) == len(nodes), "nodes", "node ids must be unique")
     index = {name: i for i, name in enumerate(nodes)}
-    _require(obj["source"] in index, "source", f"unknown node id {obj['source']!r}")
-    _require(obj["destination"] in index, "destination", f"unknown node id {obj['destination']!r}")
-    _require(obj["source"] != obj["destination"], "destination", "must differ from source")
+    source = _node_index(index, obj["source"], "source")
+    destination = _node_index(index, obj["destination"], "destination")
+    _require(source != destination, "destination", "must differ from source")
     raw_edges = obj["edges"]
     _require(isinstance(raw_edges, list) and raw_edges, "edges", "must be a non-empty list")
 
@@ -48,8 +55,8 @@ def parse_graph_obj(obj) -> GraphFile:
         _require(isinstance(eo, dict), field, "edge must be an object")
         for key in ("from", "to", "channel"):
             _require(key in eo, f"{field}.{key}", "missing required field")
-        _require(eo["from"] in index, f"{field}.from", f"unknown node id {eo['from']!r}")
-        _require(eo["to"] in index, f"{field}.to", f"unknown node id {eo['to']!r}")
+        tail = _node_index(index, eo["from"], f"{field}.from")
+        head = _node_index(index, eo["to"], f"{field}.to")
         try:
             chan = channel_from_obj(eo["channel"])
         except NetexpError as exc:
@@ -58,15 +65,15 @@ def parse_graph_obj(obj) -> GraphFile:
             raise GraphFileError(f"{field}.channel: malformed channel object ({exc})") from exc
         eid = eo.get("id", f"e{i}")
         _require(isinstance(eid, str), f"{field}.id", "edge id must be a string")
-        edges.append(GraphEdge(tail=index[eo["from"]], head=index[eo["to"]], channel=chan, id=i))
+        edges.append(GraphEdge(tail=tail, head=head, channel=chan, id=i))
         edge_objs.append({"from": eo["from"], "to": eo["to"],
                           "channel": channel_to_obj(chan, eo["channel"]), "id": eid})
 
     try:
         graph = ChannelGraph(
             node_count=len(nodes),
-            source=index[obj["source"]],
-            destination=index[obj["destination"]],
+            source=source,
+            destination=destination,
             edges=tuple(edges),
             node_names=tuple(nodes),
         )

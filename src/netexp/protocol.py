@@ -202,13 +202,14 @@ def _symbol_logliks(base_logp: np.ndarray, words: np.ndarray, y: np.ndarray, B: 
 
 
 def _state_logliks(la: np.ndarray, B: int) -> np.ndarray:
-    """Codeword log-likelihoods ll[n, m, ell] from per-use symbol likelihoods.
+    """Codeword log-likelihoods ll[ell, m, n] from per-use symbol likelihoods.
 
     Codewords are two homogeneous segments, so a prefix sum for the leading
     symbol plus a suffix sum for the trailing one covers every ell at once.
     Both run over the uses in sequence, as ``cumsum`` does, for all symbols
     and blocks at once.  Sums never mix +inf and -inf, so zeros in the
-    channel stay -inf.
+    channel stay -inf.  The confidence axis leads, so each level's (M, N)
+    slice is contiguous for the element-wise reductions over it.
     """
     M, N, _ = la.shape
     half = B // 2
@@ -225,30 +226,73 @@ def _state_logliks(la: np.ndarray, B: int) -> np.ndarray:
     for e in range(half - 2, -1, -1):
         np.add(suffix[e + 1], uses[half + e], out=suffix[e])
     nxt = (np.arange(M) + 1) % M
-    ll = np.empty((N, M, half + 1))
-    np.add(prefix.transpose(2, 1, 0), suffix[:, nxt].transpose(2, 1, 0), out=ll)
-    return ll
+    return prefix + suffix[:, nxt]
+
+
+def _pairwise_sum(t: np.ndarray, lo: int, n: int) -> np.ndarray:
+    """t[lo] + ... + t[lo+n-1] element-wise, added in the order numpy's
+    pairwise summation adds a contiguous last axis of length n: in sequence
+    below 8 terms; up to 128 in 8 interleaved accumulators, combined as
+    ((0+1)+(2+3))+((4+5)+(6+7)), then the remainder in sequence; above 128
+    as the sum of two halves split at a multiple of 8.  numpy starts from
+    0.0, which changes no sum of exp terms (never -0.0), so that is left out."""
+    if n < 8:
+        s = t[lo].copy()
+        for i in range(lo + 1, lo + n):
+            s += t[i]
+        return s
+    if n <= 128:
+        r = t[lo : lo + 8].copy()
+        stop = lo + n - n % 8
+        for i in range(lo + 8, stop, 8):
+            r += t[i : i + 8]
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(stop, lo + n):
+            s += t[i]
+        return s
+    n2 = n // 2
+    n2 -= n2 % 8
+    return _pairwise_sum(t, lo, n2) + _pairwise_sum(t, lo + n2, n - n2)
+
+
+def _logsumexp_leading(a: np.ndarray) -> np.ndarray:
+    """:func:`logsumexp` over the leading axis, as element-wise work on the
+    contiguous trailing slices.  It takes :func:`logsumexp`'s steps (max, tie
+    count, exp-sum, ``log1p``/``log``, non-finite fallback) and sums in
+    :func:`_pairwise_sum`'s order, so it is bit-identical to ``logsumexp`` over
+    the last axis of the C-contiguous array with this axis moved last."""
+    K = a.shape[0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max(axis=0)
+        is_max = a == a_max
+        m = is_max.sum(axis=0, dtype=a.dtype)
+        s = _pairwise_sum(np.exp(np.where(is_max, -np.inf, a) - a_max), 0, K)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out = np.where(bad, np.log(_pairwise_sum(np.exp(a), 0, K)), out)
+    return out
 
 
 def _uniform_message_loglik(ll: np.ndarray) -> np.ndarray:
-    """Mixture likelihood per message: uniform prior over the sender's ell."""
-    half_plus_1 = ll.shape[2]
-    with np.errstate(divide="ignore"):
-        return logsumexp(ll, axis=2) - math.log(half_plus_1)
+    """Mixture likelihood per message, shape (M, N), from ll[ell, m, n]:
+    uniform prior over the sender's ell."""
+    return _logsumexp_leading(ll) - math.log(ll.shape[0])
 
 
 def _states_from_loglik(msg_ll: np.ndarray, flow_value: float, half: int):
-    """Most likely message plus quantized log-likelihood-ratio confidence.
+    """Most likely message plus quantized log-likelihood-ratio confidence,
+    from message log-likelihoods msg_ll[m, n].
 
     Ties break to the lowest message index; an infinite ratio clamps to B/2.
     """
-    N = msg_ll.shape[0]
-    rows = np.arange(N)
-    m_idx = np.argmax(msg_ll, axis=1)
-    val1 = msg_ll[rows, m_idx]
+    cols = np.arange(msg_ll.shape[1])
+    m_idx = np.argmax(msg_ll, axis=0)
+    val1 = msg_ll[m_idx, cols]
     tmp = msg_ll.copy()
-    tmp[rows, m_idx] = -np.inf
-    val2 = tmp.max(axis=1)
+    tmp[m_idx, cols] = -np.inf
+    val2 = tmp.max(axis=0)
     with np.errstate(invalid="ignore"):
         llr = val1 - val2
         raw = np.floor(llr / (4.0 * flow_value))
@@ -286,11 +330,15 @@ def _sample_symbols(thresholds: np.ndarray, state: np.ndarray, rng) -> np.ndarra
 
     One row of ``thresholds`` (see :func:`_sampling_thresholds`) per sender
     state; counting the thresholds at or below a uniform draw is
-    ``searchsorted(side="right")`` clamped to the last output.
+    ``searchsorted(side="right")`` clamped to the last output.  The first
+    threshold's comparison starts the int64 count; a one-output channel has
+    no thresholds and gets zeros.
     """
     u = rng.random((state.shape[0], thresholds.shape[2]))
-    y = np.zeros(u.shape, dtype=np.int64)
-    for thr in thresholds:
+    if not len(thresholds):
+        return np.zeros(u.shape, dtype=np.int64)
+    y = (np.take(thresholds[0], state, axis=0) <= u).astype(np.int64)
+    for thr in thresholds[1:]:
         y += np.take(thr, state, axis=0) <= u
     return y
 
@@ -448,8 +496,8 @@ def series_forward_trace(spec: SeriesSpec, update_mode: str = "uniform") -> Forw
         Q = chan.to_dmc() if isinstance(chan, ReducedChannel) else chan
         blocks = _enumerate_blocks(Q.output_size, B)
         ident = np.arange(M, dtype=np.int64)[:, None]
-        ll = _state_logliks(_symbol_logliks(Q.log_probs, ident, blocks, B), B)  # (K, M, half+1)
-        flat = ll.reshape(ll.shape[0], n_states)
+        ll = _state_logliks(_symbol_logliks(Q.log_probs, ident, blocks, B), B)  # (half+1, M, K)
+        flat = ll.transpose(2, 1, 0).reshape(ll.shape[2], n_states)
         prev = occupancies[-1]
         with np.errstate(divide="ignore"):
             logocc = np.log(prev)
@@ -463,7 +511,7 @@ def series_forward_trace(spec: SeriesSpec, update_mode: str = "uniform") -> Forw
                 chan, M, B, spec.flow_value, _enumerate_blocks(base.output_size, symbols)
             )
         else:
-            midx, ell = _states_from_loglik(ld.T, spec.flow_value, half)
+            midx, ell = _states_from_loglik(ld, spec.flow_value, half)
         sidx = midx * (half + 1) + ell
         nxt = np.zeros((M, n_states))
         for m_idx in range(M):
@@ -603,9 +651,9 @@ def block_scores_ml(blocks: np.ndarray, cd: CompositeDistribution) -> np.ndarray
 
 
 def block_scores_heuristic(blocks: np.ndarray, final_channel, M: int, B: int) -> np.ndarray:
-    """Per-block scores under the final hop's codeword family: for each
-    message, the best log-likelihood over the sender's confidence levels."""
+    """Per-block scores, shape (n_blocks, M), under the final hop's codeword
+    family: for each message, the best log-likelihood over the sender's
+    confidence levels, an element-wise maximum over the leading level axis."""
     base, words = _hop_view(final_channel, M)
     la = _symbol_logliks(base.log_probs, words, blocks, B)
-    ll = _state_logliks(la, B)
-    return ll.max(axis=2)
+    return np.maximum.reduce(_state_logliks(la, B)).T

@@ -29,6 +29,31 @@ CLI_GOLDEN_CASES = (
        for g in ("series-2-bsc", "series-2-bsc005") for mode in ("uniform", "exact")]
 )
 
+TEST_GRAPHS = Path(__file__).resolve().parent / "data" / "graphs"
+
+# (golden file stem, argv): simulate stdout recorded before the relays'
+# likelihoods kept the confidence level on the leading axis.  Diamond at
+# M=3 reduces 6 raw uses to one, so --block 16/48 run 2/5 confidence
+# levels and --block 96/288 run 9/25 (summed pairwise, as numpy sums 8
+# or more terms); the noisy graphs keep errors in every cell.
+SIMULATE_GOLDEN_CASES = (
+    ("simulate-diamond-heuristic-m3-b16",
+     [str(GRAPHS / "diamond.json"), "--messages", "3", "--block", "16",
+      "--horizons", "48,64", "--trials", "1000", "--decoder", "heuristic"]),
+    ("simulate-diamond-heuristic-m3-b48",
+     [str(GRAPHS / "diamond.json"), "--messages", "3", "--block", "48",
+      "--horizons", "144,192", "--trials", "1000", "--decoder", "heuristic"]),
+    ("simulate-noisy-diamond-heuristic-m3-b96",
+     [str(TEST_GRAPHS / "noisy-diamond.json"), "--messages", "3", "--block", "96",
+      "--horizons", "288,384", "--trials", "500", "--decoder", "heuristic"]),
+    ("simulate-noisy-diamond-heuristic-m3-b288",
+     [str(TEST_GRAPHS / "noisy-diamond.json"), "--messages", "3", "--block", "288",
+      "--horizons", "864,1152", "--trials", "500", "--decoder", "heuristic"]),
+    ("simulate-noisy-series-exact-m2-b16",
+     [str(TEST_GRAPHS / "noisy-series.json"), "--messages", "2", "--block", "16",
+      "--horizons", "48,64", "--trials", "2000", "--decoder", "exact"]),
+)
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -39,6 +64,17 @@ def run_cli(capsys, *argv):
 @pytest.mark.parametrize("stem, argv", CLI_GOLDEN_CASES, ids=[c[0] for c in CLI_GOLDEN_CASES])
 def test_cli_golden_stdout(capsys, stem, argv):
     code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == (CLI_GOLDEN / f"{stem}.txt").read_text()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize(
+    "stem, argv", SIMULATE_GOLDEN_CASES, ids=[c[0] for c in SIMULATE_GOLDEN_CASES]
+)
+def test_simulate_golden_stdout(capsys, monkeypatch, stem, argv, threads):
+    monkeypatch.setenv("NETEXP_THREADS", threads)
+    code, out = run_cli(capsys, "simulate", *argv, "--seed", "7")
     assert code == 0
     assert out == (CLI_GOLDEN / f"{stem}.txt").read_text()
 
@@ -68,6 +104,23 @@ class TestAnalyzeCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert "edges[0].channel" in err
+
+    @pytest.mark.parametrize("field", ["source", "destination", "from", "to"])
+    @pytest.mark.parametrize("value", [["a"], {"id": "a"}], ids=["list", "object"])
+    def test_non_string_node_reference_exit_2(self, tmp_path, capsys, field, value):
+        obj = {
+            "nodes": ["a", "b"], "source": "a", "destination": "b",
+            "edges": [{"from": "a", "to": "b", "channel": {"kind": "bsc", "p": 0.1}}],
+        }
+        where = obj if field in obj else obj["edges"][0]
+        where[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        code = main(["analyze", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2
+        name = field if field in obj else f"edges[0].{field}"
+        assert f"error: {name}: node id must be a string" in err
 
     def test_missing_file_exit_2(self, capsys):
         assert main(["analyze", str(GRAPHS / "missing.json")]) == 2

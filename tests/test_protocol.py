@@ -195,6 +195,57 @@ class TestLogsumexp:
         assert checked > 2000
 
 
+def _leading_lse_mismatches():
+    """Confidence-axis lengths K = 2..300 at which the leading-axis
+    log-sum-exp differs in any bit from ``logsumexp`` over the last axis of
+    the C-contiguous array with that axis moved last -- the layout the
+    relays' likelihoods had before the levels led.  (On a strided view numpy
+    sums in sequence, so the reference must be contiguous.)"""
+    rng = np.random.default_rng(77)
+    bad = []
+    for K in range(2, 301):
+        x = rng.normal(scale=rng.choice([0.5, 3.0, 30.0]), size=(K, 3, 40))
+        x = np.round(x, 1)  # rounding makes ties common
+        x[rng.random(x.shape) < 0.3] = -np.inf
+        x[:, 0, 0] = -np.inf  # an all -inf row
+        x[:, 2, 5] = 1.5  # every entry ties at the maximum
+        top = x[:, 1, 7].max()
+        x[[0, K - 1], 1, 7] = top  # two ties at a row's maximum
+        with np.errstate(divide="ignore"):
+            got = protocol._logsumexp_leading(x)
+        want = logsumexp(np.ascontiguousarray(np.moveaxis(x, 0, -1)), axis=-1)
+        assert np.isneginf(got[0, 0]) and got.shape == want.shape
+        if got.tobytes() != want.tobytes():
+            bad.append(K)
+    return bad
+
+
+class TestLeadingLogsumexp:
+    def test_bit_identical_to_logsumexp(self):
+        assert _leading_lse_mismatches() == []
+
+    def test_sequential_sum_is_caught(self, monkeypatch):
+        # numpy adds 8 or more terms pairwise, so summing the levels in
+        # sequence must fail the comparison there, and only there
+        def sequential(t, lo, n):
+            s = t[lo].copy()
+            for i in range(lo + 1, lo + n):
+                s += t[i]
+            return s
+
+        monkeypatch.setattr(protocol, "_pairwise_sum", sequential)
+        bad = _leading_lse_mismatches()
+        assert bad and min(bad) >= 8
+
+    def test_uniform_message_loglik_layout(self):
+        rng = np.random.default_rng(5)
+        ll = rng.normal(scale=4.0, size=(9, 3, 50))
+        got = protocol._uniform_message_loglik(ll)
+        want = logsumexp(np.ascontiguousarray(ll.transpose(2, 1, 0)), axis=2) - math.log(9)
+        assert got.shape == (3, 50)
+        assert got.tobytes() == np.ascontiguousarray(want.T).tobytes()
+
+
 class TestStateUpdate:
     def test_noiseless_clamps_to_full_confidence(self):
         B, M = 6, 3
@@ -669,6 +720,27 @@ class TestTableKernels:
                               oracles.sample_symbols(probs, x, rng_b))
         assert rng_a.random() == rng_b.random()
 
+    @pytest.mark.parametrize("n_out", [1, 5])
+    def test_sampler_output_counts(self, n_out):
+        # one output: no thresholds, every draw maps to output 0; five
+        # outputs: four thresholds counted onto the first comparison
+        probs = _kernel_channel(np.random.default_rng(n_out), 3, n_out)
+        words = np.array([[0, 2], [1, 0]])
+        state = np.array([0, 1, 2, 3, 4, 5, 3, 0])
+        thr = protocol._sampling_thresholds(probs, words, 4)
+        assert thr.shape[0] == n_out - 1
+        rng_a, rng_b = np.random.default_rng(21), np.random.default_rng(21)
+        x = words[_codeword_table(2, 4).reshape(6, 4)[state]].reshape(8, -1)
+        got = protocol._sample_symbols(thr, state, rng_a)
+        want = oracles.sample_symbols(probs, x, rng_b)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert rng_a.random() == rng_b.random()
+        if n_out == 1:
+            assert not got.any()
+        else:
+            assert len(np.unique(got)) > 2
+
     def test_symbol_and_state_logliks(self):
         rng = np.random.default_rng(12)
         neg_inf = 0
@@ -684,7 +756,8 @@ class TestTableKernels:
                 got = protocol._symbol_logliks(logp, words, y, B)
                 assert np.array_equal(got, want), (M, ell, B, N)
                 neg_inf += int(np.isneginf(want).sum())
-                ll_want = oracles.state_logliks(want, B)
+                # the engine keeps the confidence level leading: ll[ell, m, n]
+                ll_want = oracles.state_logliks(want, B).transpose(2, 1, 0)
                 assert np.array_equal(protocol._state_logliks(got, B), ll_want)
                 assert np.array_equal(protocol._state_logliks(want, B), ll_want)
         assert neg_inf > 0

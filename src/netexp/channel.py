@@ -17,6 +17,7 @@ from .errors import (
     IndexOutOfRange,
     LengthMismatch,
     NegativeEntry,
+    NonFiniteEntry,
     NonStochasticRow,
     ParameterOutOfRange,
     SOutOfRange,
@@ -83,16 +84,20 @@ class DivergenceResult:
 def make_dmc(probs, label: str | None = None) -> Dmc:
     """Validate and normalize a transition matrix into a `Dmc`.
 
-    Entries in [-1e-15, 0) are clamped to 0 (serialization round-trip noise);
-    anything more negative raises NegativeEntry.  Row sums must be within
-    1e-9 of 1; rows are then renormalized exactly.
+    A NaN or infinite entry raises NonFiniteEntry.  Entries in [-1e-15, 0)
+    are clamped to 0 (serialization round-trip noise); anything more negative
+    raises NegativeEntry.  Row sums must be within 1e-9 of 1; rows are then
+    renormalized exactly.
     """
     arr = np.array(probs, dtype=float)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise DimensionMismatch(f"expected a 2-d matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        r, c = (int(i) for i in np.argwhere(~np.isfinite(arr))[0])
+        raise NonFiniteEntry(f"entry at ({r}, {c}) is not finite: {arr[r, c]}")
     if np.any(arr < NEG_CLAMP):
-        bad = np.argwhere(arr < NEG_CLAMP)[0]
-        raise NegativeEntry(f"entry at {tuple(bad)} is negative: {arr[tuple(bad)]}")
+        r, c = (int(i) for i in np.argwhere(arr < NEG_CLAMP)[0])
+        raise NegativeEntry(f"entry at ({r}, {c}) is negative: {arr[r, c]}")
     arr = np.where(arr < 0, 0.0, arr)
     sums = arr.sum(axis=1)
     off = np.abs(sums - 1.0)
@@ -317,7 +322,10 @@ def channel_from_obj(obj) -> Dmc:
     if kind == "bec":
         return bec(float(obj["p"]))
     if kind == "ksym":
-        return ksym(int(obj["k"]), float(obj["p"]))
+        k = obj["k"]
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise ParameterOutOfRange(f"ksym requires an integer k, got {k!r}")
+        return ksym(k, float(obj["p"]))
     if kind == "matrix":
         return make_dmc(obj["rows"])
     raise ParameterOutOfRange(f"unknown channel kind {kind!r}")

@@ -13,6 +13,10 @@ class NegativeEntry(NetexpError):
     pass
 
 
+class NonFiniteEntry(NetexpError):
+    pass
+
+
 class ParameterOutOfRange(NetexpError):
     pass
 

@@ -32,6 +32,7 @@ from .protocol import (
     block_scores_ml,
     build_network_plan,
     exact_block_distribution,
+    path_tables,
     run_series_blocks_batch,
 )
 
@@ -182,6 +183,8 @@ class SimConfig:
     decoder: str = "exact"
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ParameterOutOfRange(f"seed must be >= 0, got {self.seed}")
         if self.trials < 1:
             raise ParameterOutOfRange("trials must be >= 1")
         hs = tuple(self.horizons)
@@ -217,34 +220,56 @@ class SimResult:
 _TRIAL_CHUNK = 1 << 14
 
 
-def _cell_errors(plan: NetworkPlan, dists, decoder: str, n: int, m: int, trials: int,
+def _first_max_rows(scores: np.ndarray) -> np.ndarray:
+    """Index of each column's largest score in scores[k, n], by a strict
+    greater-than scan over the rows: ``np.argmax(scores, axis=0)``'s
+    first-maximum rule, so ties (all -inf columns included) go to the lowest
+    row.  Scores are log-likelihood sums, never NaN."""
+    best = scores[0]
+    idx = np.zeros(scores.shape[1], dtype=np.int64)
+    for k in range(1, scores.shape[0]):
+        better = scores[k] > best
+        idx[better] = k
+        best = np.maximum(best, scores[k])
+    return idx
+
+
+def _plan_tables(plan: NetworkPlan, trials: int) -> list:
+    """Each path's :func:`path_tables` for the cell loop's largest batch,
+    min(trials, _TRIAL_CHUNK) rows."""
+    return [path_tables(p.spec, min(trials, _TRIAL_CHUNK)) for p in plan.paths]
+
+
+def _cell_errors(plan: NetworkPlan, tables, dists, decoder: str, n: int, m: int, trials: int,
                  seed: int, h_idx: int) -> int:
     """Error count for one (horizon, message) cell; deterministic in its key.
 
-    Each (path, block) slot gets a substream keyed by (h_idx, m, path, block)
-    and samples its trials from it chunk after chunk in a fixed chunk layout,
-    so results do not depend on worker scheduling.  Trial chunks are the
-    outer loop, so memory holds one chunk's scores, not every trial's.
+    ``tables`` are the paths' hop tables from :func:`_plan_tables`.  Each
+    (path, block) slot gets a substream keyed by (h_idx, m, path, block) and
+    samples its trials from it chunk after chunk in a fixed chunk layout, so
+    results do not depend on worker scheduling.  Trial chunks are the outer
+    loop, so memory holds one chunk's scores, not every trial's; scores are
+    message-major, (M, chunk).
     """
     counts = plan.blocks_per_path(n)
     slots = [
-        (p, np.random.Generator(np.random.PCG64(
+        (p, tab, np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(entropy=seed, spawn_key=(h_idx, m, p.index, b_idx)))))
-        for p, t in zip(plan.paths, counts)
+        for p, tab, t in zip(plan.paths, tables, counts)
         for b_idx in range(t)
     ]
     errors = 0
     for done in range(0, trials, _TRIAL_CHUNK):
         chunk = min(_TRIAL_CHUNK, trials - done)
-        scores = np.zeros((chunk, plan.M))
-        for p, rng in slots:
+        scores = np.zeros((plan.M, chunk))
+        for p, tab, rng in slots:
             spec = p.spec
-            blocks = run_series_blocks_batch(spec, m, chunk, rng)
+            blocks = run_series_blocks_batch(spec, m, chunk, rng, tab)
             if decoder == "exact":
                 scores += block_scores_ml(blocks, dists[p.index])
             else:
                 scores += block_scores_heuristic(blocks, spec.channels[-1], spec.M, spec.B)
-        errors += int(np.count_nonzero(np.argmax(scores, axis=1) + 1 != m))
+        errors += int(np.count_nonzero(_first_max_rows(scores) != m - 1))
     return errors
 
 
@@ -268,6 +293,8 @@ def simulate(G: ChannelGraph, config: SimConfig) -> SimResult:
         except StateSpaceTooLarge as exc:
             raise DistributionUnavailable(str(exc)) from exc
 
+    tables = _plan_tables(plan, config.trials)
+
     cells = [
         (h_idx, n, m)
         for h_idx, n in enumerate(config.horizons)
@@ -276,7 +303,8 @@ def simulate(G: ChannelGraph, config: SimConfig) -> SimResult:
 
     def run_cell(cell):
         h_idx, n, m = cell
-        return _cell_errors(plan, dists, config.decoder, n, m, config.trials, config.seed, h_idx)
+        return _cell_errors(plan, tables, dists, config.decoder, n, m, config.trials,
+                            config.seed, h_idx)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

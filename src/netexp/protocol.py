@@ -375,7 +375,51 @@ def make_series_spec(channels, M: int, B: int) -> SeriesSpec:
     return SeriesSpec(channels=reduced, M=M, B=B, flow_value=flow_value)
 
 
-def _hop_blocks(spec: SeriesSpec, m: int, n_blocks: int, rng):
+@dataclass(frozen=True)
+class HopTables:
+    """Read-only tables of one hop, built by :func:`path_tables`.
+
+    ``thresholds`` is the hop's :func:`_sampling_thresholds` and ``out`` its
+    base output size.  On a relay hop whose out**L possible raw blocks are
+    no more than the rows the tables were built for, ``next_state[key]`` is
+    the receiving relay's sender-state index m_idx * (B/2+1) + ell for the
+    block whose :func:`_encode_blocks` key is ``key``; elsewhere it is None
+    and the relay decides each row itself.
+    """
+
+    thresholds: np.ndarray
+    out: int
+    next_state: np.ndarray | None
+
+    def __post_init__(self):
+        # shared by every batch and worker thread of a call
+        for arr in (self.thresholds, self.next_state):
+            if arr is not None:
+                arr.flags.writeable = False
+
+
+def path_tables(spec: SeriesSpec, rows: int) -> tuple:
+    """Every hop's :class:`HopTables` for batches of up to ``rows`` blocks.
+
+    A relay table is decided once from every possible block, so it is never
+    bigger than the largest batch that reads it.
+    """
+    width = spec.B // 2 + 1
+    tables = []
+    for hop, chan in enumerate(spec.channels):
+        base, words = _hop_view(chan, spec.M)
+        out, L = base.output_size, spec.B * words.shape[1]
+        next_state = None
+        if hop < len(spec.channels) - 1 and out**L <= rows:  # Python ints: no int64 wrap-around
+            m_tab, ell_tab = _relay_states(
+                chan, spec.M, spec.B, spec.flow_value, _enumerate_blocks(out, L)
+            )
+            next_state = m_tab * width + ell_tab
+        tables.append(HopTables(_sampling_thresholds(base.probs, words, spec.B), out, next_state))
+    return tuple(tables)
+
+
+def _hop_blocks(spec: SeriesSpec, m: int, n_blocks: int, rng, tables=None):
     """The protocol engine: n_blocks independent sequential block runs.
 
     Yields (m_idx, ell, y) per hop: the sending node's states and the raw
@@ -383,41 +427,43 @@ def _hop_blocks(spec: SeriesSpec, m: int, n_blocks: int, rng):
     only once the next hop is requested, so the destination's state is never
     computed here.
 
-    A relay's state is a row-wise function of its block, so when the hop's
-    out**L possible blocks are no more than the rows, each block is decided
-    once and every row reads its state by the block's digit key; the table
-    is never bigger than the batch it replaces.
+    ``tables`` are the chain's :func:`path_tables`, built for this batch when
+    None.  A relay with a decision table keys each block once and reads its
+    next sender state from the table; the others decide every row directly.
     """
     if not 1 <= m <= spec.M:
         raise BoundsViolation(f"message {m} outside 1..{spec.M}")
-    half = spec.B // 2
+    if tables is None:
+        tables = path_tables(spec, n_blocks)
+    width = spec.B // 2 + 1
     m_idx = np.full(n_blocks, m - 1, dtype=np.int64)
-    ell = np.full(n_blocks, half, dtype=np.int64)
-    for hop, chan in enumerate(spec.channels):
-        base, words = _hop_view(chan, spec.M)
-        thresholds = _sampling_thresholds(base.probs, words, spec.B)
-        y = _sample_symbols(thresholds, m_idx * (half + 1) + ell, rng)
+    ell = np.full(n_blocks, width - 1, dtype=np.int64)
+    state = np.full(n_blocks, (m - 1) * width + width - 1, dtype=np.int64)
+    for hop, (chan, tab) in enumerate(zip(spec.channels, tables)):
+        y = _sample_symbols(tab.thresholds, state, rng)
         yield m_idx, ell, y
-        if hop < len(spec.channels) - 1:
-            out, L = base.output_size, y.shape[1]
-            if out**L <= n_blocks:  # Python ints: no int64 wrap-around
-                m_tab, ell_tab = _relay_states(
-                    chan, spec.M, spec.B, spec.flow_value, _enumerate_blocks(out, L)
-                )
-                key = _encode_blocks(y, out)
-                m_idx, ell = m_tab[key], ell_tab[key]
-            else:
-                m_idx, ell = _relay_states(chan, spec.M, spec.B, spec.flow_value, y)
+        if hop == len(spec.channels) - 1:
+            break
+        if tab.next_state is not None:
+            key = _encode_blocks(y, tab.out)
+            state = np.take(tab.next_state, key)
+            m_idx = np.take(tab.next_state // width, key)  # gathers beat // and % on rows
+            ell = np.take(tab.next_state % width, key)
+        else:
+            m_idx, ell = _relay_states(chan, spec.M, spec.B, spec.flow_value, y)
+            state = m_idx * width + ell
 
 
-def run_series_blocks_batch(spec: SeriesSpec, m: int, n_blocks: int, rng) -> np.ndarray:
+def run_series_blocks_batch(spec: SeriesSpec, m: int, n_blocks: int, rng,
+                            tables=None) -> np.ndarray:
     """Vectorized sequential block transmissions: n_blocks independent runs.
 
     Returns the destination's raw base-symbol blocks, shape
     (n_blocks, B * ell_of_final_hop).  Nodes hold no state across blocks.
+    ``tables`` are as for :func:`_hop_blocks`.
     """
     y = None
-    for *_, y in _hop_blocks(spec, m, n_blocks, rng):
+    for *_, y in _hop_blocks(spec, m, n_blocks, rng, tables):
         pass
     return y
 
@@ -633,27 +679,29 @@ def build_network_plan(G: ChannelGraph, M: int, B: int) -> NetworkPlan:
 
 
 def _encode_blocks(blocks: np.ndarray, base_out: int) -> np.ndarray:
-    """Row-major digit index of each base-symbol block."""
-    idx = np.zeros(blocks.shape[0], dtype=np.int64)
-    for t in range(blocks.shape[1]):
-        idx = idx * base_out + blocks[:, t]
+    """Row-major digit index of each base-symbol block, by Horner's rule in
+    place over the columns."""
+    idx = blocks[:, 0].copy()
+    for t in range(1, blocks.shape[1]):
+        idx *= base_out
+        idx += blocks[:, t]
     return idx
 
 
 def block_scores_ml(blocks: np.ndarray, cd: CompositeDistribution) -> np.ndarray:
-    """Per-block exact log-likelihood scores, shape (n_blocks, M)."""
+    """Per-block exact log-likelihood scores, message-major: shape (M, n_blocks)."""
     if blocks.shape[1] != cd.block_symbols:
         raise DistributionUnavailable(
             f"block length {blocks.shape[1]} does not match the distribution ({cd.block_symbols})"
         )
-    idx = _encode_blocks(blocks, cd.base_output_size)
-    return cd.log_dists[:, idx].T
+    return np.take(cd.log_dists, _encode_blocks(blocks, cd.base_output_size), axis=1)
 
 
 def block_scores_heuristic(blocks: np.ndarray, final_channel, M: int, B: int) -> np.ndarray:
-    """Per-block scores, shape (n_blocks, M), under the final hop's codeword
-    family: for each message, the best log-likelihood over the sender's
-    confidence levels, an element-wise maximum over the leading level axis."""
+    """Per-block scores, message-major: shape (M, n_blocks), under the final
+    hop's codeword family: for each message, the best log-likelihood over the
+    sender's confidence levels, an element-wise maximum over the leading
+    level axis."""
     base, words = _hop_view(final_channel, M)
     la = _symbol_logliks(base.log_probs, words, blocks, B)
-    return np.maximum.reduce(_state_logliks(la, B)).T
+    return np.maximum.reduce(_state_logliks(la, B))

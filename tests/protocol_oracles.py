@@ -26,7 +26,6 @@ from netexp.protocol import (
     block_scores_ml,
     composite_db,
     logsumexp,
-    run_series_blocks_batch,
     series_forward_trace,
 )
 
@@ -92,8 +91,9 @@ def state_logliks(la: np.ndarray, B: int) -> np.ndarray:
 def cell_errors(plan, dists, decoder: str, n: int, m: int, trials: int, seed: int,
                 h_idx: int, chunk_size: int) -> int:
     """Error count for one simulate cell with the slot loop outside: every
-    (path, block) slot samples all its trials before the next slot starts,
-    into one score row per trial."""
+    (path, block) slot samples all its trials with the per-row engine
+    :func:`hop_blocks` before the next slot starts, into one score row per
+    trial, and each row is decided by ``np.argmax``."""
     counts = plan.blocks_per_path(n)
     scores = np.zeros((trials, plan.M))
     for p, t in zip(plan.paths, counts):
@@ -104,13 +104,13 @@ def cell_errors(plan, dists, decoder: str, n: int, m: int, trials: int, seed: in
             done = 0
             while done < trials:
                 chunk = min(chunk_size, trials - done)
-                blocks = run_series_blocks_batch(spec, m, chunk, rng)
+                *_, (_, _, blocks) = hop_blocks(spec, m, chunk, rng)
                 if decoder == "exact":
-                    scores[done : done + chunk] += block_scores_ml(blocks, dists[p.index])
+                    scores[done : done + chunk] += block_scores_ml(blocks, dists[p.index]).T
                 else:
                     scores[done : done + chunk] += block_scores_heuristic(
                         blocks, spec.channels[-1], spec.M, spec.B
-                    )
+                    ).T
                 done += chunk
     decided = np.argmax(scores, axis=1) + 1
     return int(np.count_nonzero(decided != m))

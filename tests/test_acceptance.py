@@ -166,7 +166,7 @@ def test_criterion_7_exact_vs_monte_carlo():
             emp = np.bincount(idx, minlength=cd.log_dists.shape[1]) / trials
             tv = 0.5 * float(np.abs(emp - np.exp(cd.log_dists[m - 1])).sum())
             assert tv <= 5e-3
-            decisions = np.argmax(block_scores_ml(blocks, cd), axis=1) + 1
+            decisions = np.argmax(block_scores_ml(blocks, cd), axis=0) + 1
             p_hat = float(np.mean(decisions != m))
             want = exact_err[m - 1]
             sigma = math.sqrt(want * (1 - want) / trials)

@@ -27,6 +27,7 @@ from netexp.errors import (
     IndexOutOfRange,
     LengthMismatch,
     NegativeEntry,
+    NonFiniteEntry,
     NonStochasticRow,
     ParameterOutOfRange,
     SOutOfRange,
@@ -51,8 +52,14 @@ class TestMakeDmc:
             make_dmc([[0.5, 0.6], [0.1, 0.9]])
 
     def test_negative_entry(self):
-        with pytest.raises(NegativeEntry):
+        with pytest.raises(NegativeEntry, match=r"entry at \(0, 1\) is negative: -0.1"):
             make_dmc([[1.1, -0.1], [0.5, 0.5]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry(self, bad):
+        # a NaN row sums to NaN, which no tolerance comparison rejects
+        with pytest.raises(NonFiniteEntry, match=r"entry at \(1, 0\)"):
+            make_dmc([[0.5, 0.5], [bad, 1.0]])
 
     def test_tiny_negative_clamped(self):
         P = make_dmc([[1.0, -1e-16], [0.5, 0.5]])

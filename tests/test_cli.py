@@ -105,6 +105,26 @@ class TestAnalyzeCommand:
         assert code == 2
         assert "edges[0].channel" in err
 
+    @pytest.mark.parametrize("chan, message", [
+        ({"kind": "matrix", "rows": [[0.5, 0.5], [float("nan"), 1.0]]},
+         "entry at (1, 0) is not finite: nan"),
+        ({"kind": "ksym", "k": 2.5, "p": 0.1}, "ksym requires an integer k, got 2.5"),
+        ({"kind": "ksym", "k": True, "p": 0.1}, "ksym requires an integer k, got True"),
+    ], ids=["nan-matrix", "fractional-k", "bool-k"])
+    def test_invalid_channel_parameter_exit_2(self, tmp_path, capsys, chan, message):
+        # each once parsed: NaN gave inf exponents, k was truncated to an int
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "nodes": ["a", "b"], "source": "a", "destination": "b",
+            "edges": [{"from": "a", "to": "b", "channel": {"kind": "bsc", "p": 0.1}},
+                      {"from": "a", "to": "b", "channel": chan}],
+        }))
+        for extra in ([], ["--dump-normalized"]):
+            code = main(["analyze", str(bad), *extra])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert f"error: edges[1].channel: {message}" in captured.err
+
     @pytest.mark.parametrize("field", ["source", "destination", "from", "to"])
     @pytest.mark.parametrize("value", [["a"], {"id": "a"}], ids=["list", "object"])
     def test_non_string_node_reference_exit_2(self, tmp_path, capsys, field, value):
@@ -214,6 +234,16 @@ class TestSimulateCommand:
             main(["simulate", str(GRAPHS / "series-2-bsc.json"), "--block", "4", "--horizons", "12,x"])
         assert exc.value.code == 2
         assert "--horizons" in capsys.readouterr().err
+
+    def test_negative_seed_exit_3(self, capsys):
+        # rejected by the configuration, not by numpy's seeding deep in a cell
+        code = main([
+            "simulate", str(GRAPHS / "series-2-bsc.json"),
+            "--block", "4", "--horizons", "12", "--trials", "10", "--seed", "-1",
+        ])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "error: seed must be >= 0, got -1" in captured.err
 
     def test_non_integer_threads_exit_3(self, capsys, monkeypatch):
         monkeypatch.setenv("NETEXP_THREADS", "abc")

@@ -192,11 +192,50 @@ class TestSimulate:
         plan = build_network_plan(graph, M, B)
         assert sum(plan.blocks_per_path(n)) >= 2
         dists = [exact_block_distribution(p.spec) for p in plan.paths] if decoder == "exact" else None
-        got = [harness._cell_errors(plan, dists, decoder, n, m, 300, 5, 1) for m in range(1, M + 1)]
+        tables = harness._plan_tables(plan, 300)
+        got = [harness._cell_errors(plan, tables, dists, decoder, n, m, 300, 5, 1)
+               for m in range(1, M + 1)]
         want = [oracles.cell_errors(plan, dists, decoder, n, m, 300, 5, 1, chunk_size=64)
                 for m in range(1, M + 1)]
         assert got == want
         assert sum(got) > 0
+
+    @pytest.mark.parametrize("B, trials", [(4, 266), (8, 300)],
+                             ids=["table-past-last-chunk", "direct"])
+    def test_cell_errors_around_the_relay_table_size(self, monkeypatch, B, trials):
+        # chunks of 64: with B=4 the relay's 2**4 blocks are tabulated once
+        # and also serve the last chunk of 10 rows; with B=8 its 2**8 blocks
+        # exceed every chunk, so it decides each row
+        from netexp.protocol import build_network_plan, exact_block_distribution
+
+        monkeypatch.setattr(harness, "_TRIAL_CHUNK", 64)
+        G = make_channel_graph(3, 0, 2, [(0, 1, bsc(0.1)), (1, 2, bsc(0.1))])
+        plan = build_network_plan(G, 2, B)
+        tables = harness._plan_tables(plan, trials)
+        assert (tables[0][0].next_state is None) == (B == 8)
+        dists = [exact_block_distribution(p.spec) for p in plan.paths]
+        n = 4 * plan.window
+        got = [harness._cell_errors(plan, tables, dists, "exact", n, m, trials, 5, 1)
+               for m in (1, 2)]
+        want = [oracles.cell_errors(plan, dists, "exact", n, m, trials, 5, 1, chunk_size=64)
+                for m in (1, 2)]
+        assert got == want
+        assert sum(got) > 0
+
+    def test_row_scan_is_argmax(self):
+        # the strict greater-than scan keeps np.argmax's first maximum on
+        # ties, on columns that are all -inf, and on mixed columns
+        rng = np.random.default_rng(6)
+        for M in (2, 3, 5):
+            scores = rng.integers(-2, 2, (M, 400)).astype(float)
+            scores[rng.random((M, 400)) < 0.3] = -np.inf
+            scores[:, :7] = -np.inf
+            scores[:, 7:14] = 0.5
+            want = np.argmax(scores, axis=0)
+            got = harness._first_max_rows(scores)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+            assert not got[:14].any()
 
     def test_config_validation(self):
         with pytest.raises(ParameterOutOfRange, match="block size must be even"):

@@ -15,7 +15,7 @@ from netexp import protocol
 import protocol_oracles as oracles
 from netexp.exponents import permutation_codebook, tilde_exponent
 from netexp.flow import make_channel_graph
-from netexp.harness import _cell_errors
+from netexp.harness import _cell_errors, _plan_tables
 from netexp.protocol import (
     NodeState,
     SeriesSpec,
@@ -317,7 +317,7 @@ class TestRunSeriesBlock:
         rng = np.random.default_rng(123)
         for m in (1, 2):
             blocks = run_series_blocks_batch(spec, m, trials, rng)
-            decisions = np.argmax(block_scores_ml(blocks, cd), axis=1) + 1
+            decisions = np.argmax(block_scores_ml(blocks, cd), axis=0) + 1
             p_hat = float(np.mean(decisions != m))
             sigma = math.sqrt(exact[m - 1] * (1 - exact[m - 1]) / trials)
             assert abs(p_hat - exact[m - 1]) <= 3 * sigma + 1e-12
@@ -470,8 +470,9 @@ class TestNetworkProtocol:
         assert len(plan.blocks_per_path(16)) == 2
         # both decoders aggregate the two paths' blocks
         dists = [exact_block_distribution(p.spec) for p in plan.paths]
+        tables = _plan_tables(plan, 50)
         for decoder in ("exact", "heuristic"):
-            assert 0 <= _cell_errors(plan, dists, decoder, 16, 2, 50, 5, 0) <= 50
+            assert 0 <= _cell_errors(plan, tables, dists, decoder, 16, 2, 50, 5, 0) <= 50
 
     def test_horizon_too_short(self):
         G = make_channel_graph(3, 0, 2, [(0, 1, bsc(0.1)), (1, 2, bsc(0.1))])
@@ -554,7 +555,9 @@ class TestNetworkProtocol:
     def test_same_rng_reproducible(self):
         G = make_channel_graph(3, 0, 2, [(0, 1, bsc(0.1)), (1, 2, bsc(0.1))])
         plan = build_network_plan(G, 2, 4)
-        counts = [_cell_errors(plan, None, "heuristic", 20, 1, 2000, 77, 0) for _ in range(2)]
+        tables = _plan_tables(plan, 2000)
+        counts = [_cell_errors(plan, tables, None, "heuristic", 20, 1, 2000, 77, 0)
+                  for _ in range(2)]
         assert counts[0] == counts[1]
 
 
@@ -565,9 +568,10 @@ class TestDecoders:
         )
         plan = build_network_plan(G, 2, 4)
         dists = [exact_block_distribution(p.spec) for p in plan.paths]
+        tables = _plan_tables(plan, 5)
         for m in (1, 2):
             for decoder in ("exact", "heuristic"):
-                assert _cell_errors(plan, dists, decoder, 24, m, 5, 1, 0) == 0
+                assert _cell_errors(plan, tables, dists, decoder, 24, m, 5, 1, 0) == 0
 
     def test_single_hop_ml_agrees_with_pairwise_test(self):
         # exhaustive over all B=2 blocks of the reduced single-hop channel
@@ -602,8 +606,8 @@ class TestDecoders:
             from netexp.protocol import block_scores_heuristic
 
             s_h = block_scores_heuristic(blocks, spec.channels[-1], 2, 2)
-            err_ml += int(np.count_nonzero(np.argmax(s_ml, axis=1) + 1 != m))
-            err_h += int(np.count_nonzero(np.argmax(s_h, axis=1) + 1 != m))
+            err_ml += int(np.count_nonzero(np.argmax(s_ml, axis=0) + 1 != m))
+            err_h += int(np.count_nonzero(np.argmax(s_h, axis=0) + 1 != m))
         assert err_h >= err_ml
 
     def test_two_hop_empirical_matches_enumerated(self):
@@ -615,7 +619,7 @@ class TestDecoders:
         for m in (1, 2):
             rng = np.random.default_rng(800 + m)
             blocks = run_series_blocks_batch(spec, m, trials, rng)
-            decisions = np.argmax(block_scores_ml(blocks, cd), axis=1) + 1
+            decisions = np.argmax(block_scores_ml(blocks, cd), axis=0) + 1
             p_hat = float(np.mean(decisions != m))
             sigma = math.sqrt(exact[m - 1] * (1 - exact[m - 1]) / trials)
             assert abs(p_hat - exact[m - 1]) <= 3 * sigma + 1e-12
@@ -775,7 +779,7 @@ class TestTableKernels:
         y = run_series_blocks_batch(spec, 2, 300, np.random.default_rng(4))
         want = oracles.state_logliks(oracles.symbol_logliks(base.log_probs, words, y, 4), 4)
         assert np.array_equal(
-            protocol.block_scores_heuristic(y, spec.channels[1], 2, 4), want.max(axis=2)
+            protocol.block_scores_heuristic(y, spec.channels[1], 2, 4), want.max(axis=2).T
         )
 
     @pytest.mark.parametrize(
@@ -795,20 +799,52 @@ class TestTableKernels:
         # States and every hop's blocks equal the per-row engine's.
         base, words = protocol._hop_view(spec.channels[0], spec.M)
         K = base.output_size ** (spec.B * words.shape[1])
-        keyed = []  # rows gathered from a table, per relay
-        encode = protocol._encode_blocks
+        decided = []  # rows each relay decision decides: a batch or a table
+        relay_states = protocol._relay_states
 
-        def spy(y, out):
-            keyed.append(len(y))
-            return encode(y, out)
+        def spy(chan, M, B, flow_value, y):
+            decided.append(len(y))
+            return relay_states(chan, M, B, flow_value, y)
 
-        monkeypatch.setattr(protocol, "_encode_blocks", spy)
+        monkeypatch.setattr(protocol, "_relay_states", spy)
         for n in (K - 1, K, 4 * K):
             for m in range(1, spec.M + 1):
-                keyed.clear()
+                decided.clear()
                 got = list(protocol._hop_blocks(spec, m, n, np.random.default_rng(n + m)))
                 want = list(oracles.hop_blocks(spec, m, n, np.random.default_rng(n + m)))
-                assert keyed == ([] if n < K else [n, n])
+                assert decided == ([n, n] if n < K else [K, K])
+                assert len(got) == len(want) == 3
+                for (gm, ge, gy), (wm, we, wy) in zip(got, want):
+                    assert gm.dtype == wm.dtype and ge.dtype == we.dtype
+                    assert np.array_equal(gm, wm) and np.array_equal(ge, we)
+                    assert np.array_equal(gy, wy)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            make_series_spec([bsc(0.05)] * 3, 2, 2),
+            SeriesSpec(channels=(bec(0.3),) * 3, M=2, B=4, flow_value=0.35),
+            SeriesSpec(channels=(ksym(3, 0.05),) * 3, M=3, B=4, flow_value=0.9),
+        ],
+        ids=["bsc-reduced", "bec", "ksym3-M3"],
+    )
+    def test_keyed_path_serves_every_smaller_batch(self, spec, monkeypatch):
+        # tables decided once for 4*out**L rows serve batches of out**L-1,
+        # out**L and 4*out**L rows with no per-row decision, and every hop's
+        # states and blocks equal the per-row engine's
+        base, words = protocol._hop_view(spec.channels[0], spec.M)
+        K = base.output_size ** (spec.B * words.shape[1])
+        tables = protocol.path_tables(spec, 4 * K)
+        assert [t.next_state is None for t in tables] == [False, False, True]
+
+        def no_row_decisions(*args):
+            raise AssertionError("a keyed relay decided rows directly")
+
+        monkeypatch.setattr(protocol, "_relay_states", no_row_decisions)
+        for n in (K - 1, K, 4 * K):
+            for m in range(1, spec.M + 1):
+                got = list(protocol._hop_blocks(spec, m, n, np.random.default_rng(n + m), tables))
+                want = list(oracles.hop_blocks(spec, m, n, np.random.default_rng(n + m)))
                 assert len(got) == len(want) == 3
                 for (gm, ge, gy), (wm, we, wy) in zip(got, want):
                     assert gm.dtype == wm.dtype and ge.dtype == we.dtype

@@ -317,15 +317,19 @@ def channel_from_obj(obj) -> Dmc:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParameterOutOfRange(f"channel object must be a dict with a 'kind': {obj!r}")
     kind = obj["kind"]
+    if kind in ("bsc", "bec", "ksym"):
+        p = obj["p"]
+        if not isinstance(p, (int, float)) or isinstance(p, bool):
+            raise ParameterOutOfRange(f"{kind} requires a number p, got {p!r}")
     if kind == "bsc":
-        return bsc(float(obj["p"]))
+        return bsc(float(p))
     if kind == "bec":
-        return bec(float(obj["p"]))
+        return bec(float(p))
     if kind == "ksym":
         k = obj["k"]
         if not isinstance(k, int) or isinstance(k, bool):
             raise ParameterOutOfRange(f"ksym requires an integer k, got {k!r}")
-        return ksym(k, float(obj["p"]))
+        return ksym(k, float(p))
     if kind == "matrix":
         return make_dmc(obj["rows"])
     raise ParameterOutOfRange(f"unknown channel kind {kind!r}")

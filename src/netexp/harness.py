@@ -249,7 +249,8 @@ def _cell_errors(plan: NetworkPlan, tables, dists, decoder: str, n: int, m: int,
     samples its trials from it chunk after chunk in a fixed chunk layout, so
     results do not depend on worker scheduling.  Trial chunks are the outer
     loop, so memory holds one chunk's scores, not every trial's; scores are
-    message-major, (M, chunk).
+    message-major, (M, chunk), and each of a batch's row tiles is decoded
+    into its own columns.
     """
     counts = plan.blocks_per_path(n)
     slots = [
@@ -264,11 +265,15 @@ def _cell_errors(plan: NetworkPlan, tables, dists, decoder: str, n: int, m: int,
         scores = np.zeros((plan.M, chunk))
         for p, tab, rng in slots:
             spec = p.spec
-            blocks = run_series_blocks_batch(spec, m, chunk, rng, tab)
-            if decoder == "exact":
-                scores += block_scores_ml(blocks, dists[p.index])
-            else:
-                scores += block_scores_heuristic(blocks, spec.channels[-1], spec.M, spec.B)
+            lo = 0
+            for blocks in run_series_blocks_batch(spec, m, chunk, rng, tab):
+                cols = scores[:, lo : lo + len(blocks)]
+                if decoder == "exact":
+                    cols += block_scores_ml(blocks, dists[p.index])
+                else:
+                    cols += block_scores_heuristic(blocks, spec.channels[-1], spec.M, spec.B)
+                lo += len(blocks)
+            del blocks, cols  # free this batch's blocks before the next batch allocates
         errors += int(np.count_nonzero(_first_max_rows(scores) != m - 1))
     return errors
 

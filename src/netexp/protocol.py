@@ -28,6 +28,7 @@ from .exponents import permutation_codebook, tilde_exponent
 from .flow import ChannelGraph, decompose, maxflow, path_edge_budgets, weighted_network
 
 EXACT_BLOCK_GUARD = 10**6
+_TILE_ELEMS = 1 << 17  # raw symbols one hop samples at once
 
 
 @dataclass(frozen=True)
@@ -325,22 +326,31 @@ def _sampling_thresholds(probs: np.ndarray, words: np.ndarray, B: int) -> np.nda
     return np.cumsum(probs, axis=1)[:, :-1].T[:, raw]
 
 
-def _sample_symbols(thresholds: np.ndarray, state: np.ndarray, rng) -> np.ndarray:
-    """Inverse-CDF sampling of the raw outputs of each sender's codeword.
+def _sample_symbols(thresholds: np.ndarray, state: np.ndarray, rng, out: np.ndarray,
+                    work: np.ndarray) -> np.ndarray:
+    """Inverse-CDF sampling of the raw outputs of each sender's codeword into
+    the int64 rows of ``out``, which it returns.
 
+    ``state`` holds each row's sender state, or one state for every row.
     One row of ``thresholds`` (see :func:`_sampling_thresholds`) per sender
     state; counting the thresholds at or below a uniform draw is
-    ``searchsorted(side="right")`` clamped to the last output.  The first
-    threshold's comparison starts the int64 count; a one-output channel has
-    no thresholds and gets zeros.
+    ``searchsorted(side="right")`` clamped to the last output.  ``work`` is
+    float64 scratch of shape (2,) + out.shape for the draws and the gathered
+    thresholds.  The first threshold's comparison starts the count; a
+    one-output channel has no thresholds and gets zeros.
     """
-    u = rng.random((state.shape[0], thresholds.shape[2]))
+    u = rng.random(out=work[0])
     if not len(thresholds):
-        return np.zeros(u.shape, dtype=np.int64)
-    y = (np.take(thresholds[0], state, axis=0) <= u).astype(np.int64)
+        out[...] = 0
+        return out
+    # one state: its threshold row broadcasts over the draws.  States are
+    # rows of the table, so "clip" moves no index; with "raise" np.take
+    # would gather into a temporary copy first
+    gathered = work[1] if state.ndim else None
+    np.less_equal(np.take(thresholds[0], state, axis=0, out=gathered, mode="clip"), u, out=out)
     for thr in thresholds[1:]:
-        y += np.take(thr, state, axis=0) <= u
-    return y
+        out += np.take(thr, state, axis=0, out=gathered, mode="clip") <= u
+    return out
 
 
 def reduce_inputs(channels, M: int):
@@ -422,10 +432,16 @@ def path_tables(spec: SeriesSpec, rows: int) -> tuple:
 def _hop_blocks(spec: SeriesSpec, m: int, n_blocks: int, rng, tables=None):
     """The protocol engine: n_blocks independent sequential block runs.
 
-    Yields (m_idx, ell, y) per hop: the sending node's states and the raw
-    base-symbol blocks the receiving node gets.  A relay's state is computed
-    only once the next hop is requested, so the destination's state is never
-    computed here.
+    Runs hop after hop, each hop in consecutive row tiles of at most
+    ``_TILE_ELEMS`` raw symbols, and yields (hop, state, y) per tile: the
+    sending node's state index m_idx * (B/2+1) + ell for each of the tile's
+    rows and the raw base-symbol blocks the receiving node gets.  A hop's
+    tiles draw their uniforms in row order, so together they take the draws
+    of one (n_blocks, L) call.  A relay decides each tile into the next
+    hop's states once the next tile is requested, and that tile reuses the
+    array, so copy a relay hop's tile to keep it.  The destination's tiles
+    are row slices of one (n_blocks, L) array; its state is never computed
+    here.
 
     ``tables`` are the chain's :func:`path_tables`, built for this batch when
     None.  A relay with a decision table keys each block once and reads its
@@ -436,36 +452,50 @@ def _hop_blocks(spec: SeriesSpec, m: int, n_blocks: int, rng, tables=None):
     if tables is None:
         tables = path_tables(spec, n_blocks)
     width = spec.B // 2 + 1
-    m_idx = np.full(n_blocks, m - 1, dtype=np.int64)
-    ell = np.full(n_blocks, width - 1, dtype=np.int64)
-    state = np.full(n_blocks, (m - 1) * width + width - 1, dtype=np.int64)
+    last = len(spec.channels) - 1
+    state = np.array((m - 1) * width + width - 1)  # the source's, for every row
+    scratch = None
     for hop, (chan, tab) in enumerate(zip(spec.channels, tables)):
-        y = _sample_symbols(tab.thresholds, state, rng)
-        yield m_idx, ell, y
-        if hop == len(spec.channels) - 1:
-            break
-        if tab.next_state is not None:
-            key = _encode_blocks(y, tab.out)
-            state = np.take(tab.next_state, key)
-            m_idx = np.take(tab.next_state // width, key)  # gathers beat // and % on rows
-            ell = np.take(tab.next_state % width, key)
+        L = tab.thresholds.shape[2]
+        rows = max(1, min(n_blocks, _TILE_ELEMS // L))
+        if scratch is None or scratch.shape != (3, rows, L):
+            # a tile's draws and gathered thresholds (viewed as float64) and
+            # a relay hop's tile, in one allocation that every tile reuses:
+            # with fresh tile-sized arrays the allocator handed their pages
+            # back and faulted them in again, tile after tile
+            scratch = np.empty((3, rows, L), dtype=np.int64)
+        if hop == last:
+            dest = np.empty((n_blocks, L), dtype=np.int64)
         else:
-            m_idx, ell = _relay_states(chan, spec.M, spec.B, spec.flow_value, y)
-            state = m_idx * width + ell
+            nxt = np.empty(n_blocks, dtype=np.int64)
+        for lo in range(0, n_blocks, rows):
+            sender = state[lo : lo + rows] if state.ndim else state
+            n = min(rows, n_blocks - lo)
+            y = dest[lo : lo + n] if hop == last else scratch[2, :n]
+            _sample_symbols(tab.thresholds, sender, rng, y, scratch[:2, :n].view(np.float64))
+            yield hop, np.broadcast_to(sender, n), y
+            if hop == last:
+                continue
+            if tab.next_state is not None:
+                nxt[lo : lo + n] = np.take(tab.next_state, _encode_blocks(y, tab.out))
+            else:
+                m_idx, ell = _relay_states(chan, spec.M, spec.B, spec.flow_value, y)
+                nxt[lo : lo + n] = m_idx * width + ell
+        if hop < last:
+            state = nxt
 
 
 def run_series_blocks_batch(spec: SeriesSpec, m: int, n_blocks: int, rng,
-                            tables=None) -> np.ndarray:
+                            tables=None) -> list:
     """Vectorized sequential block transmissions: n_blocks independent runs.
 
-    Returns the destination's raw base-symbol blocks, shape
-    (n_blocks, B * ell_of_final_hop).  Nodes hold no state across blocks.
-    ``tables`` are as for :func:`_hop_blocks`.
+    Returns the destination's raw base-symbol blocks as row tiles in row
+    order, each of shape (rows, B * ell_of_final_hop), as :func:`_hop_blocks`
+    samples them.  Nodes hold no state across blocks.  ``tables`` are as for
+    :func:`_hop_blocks`.
     """
-    y = None
-    for *_, y in _hop_blocks(spec, m, n_blocks, rng, tables):
-        pass
-    return y
+    last = len(spec.channels) - 1
+    return [y for hop, _, y in _hop_blocks(spec, m, n_blocks, rng, tables) if hop == last]
 
 
 def run_series_block(spec: SeriesSpec, m: int, rng) -> Transcript:
@@ -475,20 +505,22 @@ def run_series_block(spec: SeriesSpec, m: int, rng) -> Transcript:
     uniform-prior state update.  The draws are those of a one-row
     ``run_series_blocks_batch``.
     """
-    hops = list(_hop_blocks(spec, m, 1, rng))
-    y_last = hops[-1][2]
-    states = [(m_idx, ell) for m_idx, ell, _ in hops[1:]]
-    states.append(_relay_states(spec.channels[-1], spec.M, spec.B, spec.flow_value, y_last))
-    table = _codeword_table(spec.M, spec.B)
+    width = spec.B // 2 + 1
+    hops = [(int(state[0]), y[0].copy()) for _, state, y in _hop_blocks(spec, m, 1, rng)]
+    y_last = hops[-1][1]
+    m_idx, ell = _relay_states(spec.channels[-1], spec.M, spec.B, spec.flow_value, y_last[None])
+    received = [divmod(state, width) for state, _ in hops[1:]]
+    received.append((int(m_idx[0]), int(ell[0])))
+    table = _codeword_table(spec.M, spec.B).reshape(-1, spec.B)
     records = tuple(
         HopRecord(
-            sent=tuple(int(s) + 1 for s in table[m_send[0], ell_send[0]]),
-            received=tuple(int(v) for v in y[0]),
-            state=NodeState(m=int(m_idx[0]) + 1, ell=int(ell[0])),
+            sent=tuple(int(s) + 1 for s in table[state]),
+            received=tuple(int(v) for v in y),
+            state=NodeState(m=m_recv + 1, ell=ell_recv),
         )
-        for (m_send, ell_send, y), (m_idx, ell) in zip(hops, states)
+        for (state, y), (m_recv, ell_recv) in zip(hops, received)
     )
-    return Transcript(hops=records, final_block=tuple(int(v) for v in y_last[0]))
+    return Transcript(hops=records, final_block=tuple(int(v) for v in y_last))
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,9 @@ from netexp.protocol import (
     CompositeDistribution,
     NodeState,
     SeriesSpec,
+    _codeword_table,
     _hop_view,
     _relay_states,
-    _sample_symbols,
-    _sampling_thresholds,
     block_scores_heuristic,
     block_scores_ml,
     composite_db,
@@ -43,14 +42,15 @@ def sample_symbols(probs: np.ndarray, x_idx: np.ndarray, rng) -> np.ndarray:
 
 
 def hop_blocks(spec: SeriesSpec, m: int, n_blocks: int, rng):
-    """The protocol engine with every relay deciding every row directly."""
+    """The protocol engine with every hop sampled in one piece by
+    :func:`sample_symbols` and every relay deciding every row directly."""
     half = spec.B // 2
+    table = _codeword_table(spec.M, spec.B)
     m_idx = np.full(n_blocks, m - 1, dtype=np.int64)
     ell = np.full(n_blocks, half, dtype=np.int64)
     for hop, chan in enumerate(spec.channels):
         base, words = _hop_view(chan, spec.M)
-        thresholds = _sampling_thresholds(base.probs, words, spec.B)
-        y = _sample_symbols(thresholds, m_idx * (half + 1) + ell, rng)
+        y = sample_symbols(base.probs, words[table[m_idx, ell]].reshape(n_blocks, -1), rng)
         yield m_idx, ell, y
         if hop < len(spec.channels) - 1:
             m_idx, ell = _relay_states(chan, spec.M, spec.B, spec.flow_value, y)

@@ -161,7 +161,7 @@ def test_criterion_7_exact_vs_monte_carlo():
             rng = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence(entropy=7, spawn_key=(70, m)))
             )
-            blocks = run_series_blocks_batch(spec, m, trials, rng)
+            blocks = np.concatenate(run_series_blocks_batch(spec, m, trials, rng))
             idx = _encode_blocks(blocks, cd.base_output_size)
             emp = np.bincount(idx, minlength=cd.log_dists.shape[1]) / trials
             tv = 0.5 * float(np.abs(emp - np.exp(cd.log_dists[m - 1])).sum())

@@ -110,9 +110,13 @@ class TestAnalyzeCommand:
          "entry at (1, 0) is not finite: nan"),
         ({"kind": "ksym", "k": 2.5, "p": 0.1}, "ksym requires an integer k, got 2.5"),
         ({"kind": "ksym", "k": True, "p": 0.1}, "ksym requires an integer k, got True"),
-    ], ids=["nan-matrix", "fractional-k", "bool-k"])
+        ({"kind": "bsc", "p": "0.1"}, "bsc requires a number p, got '0.1'"),
+        ({"kind": "bec", "p": True}, "bec requires a number p, got True"),
+        ({"kind": "ksym", "k": 3, "p": None}, "ksym requires a number p, got None"),
+    ], ids=["nan-matrix", "fractional-k", "bool-k", "string-p", "bool-p", "null-p"])
     def test_invalid_channel_parameter_exit_2(self, tmp_path, capsys, chan, message):
-        # each once parsed: NaN gave inf exponents, k was truncated to an int
+        # each once parsed: NaN gave inf exponents, k was truncated to an int,
+        # a string p was converted and a bool p read as 0 or 1
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({
             "nodes": ["a", "b"], "source": "a", "destination": "b",

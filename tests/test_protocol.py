@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from netexp import protocol
 import protocol_oracles as oracles
 from netexp.exponents import permutation_codebook, tilde_exponent
 from netexp.flow import make_channel_graph
+from netexp.graphio import load_graph_file
+from netexp import harness
 from netexp.harness import _cell_errors, _plan_tables
 from netexp.protocol import (
     NodeState,
@@ -39,12 +42,31 @@ from protocol_oracles import (
 )
 
 DB_BSC01 = -math.log(0.6)
+GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
 
 
 def codeword(m, ell, B, M):
     """Protocol symbols (1..M) of state (m, ell)'s block, read from the
     engine's codeword table."""
     return tuple(int(s) + 1 for s in _codeword_table(M, B)[m - 1, ell])
+
+
+def engine_hops(spec, m, n_blocks, rng, tables=None):
+    """Each hop's (sender states, blocks) from the engine, tiles concatenated
+    (copied as they come, since a relay hop's next tile reuses the array)."""
+    hops = {}
+    for hop, state, y in protocol._hop_blocks(spec, m, n_blocks, rng, tables):
+        hops.setdefault(hop, []).append((state.copy(), y.copy()))
+    return [tuple(map(np.concatenate, zip(*hops[hop]))) for hop in sorted(hops)]
+
+
+def assert_hops_equal(got, want, width):
+    """Engine hops against the per-row oracle's (m_idx, ell, y) hops."""
+    assert len(got) == len(want)
+    for (gs, gy), (wm, we, wy) in zip(got, want):
+        assert gs.dtype == wm.dtype == we.dtype
+        assert np.array_equal(gs, wm * width + we)
+        assert np.array_equal(gy, wy)
 
 
 def relay_state(chan, M, B, flow_value, y):
@@ -304,8 +326,23 @@ class TestRunSeriesBlock:
         for seed in range(5):
             for m in (1, 2):
                 t = run_series_block(spec, m, np.random.default_rng(seed))
-                batch = run_series_blocks_batch(spec, m, 1, np.random.default_rng(seed))
+                (batch,) = run_series_blocks_batch(spec, m, 1, np.random.default_rng(seed))
                 assert t.final_block == tuple(batch[0])
+
+    def test_transcript_of_a_three_hop_chain(self):
+        # two relays: each hop's record is that hop's one-row run
+        spec = make_series_spec([bsc(0.2)] * 3, 2, 4)
+        table = _codeword_table(2, spec.B)
+        for seed in range(6):
+            t = run_series_block(spec, 2, np.random.default_rng(seed))
+            want = list(oracles.hop_blocks(spec, 2, 1, np.random.default_rng(seed)))
+            assert len(t.hops) == 3
+            for hop, (m_send, ell_send, y) in zip(t.hops, want):
+                assert hop.received == tuple(y[0])
+                assert hop.sent == tuple(int(s) + 1 for s in table[m_send[0], ell_send[0]])
+            for hop, (m_recv, ell_recv, _) in zip(t.hops, want[1:]):
+                assert hop.state == NodeState(int(m_recv[0]) + 1, int(ell_recv[0]))
+            assert t.final_block == tuple(want[-1][2][0])
 
     def test_one_hop_matches_oracle_3sigma(self):
         # single hop, M=2: ML over single blocks vs exact enumerated error
@@ -316,7 +353,7 @@ class TestRunSeriesBlock:
         trials = 10**5
         rng = np.random.default_rng(123)
         for m in (1, 2):
-            blocks = run_series_blocks_batch(spec, m, trials, rng)
+            blocks = np.concatenate(run_series_blocks_batch(spec, m, trials, rng))
             decisions = np.argmax(block_scores_ml(blocks, cd), axis=0) + 1
             p_hat = float(np.mean(decisions != m))
             sigma = math.sqrt(exact[m - 1] * (1 - exact[m - 1]) / trials)
@@ -412,7 +449,7 @@ class TestExactBlockDistribution:
 
         rng = np.random.default_rng(9)
         for m in (1, 2):
-            blocks = run_series_blocks_batch(spec, m, trials, rng)
+            blocks = np.concatenate(run_series_blocks_batch(spec, m, trials, rng))
             idx = _encode_blocks(blocks, cd.base_output_size)
             emp = np.bincount(idx, minlength=cd.log_dists.shape[1]) / trials
             tv = 0.5 * np.abs(emp - np.exp(cd.log_dists[m - 1])).sum()
@@ -457,7 +494,7 @@ class TestNetworkProtocol:
         p = plan.paths[0]
         assert p.spec.B == 4  # floor(8 / 2!) kept even
         assert plan.blocks_per_path(40) == [40 // 8 - 2]
-        blocks = run_series_blocks_batch(p.spec, 1, 3, np.random.default_rng(0))
+        blocks = np.concatenate(run_series_blocks_batch(p.spec, 1, 3, np.random.default_rng(0)))
         assert blocks.shape == (3, 8)
 
     def test_diamond_two_independent_paths(self):
@@ -517,7 +554,7 @@ class TestNetworkProtocol:
         rng = np.random.default_rng(2)
         for p, t in zip(plan.paths, counts):
             assert t == 5 - len(p.edge_ids)
-            assert run_series_blocks_batch(p.spec, 3, t, rng).shape[0] == t
+            assert np.concatenate(run_series_blocks_batch(p.spec, 3, t, rng)).shape[0] == t
 
     def test_block_budget_too_small(self):
         from netexp.errors import BTooSmall
@@ -546,9 +583,9 @@ class TestNetworkProtocol:
             ss = np.random.SeedSequence(entropy=3, spawn_key=(0, 1, 0, b))
             return np.random.Generator(np.random.PCG64(ss))
 
-        a = run_series_blocks_batch(spec, 1, 500, stream(0))
-        b = run_series_blocks_batch(spec, 1, 500, stream(0))
-        c = run_series_blocks_batch(spec, 1, 500, stream(1))
+        a = np.concatenate(run_series_blocks_batch(spec, 1, 500, stream(0)))
+        b = np.concatenate(run_series_blocks_batch(spec, 1, 500, stream(0)))
+        c = np.concatenate(run_series_blocks_batch(spec, 1, 500, stream(1)))
         assert (a == b).all()
         assert (a != c).any()
 
@@ -601,7 +638,7 @@ class TestDecoders:
         err_ml = err_h = 0
         for m in (1, 2):
             rng = np.random.default_rng(40 + m)
-            blocks = run_series_blocks_batch(spec, m, trials, rng)
+            blocks = np.concatenate(run_series_blocks_batch(spec, m, trials, rng))
             s_ml = block_scores_ml(blocks, cd)
             from netexp.protocol import block_scores_heuristic
 
@@ -618,7 +655,7 @@ class TestDecoders:
         trials = 2 * 10**5
         for m in (1, 2):
             rng = np.random.default_rng(800 + m)
-            blocks = run_series_blocks_batch(spec, m, trials, rng)
+            blocks = np.concatenate(run_series_blocks_batch(spec, m, trials, rng))
             decisions = np.argmax(block_scores_ml(blocks, cd), axis=0) + 1
             p_hat = float(np.mean(decisions != m))
             sigma = math.sqrt(exact[m - 1] * (1 - exact[m - 1]) / trials)
@@ -650,9 +687,20 @@ class _FixedDraws:
     def __init__(self, u):
         self.u = u
 
-    def random(self, shape):
-        assert shape == self.u.shape
-        return self.u
+    def random(self, size=None, out=None):
+        if out is None:
+            assert size == self.u.shape
+            return self.u
+        assert out.shape == self.u.shape
+        out[...] = self.u
+        return out
+
+
+def sample(thr, state, rng, rows=None):
+    """The engine's sampler on fresh output and scratch arrays; ``rows``
+    gives the row count when one ``state`` serves every row."""
+    n, L = len(state) if rows is None else rows, thr.shape[2]
+    return protocol._sample_symbols(thr, state, rng, np.empty((n, L), np.int64), np.empty((2, n, L)))
 
 
 def _kernel_channel(rng, n_in, n_out):
@@ -692,7 +740,7 @@ class TestTableKernels:
             x = words[_codeword_table(M, B)[m_idx, lvl]].reshape(N, -1)
             want = oracles.sample_symbols(probs, x, _FixedDraws(u))
             thr = protocol._sampling_thresholds(probs, words, B)
-            got = protocol._sample_symbols(thr, m_idx * (B // 2 + 1) + lvl, _FixedDraws(u))
+            got = sample(thr, m_idx * (B // 2 + 1) + lvl, _FixedDraws(u))
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), (M, ell, B)
         assert short_rows > 0
@@ -709,7 +757,7 @@ class TestTableKernels:
         x = words[_codeword_table(2, 2).reshape(4, 2)[state]].reshape(4, -1)
         want = oracles.sample_symbols(probs, x, _FixedDraws(u))
         thr = protocol._sampling_thresholds(probs, words, 2)
-        got = protocol._sample_symbols(thr, state, _FixedDraws(u))
+        got = sample(thr, state, _FixedDraws(u))
         assert np.array_equal(got, want)
         assert want[0, 0] == 2 and want[1, 0] == 1
 
@@ -720,7 +768,7 @@ class TestTableKernels:
         thr = protocol._sampling_thresholds(probs, words, 4)
         rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
         x = words[_codeword_table(3, 4).reshape(9, 4)[state]].reshape(5, -1)
-        assert np.array_equal(protocol._sample_symbols(thr, state, rng_a),
+        assert np.array_equal(sample(thr, state, rng_a),
                               oracles.sample_symbols(probs, x, rng_b))
         assert rng_a.random() == rng_b.random()
 
@@ -735,7 +783,7 @@ class TestTableKernels:
         assert thr.shape[0] == n_out - 1
         rng_a, rng_b = np.random.default_rng(21), np.random.default_rng(21)
         x = words[_codeword_table(2, 4).reshape(6, 4)[state]].reshape(8, -1)
-        got = protocol._sample_symbols(thr, state, rng_a)
+        got = sample(thr, state, rng_a)
         want = oracles.sample_symbols(probs, x, rng_b)
         assert got.dtype == want.dtype == np.int64
         assert np.array_equal(got, want)
@@ -776,7 +824,7 @@ class TestTableKernels:
         la = protocol._symbol_logliks(Q.log_probs, ident, blocks, 4)
         assert np.array_equal(la, oracles.symbol_logliks(Q.log_probs, ident, blocks, 4))
         base, words = protocol._hop_view(spec.channels[1], 2)
-        y = run_series_blocks_batch(spec, 2, 300, np.random.default_rng(4))
+        y = np.concatenate(run_series_blocks_batch(spec, 2, 300, np.random.default_rng(4)))
         want = oracles.state_logliks(oracles.symbol_logliks(base.log_probs, words, y, 4), 4)
         assert np.array_equal(
             protocol.block_scores_heuristic(y, spec.channels[1], 2, 4), want.max(axis=2).T
@@ -810,14 +858,11 @@ class TestTableKernels:
         for n in (K - 1, K, 4 * K):
             for m in range(1, spec.M + 1):
                 decided.clear()
-                got = list(protocol._hop_blocks(spec, m, n, np.random.default_rng(n + m)))
+                got = engine_hops(spec, m, n, np.random.default_rng(n + m))
                 want = list(oracles.hop_blocks(spec, m, n, np.random.default_rng(n + m)))
                 assert decided == ([n, n] if n < K else [K, K])
-                assert len(got) == len(want) == 3
-                for (gm, ge, gy), (wm, we, wy) in zip(got, want):
-                    assert gm.dtype == wm.dtype and ge.dtype == we.dtype
-                    assert np.array_equal(gm, wm) and np.array_equal(ge, we)
-                    assert np.array_equal(gy, wy)
+                assert len(got) == 3
+                assert_hops_equal(got, want, spec.B // 2 + 1)
 
     @pytest.mark.parametrize(
         "spec",
@@ -843,20 +888,127 @@ class TestTableKernels:
         monkeypatch.setattr(protocol, "_relay_states", no_row_decisions)
         for n in (K - 1, K, 4 * K):
             for m in range(1, spec.M + 1):
-                got = list(protocol._hop_blocks(spec, m, n, np.random.default_rng(n + m), tables))
+                got = engine_hops(spec, m, n, np.random.default_rng(n + m), tables)
                 want = list(oracles.hop_blocks(spec, m, n, np.random.default_rng(n + m)))
-                assert len(got) == len(want) == 3
-                for (gm, ge, gy), (wm, we, wy) in zip(got, want):
-                    assert gm.dtype == wm.dtype and ge.dtype == we.dtype
-                    assert np.array_equal(gm, wm) and np.array_equal(ge, we)
-                    assert np.array_equal(gy, wy)
+                assert len(got) == 3
+                assert_hops_equal(got, want, spec.B // 2 + 1)
 
     def test_one_output_channel_with_long_blocks(self):
         # 1**L <= n_blocks for any L: the relay table has one row, and
         # enumerating it must not build an L-dimensional index
         spec = SeriesSpec(channels=(make_dmc([[1.0], [1.0]]),) * 2, M=2, B=70, flow_value=1.0)
-        hops = list(protocol._hop_blocks(spec, 2, 5, np.random.default_rng(0)))
-        assert hops[1][2].shape == (5, 70) and not hops[1][2].any()
-        assert not hops[1][0].any() and not hops[1][1].any()  # no evidence: (1, 0)
+        hops = engine_hops(spec, 2, 5, np.random.default_rng(0))
+        assert hops[1][1].shape == (5, 70) and not hops[1][1].any()
+        assert not hops[1][0].any()  # no evidence: state 0 is (1, 0)
         trace = series_forward_trace(spec)
         assert trace.occupancies[-1][:, 0].tolist() == [1.0, 1.0]
+
+
+class TestRowTiles:
+    """A batch runs each hop in row tiles of at most ``_TILE_ELEMS`` raw
+    symbols; the tiles together equal the per-row oracles' one-piece runs."""
+
+    SPECS = [
+        pytest.param(SeriesSpec(channels=(bsc(0.05),) * 3, M=2, B=4, flow_value=0.8), id="bsc"),
+        pytest.param(SeriesSpec(channels=(bec(0.3),) * 3, M=2, B=4, flow_value=0.35), id="bec"),
+        pytest.param(SeriesSpec(channels=(ksym(3, 0.05),) * 3, M=3, B=4, flow_value=0.9), id="ksym3"),
+        pytest.param(make_series_spec([bsc(0.1)] * 3, 3, 2), id="reduced-M3"),
+    ]
+
+    @pytest.mark.parametrize("keyed", [True, False], ids=["keyed", "direct"])
+    @pytest.mark.parametrize("tile_rows", [7, 1])
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_tiles_equal_the_one_piece_run(self, spec, tile_rows, keyed, monkeypatch):
+        base, words = protocol._hop_view(spec.channels[0], spec.M)
+        L = spec.B * words.shape[1]
+        K = base.output_size**L
+        tables = protocol.path_tables(spec, K if keyed else K - 1)
+        assert [t.next_state is not None for t in tables] == [keyed, keyed, False]
+        monkeypatch.setattr(protocol, "_TILE_ELEMS", tile_rows * L)
+        n = 5 * tile_rows + 3  # a ragged last tile
+        sizes = [tile_rows] * (n // tile_rows) + [n % tile_rows] * (n % tile_rows > 0)
+        decided = []  # rows of each direct relay decision
+        relay_states = protocol._relay_states
+
+        def spy(chan, M, B, flow_value, y):
+            decided.append(len(y))
+            return relay_states(chan, M, B, flow_value, y)
+
+        monkeypatch.setattr(protocol, "_relay_states", spy)
+        for m in range(1, spec.M + 1):
+            tiles = {}
+            for hop, state, y in protocol._hop_blocks(spec, m, n, np.random.default_rng(m), tables):
+                assert len(state) == len(y)
+                tiles.setdefault(hop, []).append(len(y))
+            assert tiles == {0: sizes, 1: sizes, 2: sizes}
+            decided.clear()
+            rng, rng_want = np.random.default_rng(m), np.random.default_rng(m)
+            got = engine_hops(spec, m, n, rng, tables)
+            assert decided == ([] if keyed else sizes * 2)
+            want = list(oracles.hop_blocks(spec, m, n, rng_want))
+            assert_hops_equal(got, want, spec.B // 2 + 1)
+            assert rng.random() == rng_want.random()  # the same draws, no more
+            rng = np.random.default_rng(m)
+            batch = run_series_blocks_batch(spec, m, n, rng, tables)
+            assert [len(y) for y in batch] == sizes
+            assert np.array_equal(np.concatenate(batch), want[-1][2])
+
+    @pytest.mark.parametrize("graph, M, B, decoder", [
+        pytest.param(make_channel_graph(3, 0, 2, [(0, 1, bsc(0.1)), (1, 2, bsc(0.1))]),
+                     2, 4, "exact", id="bsc-keyed-exact"),
+        pytest.param(make_channel_graph(3, 0, 2, [(0, 1, bsc(0.1)), (1, 2, bsc(0.1))]),
+                     2, 8, "heuristic", id="bsc-direct-heuristic"),
+        pytest.param(make_channel_graph(3, 0, 2, [(0, 1, bec(0.3)), (1, 2, bec(0.3))]),
+                     2, 4, "exact", id="bec-direct-exact"),
+        pytest.param(make_channel_graph(3, 0, 2, [(0, 1, ksym(3, 0.1)), (1, 2, ksym(3, 0.1))]),
+                     3, 12, "heuristic", id="ksym3-reduced-M3-heuristic"),
+        pytest.param(make_channel_graph(4, 0, 3, [(0, 1, bsc(0.1)), (1, 3, bsc(0.1)),
+                                                  (0, 2, bsc(0.2)), (2, 3, bsc(0.2))]),
+                     3, 12, "heuristic", id="diamond-M3-heuristic"),
+    ])
+    @pytest.mark.parametrize("tile_elems", [40, 1], ids=["ragged", "one-row"])
+    def test_cell_errors_equal_the_oracle(self, monkeypatch, graph, M, B, decoder, tile_elems):
+        # chunks of 64 trials, tiles of 40 // L rows (or one row) inside them
+        monkeypatch.setattr(harness, "_TRIAL_CHUNK", 64)
+        monkeypatch.setattr(protocol, "_TILE_ELEMS", tile_elems)
+        plan = build_network_plan(graph, M, B)
+        dists = [exact_block_distribution(p.spec) for p in plan.paths] if decoder == "exact" else None
+        tables = _plan_tables(plan, 150)
+        n = 4 * plan.window
+        got = [_cell_errors(plan, tables, dists, decoder, n, m, 150, 5, 1) for m in range(1, M + 1)]
+        want = [oracles.cell_errors(plan, dists, decoder, n, m, 150, 5, 1, chunk_size=64)
+                for m in range(1, M + 1)]
+        assert got == want
+        assert sum(got) > 0
+
+    def test_sampler_broadcasts_one_state(self):
+        # the source's one state for every row samples as the per-row states
+        probs = _kernel_channel(np.random.default_rng(8), 3, 4)
+        thr = protocol._sampling_thresholds(probs, np.array([[0, 2], [1, 0]]), 4)
+        for s in range(6):
+            got = sample(thr, np.array(s), np.random.default_rng(s), rows=9)
+            want = sample(thr, np.full(9, s), np.random.default_rng(s))
+            assert np.array_equal(got, want)
+
+    def test_batch_memory_stays_in_tiles(self):
+        # one diamond.json path at 10**4 rows, 48 raw symbols a block: the
+        # batch and its heuristic decode, tile by tile, peak at 6.8 MiB, of
+        # which the destination's (10**4, 48) int64 blocks are 3.7 MiB;
+        # sampling and decoding whole (10**4, 48) arrays peaked at 11.8 MiB
+        plan = build_network_plan(load_graph_file(str(GRAPHS / "diamond.json")).graph, 3, 48)
+        spec = plan.paths[0].spec
+        assert spec.B * math.factorial(3) == 48
+        tables = protocol.path_tables(spec, 10**4)
+        scores = np.zeros((3, 10**4))
+        tracemalloc.start()
+        try:
+            lo = 0
+            for blocks in run_series_blocks_batch(spec, 1, 10**4, np.random.default_rng(0), tables):
+                scores[:, lo : lo + len(blocks)] += protocol.block_scores_heuristic(
+                    blocks, spec.channels[-1], spec.M, spec.B)
+                lo += len(blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lo == 10**4
+        assert peak < 9 * 2**20

@@ -28,6 +28,7 @@ from .exponents import permutation_codebook, tilde_exponent
 from .flow import ChannelGraph, decompose, maxflow, path_edge_budgets, weighted_network
 
 EXACT_BLOCK_GUARD = 10**6
+TABLE_BYTES_GUARD = 1 << 28  # one hop's sampling tables, see path_tables
 _TILE_ELEMS = 1 << 17  # raw symbols one hop samples at once
 
 
@@ -162,6 +163,13 @@ def _hop_view(chan, M: int):
     return chan, np.arange(M, dtype=np.int64)[:, None]
 
 
+def _symbol_dtype(out: int) -> np.dtype:
+    """Narrowest unsigned dtype that holds raw outputs 0..out-1: uint8 up to
+    256 outputs.  Raw blocks are stored in it; their keys are formed in intp
+    by :func:`_encode_blocks`."""
+    return np.min_scalar_type(out - 1)
+
+
 def _codeword_table(M: int, B: int) -> np.ndarray:
     """Sorted state blocks tab[m_idx, ell]: B/2+ell copies of m_idx, then
     B/2-ell copies of its successor (wrapping M-1 back to 0)."""
@@ -195,8 +203,7 @@ def _symbol_logliks(base_logp: np.ndarray, words: np.ndarray, y: np.ndarray, B: 
     table = np.zeros((M, 1))
     for j in range(g):
         table = (table[:, :, None] + base_logp[words[:, j]][:, None, :]).reshape(M, -1)
-    key = digits[:, :g] @ out ** np.arange(g - 1, -1, -1, dtype=np.int64)
-    la = np.take(table, key.reshape(N, B).T, axis=1)
+    la = np.take(table, _encode_blocks(digits[:, :g], out).reshape(N, B).T, axis=1)
     for j in range(g, ell):
         la += np.take(base_logp[words[:, j]], digits[:, j].reshape(N, B).T, axis=1)
     return la.transpose(0, 2, 1)
@@ -208,26 +215,31 @@ def _state_logliks(la: np.ndarray, B: int) -> np.ndarray:
     Codewords are two homogeneous segments, so a prefix sum for the leading
     symbol plus a suffix sum for the trailing one covers every ell at once.
     Both run over the uses in sequence, as ``cumsum`` does, for all symbols
-    and blocks at once.  Sums never mix +inf and -inf, so zeros in the
-    channel stay -inf.  The confidence axis leads, so each level's (M, N)
+    and blocks at once, and the successor's suffix sum is added into each
+    level's prefix sums in place.  Sums never mix +inf and -inf, so zeros in
+    the channel stay -inf.  The confidence axis leads, so each level's (M, N)
     slice is contiguous for the element-wise reductions over it.
     """
     M, N, _ = la.shape
     half = B // 2
     uses = la.transpose(2, 0, 1)  # (B, M, N)
-    prefix = np.empty((half + 1, M, N))  # sums of the first half..B uses
-    prefix[0] = uses[0]
+    ll = np.empty((half + 1, M, N))  # sums of the first half..B uses
+    ll[0] = uses[0]
     for r in range(1, half):
-        prefix[0] += uses[r]
+        ll[0] += uses[r]
     for e in range(1, half + 1):
-        np.add(prefix[e - 1], uses[half + e - 1], out=prefix[e])
-    suffix = np.empty((half + 1, M, N))  # sums of the last half..0 uses
-    suffix[half] = 0.0
-    suffix[half - 1] = uses[B - 1]
-    for e in range(half - 2, -1, -1):
-        np.add(suffix[e + 1], uses[half + e], out=suffix[e])
-    nxt = (np.arange(M) + 1) % M
-    return prefix + suffix[:, nxt]
+        np.add(ll[e - 1], uses[half + e - 1], out=ll[e])
+    # level half's suffix is empty.  Adding its 0.0 would change nothing:
+    # the likelihoods are sums that start from +0.0, so none is -0.0.
+    # suffix[a] sums the last half-e uses of symbol a; the successor of a
+    # is a+1, and of M-1 it is 0
+    suffix = uses[B - 1].copy()
+    for e in range(half - 1, -1, -1):
+        if e < half - 1:
+            suffix += uses[half + e]
+        ll[e, : M - 1] += suffix[1:]
+        ll[e, M - 1] += suffix[0]
+    return ll
 
 
 def _pairwise_sum(t: np.ndarray, lo: int, n: int) -> np.ndarray:
@@ -261,25 +273,33 @@ def _logsumexp_leading(a: np.ndarray) -> np.ndarray:
     contiguous trailing slices.  It takes :func:`logsumexp`'s steps (max, tie
     count, exp-sum, ``log1p``/``log``, non-finite fallback) and sums in
     :func:`_pairwise_sum`'s order, so it is bit-identical to ``logsumexp`` over
-    the last axis of the C-contiguous array with this axis moved last."""
+    the last axis of the C-contiguous array with this axis moved last.  The
+    exp terms live in one buffer, and the trailing-shaped steps run in place
+    in the same order: (log1p(s) + log(m)) + max."""
     K = a.shape[0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a_max = a.max(axis=0)
         is_max = a == a_max
         m = is_max.sum(axis=0, dtype=a.dtype)
-        s = _pairwise_sum(np.exp(np.where(is_max, -np.inf, a) - a_max), 0, K)
-        s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + a_max
+        terms = np.where(is_max, -np.inf, a)
+        terms -= a_max
+        s = _pairwise_sum(np.exp(terms, out=terms), 0, K)
+        np.divide(s, m, out=s, where=s != 0)
+        out = np.log1p(s, out=s)
+        out += np.log(m, out=m)
+        out += a_max
         bad = ~np.isfinite(out)
         if bad.any():
-            out = np.where(bad, np.log(_pairwise_sum(np.exp(a), 0, K)), out)
+            np.copyto(out, np.log(_pairwise_sum(np.exp(a, out=terms), 0, K)), where=bad)
     return out
 
 
 def _uniform_message_loglik(ll: np.ndarray) -> np.ndarray:
     """Mixture likelihood per message, shape (M, N), from ll[ell, m, n]:
     uniform prior over the sender's ell."""
-    return _logsumexp_leading(ll) - math.log(ll.shape[0])
+    out = _logsumexp_leading(ll)
+    out -= math.log(ll.shape[0])
+    return out
 
 
 def _states_from_loglik(msg_ll: np.ndarray, flow_value: float, half: int):
@@ -329,15 +349,17 @@ def _sampling_thresholds(probs: np.ndarray, words: np.ndarray, B: int) -> np.nda
 def _sample_symbols(thresholds: np.ndarray, state: np.ndarray, rng, out: np.ndarray,
                     work: np.ndarray) -> np.ndarray:
     """Inverse-CDF sampling of the raw outputs of each sender's codeword into
-    the int64 rows of ``out``, which it returns.
+    the rows of ``out``, which it returns.  ``out`` has an unsigned dtype
+    that holds out-1 (:func:`_symbol_dtype`), or any wider integer dtype.
 
     ``state`` holds each row's sender state, or one state for every row.
     One row of ``thresholds`` (see :func:`_sampling_thresholds`) per sender
     state; counting the thresholds at or below a uniform draw is
     ``searchsorted(side="right")`` clamped to the last output.  ``work`` is
     float64 scratch of shape (2,) + out.shape for the draws and the gathered
-    thresholds.  The first threshold's comparison starts the count; a
-    one-output channel has no thresholds and gets zeros.
+    thresholds.  The first threshold's comparison starts the count, written
+    through a bool view when ``out`` has one-byte items; a one-output channel
+    has no thresholds and gets zeros.
     """
     u = rng.random(out=work[0])
     if not len(thresholds):
@@ -347,7 +369,8 @@ def _sample_symbols(thresholds: np.ndarray, state: np.ndarray, rng, out: np.ndar
     # rows of the table, so "clip" moves no index; with "raise" np.take
     # would gather into a temporary copy first
     gathered = work[1] if state.ndim else None
-    np.less_equal(np.take(thresholds[0], state, axis=0, out=gathered, mode="clip"), u, out=out)
+    first = out.view(bool) if out.itemsize == 1 else out
+    np.less_equal(np.take(thresholds[0], state, axis=0, out=gathered, mode="clip"), u, out=first)
     for thr in thresholds[1:]:
         out += np.take(thr, state, axis=0, out=gathered, mode="clip") <= u
     return out
@@ -412,12 +435,24 @@ def path_tables(spec: SeriesSpec, rows: int) -> tuple:
     """Every hop's :class:`HopTables` for batches of up to ``rows`` blocks.
 
     A relay table is decided once from every possible block, so it is never
-    bigger than the largest batch that reads it.
+    bigger than the largest batch that reads it.  A hop's sampling tables
+    grow with B**2: before any is built, each hop's size is checked against
+    ``TABLE_BYTES_GUARD``, and :class:`StateSpaceTooLarge` is raised above it.
     """
     width = spec.B // 2 + 1
+    views = [_hop_view(chan, spec.M) for chan in spec.channels]
+    for base, words in views:
+        # :func:`_sampling_thresholds`' int64 codeword index and its out-1
+        # float64 threshold planes, each M*(B/2+1)*L entries
+        L = spec.B * words.shape[1]
+        size = 8 * base.output_size * spec.M * width * L
+        if size > TABLE_BYTES_GUARD:
+            raise StateSpaceTooLarge(
+                f"blocks of {L} raw symbols need {size} bytes of sampling tables "
+                f"per hop, above the {TABLE_BYTES_GUARD}-byte table guard"
+            )
     tables = []
-    for hop, chan in enumerate(spec.channels):
-        base, words = _hop_view(chan, spec.M)
+    for hop, (chan, (base, words)) in enumerate(zip(spec.channels, views)):
         out, L = base.output_size, spec.B * words.shape[1]
         next_state = None
         if hop < len(spec.channels) - 1 and out**L <= rows:  # Python ints: no int64 wrap-around
@@ -435,13 +470,13 @@ def _hop_blocks(spec: SeriesSpec, m: int, n_blocks: int, rng, tables=None):
     Runs hop after hop, each hop in consecutive row tiles of at most
     ``_TILE_ELEMS`` raw symbols, and yields (hop, state, y) per tile: the
     sending node's state index m_idx * (B/2+1) + ell for each of the tile's
-    rows and the raw base-symbol blocks the receiving node gets.  A hop's
-    tiles draw their uniforms in row order, so together they take the draws
-    of one (n_blocks, L) call.  A relay decides each tile into the next
-    hop's states once the next tile is requested, and that tile reuses the
-    array, so copy a relay hop's tile to keep it.  The destination's tiles
-    are row slices of one (n_blocks, L) array; its state is never computed
-    here.
+    rows and the raw base-symbol blocks the receiving node gets, in the
+    hop's :func:`_symbol_dtype`.  A hop's tiles draw their uniforms in row
+    order, so together they take the draws of one (n_blocks, L) call.  A
+    relay decides each tile into the next hop's states once the next tile is
+    requested, and that tile reuses the array, so copy a relay hop's tile to
+    keep it.  The destination's tiles are row slices of one (n_blocks, L)
+    array; its state is never computed here.
 
     ``tables`` are the chain's :func:`path_tables`, built for this batch when
     None.  A relay with a decision table keys each block once and reads its
@@ -454,25 +489,29 @@ def _hop_blocks(spec: SeriesSpec, m: int, n_blocks: int, rng, tables=None):
     width = spec.B // 2 + 1
     last = len(spec.channels) - 1
     state = np.array((m - 1) * width + width - 1)  # the source's, for every row
-    scratch = None
+    buf = None
     for hop, (chan, tab) in enumerate(zip(spec.channels, tables)):
         L = tab.thresholds.shape[2]
+        dtype = _symbol_dtype(tab.out)
         rows = max(1, min(n_blocks, _TILE_ELEMS // L))
-        if scratch is None or scratch.shape != (3, rows, L):
-            # a tile's draws and gathered thresholds (viewed as float64) and
-            # a relay hop's tile, in one allocation that every tile reuses:
+        size = rows * L
+        if buf is None or buf.size < (16 + dtype.itemsize) * size:
+            # a tile's float64 draws and gathered thresholds and a relay
+            # hop's tile, carved from one allocation that every tile reuses:
             # with fresh tile-sized arrays the allocator handed their pages
             # back and faulted them in again, tile after tile
-            scratch = np.empty((3, rows, L), dtype=np.int64)
+            buf = np.empty((16 + dtype.itemsize) * size, dtype=np.uint8)
+        work = buf[: 16 * size].view(np.float64).reshape(2, rows, L)
+        tile = buf[16 * size : (16 + dtype.itemsize) * size].view(dtype).reshape(rows, L)
         if hop == last:
-            dest = np.empty((n_blocks, L), dtype=np.int64)
+            dest = np.empty((n_blocks, L), dtype=dtype)
         else:
             nxt = np.empty(n_blocks, dtype=np.int64)
         for lo in range(0, n_blocks, rows):
             sender = state[lo : lo + rows] if state.ndim else state
             n = min(rows, n_blocks - lo)
-            y = dest[lo : lo + n] if hop == last else scratch[2, :n]
-            _sample_symbols(tab.thresholds, sender, rng, y, scratch[:2, :n].view(np.float64))
+            y = dest[lo : lo + n] if hop == last else tile[:n]
+            _sample_symbols(tab.thresholds, sender, rng, y, work[:, :n])
             yield hop, np.broadcast_to(sender, n), y
             if hop == last:
                 continue
@@ -490,7 +529,8 @@ def run_series_blocks_batch(spec: SeriesSpec, m: int, n_blocks: int, rng,
     """Vectorized sequential block transmissions: n_blocks independent runs.
 
     Returns the destination's raw base-symbol blocks as row tiles in row
-    order, each of shape (rows, B * ell_of_final_hop), as :func:`_hop_blocks`
+    order, each of shape (rows, B * ell_of_final_hop) in the final hop's
+    :func:`_symbol_dtype` (uint8 up to 256 outputs), as :func:`_hop_blocks`
     samples them.  Nodes hold no state across blocks.  ``tables`` are as for
     :func:`_hop_blocks`.
     """
@@ -534,11 +574,13 @@ class ForwardTrace:
 
 def _enumerate_blocks(out_size: int, B: int) -> np.ndarray:
     """Every block of B base symbols in row-major digit order (first digit
-    slowest), so row k is the block whose ``_encode_blocks`` key is k."""
-    place = out_size ** np.arange(B - 1, -1, -1, dtype=np.int64)
-    digits = np.arange(out_size**B, dtype=np.int64)[:, None] // place
-    digits %= out_size
-    return digits
+    slowest), so row k is the block whose ``_encode_blocks`` key is k, in
+    :func:`_symbol_dtype`.  Written column by column: digit j counts up once
+    every out_size**(B-1-j) rows."""
+    blocks = np.empty((out_size**B, B), dtype=_symbol_dtype(out_size))
+    for j in range(B):
+        blocks.reshape(out_size**j, out_size, -1, B)[:, :, :, j] = np.arange(out_size)[:, None]
+    return blocks
 
 
 def series_forward_trace(spec: SeriesSpec, update_mode: str = "uniform") -> ForwardTrace:
@@ -712,8 +754,11 @@ def build_network_plan(G: ChannelGraph, M: int, B: int) -> NetworkPlan:
 
 def _encode_blocks(blocks: np.ndarray, base_out: int) -> np.ndarray:
     """Row-major digit index of each base-symbol block, by Horner's rule in
-    place over the columns."""
-    idx = blocks[:, 0].copy()
+    place over the columns.  The keys are intp whatever the symbols' dtype,
+    and a block of no symbols has key 0."""
+    if not blocks.shape[1]:
+        return np.zeros(len(blocks), dtype=np.intp)
+    idx = blocks[:, 0].astype(np.intp)
     for t in range(1, blocks.shape[1]):
         idx *= base_out
         idx += blocks[:, t]

@@ -1,4 +1,7 @@
-"""Shared randomized-instance generators for the property suites."""
+"""Shared randomized-instance generators for the property suites, and a
+traced-memory helper."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -79,6 +82,16 @@ def rand_channel_graph(rng, chan_fn, max_nodes=6, max_extra=6):
             continue
         edges.append((t, h, chan_fn(rng)))
     return make_channel_graph(n, 0, n - 1, edges)
+
+
+def peak_traced(fn) -> int:
+    """Peak bytes that tracemalloc traces while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

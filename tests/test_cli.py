@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import peak_traced
 from netexp.cli import main
 from netexp.graphio import dump_normalized, load_graph_file, parse_graph_obj
 from netexp.errors import GraphFileError
@@ -224,6 +225,21 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert code == 3
         assert "block size must be even" in err
+
+    def test_table_guard_fires_before_the_tables_are_built(self, capsys):
+        # --block 40000 on series-2-bsc005 at M=2: blocks of 40000 raw
+        # symbols in 10001 confidence levels need 12.8 GB of sampling tables
+        argv = ["simulate", str(GRAPHS / "series-2-bsc005.json"), "--block", "40000",
+                "--horizons", "160000", "--trials", "10", "--decoder", "heuristic"]
+        code = None
+
+        def run():
+            nonlocal code
+            code = main(argv)
+
+        assert peak_traced(run) < 4 * 2**20
+        assert code == 3
+        assert "table guard" in capsys.readouterr().err
 
     def test_empty_horizons_exit_3(self, capsys):
         code, out = run_cli(

@@ -1,11 +1,11 @@
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from netexp.channel import bec, bhattacharyya, bsc, identity_channel, ksym, make_dmc
+from conftest import peak_traced
+from netexp.channel import bec, bhattacharyya, bsc, identity_channel, ksym, make_dmc, product
 from netexp.errors import (
     HorizonTooShort,
     MTooLarge,
@@ -404,14 +404,19 @@ class TestExactBlockDistribution:
         # them took ~200 MB before the 12^12-block guard was read
         P = make_dmc(np.random.default_rng(5).dirichlet(np.ones(12), size=3))
         spec = make_series_spec([P], 3, 2)
-        tracemalloc.start()
-        try:
+
+        def run():
             with pytest.raises(StateSpaceTooLarge):
                 exact_block_distribution(spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
+
+        assert peak_traced(run) < 4 * 2**20
+
+    def test_exact_law_memory(self):
+        # two bsc(0.05) hops at M=2, B=8: 4**8 blocks a hop.  Byte-wide
+        # blocks and likelihoods built in place peak at 35.6 MiB; int64
+        # blocks and fresh prefix, suffix and exp arrays peaked at 53.5 MiB
+        spec = make_series_spec([bsc(0.05), bsc(0.05)], 2, 8)
+        assert peak_traced(lambda: series_forward_trace(spec)) < 44 * 2**20
 
     @pytest.mark.parametrize(
         "P, M, B",
@@ -697,10 +702,12 @@ class _FixedDraws:
 
 
 def sample(thr, state, rng, rows=None):
-    """The engine's sampler on fresh output and scratch arrays; ``rows``
-    gives the row count when one ``state`` serves every row."""
+    """The engine's sampler on fresh output and scratch arrays, its output
+    in the channel's narrow symbol dtype; ``rows`` gives the row count when
+    one ``state`` serves every row."""
     n, L = len(state) if rows is None else rows, thr.shape[2]
-    return protocol._sample_symbols(thr, state, rng, np.empty((n, L), np.int64), np.empty((2, n, L)))
+    y = np.empty((n, L), protocol._symbol_dtype(thr.shape[0] + 1))
+    return protocol._sample_symbols(thr, state, rng, y, np.empty((2, n, L)))
 
 
 def _kernel_channel(rng, n_in, n_out):
@@ -741,7 +748,7 @@ class TestTableKernels:
             want = oracles.sample_symbols(probs, x, _FixedDraws(u))
             thr = protocol._sampling_thresholds(probs, words, B)
             got = sample(thr, m_idx * (B // 2 + 1) + lvl, _FixedDraws(u))
-            assert got.dtype == want.dtype
+            assert got.dtype == np.uint8
             assert np.array_equal(got, want), (M, ell, B)
         assert short_rows > 0
 
@@ -785,7 +792,7 @@ class TestTableKernels:
         x = words[_codeword_table(2, 4).reshape(6, 4)[state]].reshape(8, -1)
         got = sample(thr, state, rng_a)
         want = oracles.sample_symbols(probs, x, rng_b)
-        assert got.dtype == want.dtype == np.int64
+        assert got.dtype == np.uint8 and want.dtype == np.int64
         assert np.array_equal(got, want)
         assert rng_a.random() == rng_b.random()
         if n_out == 1:
@@ -992,23 +999,101 @@ class TestRowTiles:
 
     def test_batch_memory_stays_in_tiles(self):
         # one diamond.json path at 10**4 rows, 48 raw symbols a block: the
-        # batch and its heuristic decode, tile by tile, peak at 6.8 MiB, of
-        # which the destination's (10**4, 48) int64 blocks are 3.7 MiB;
-        # sampling and decoding whole (10**4, 48) arrays peaked at 11.8 MiB
+        # batch and its heuristic decode, tile by tile, peak at 4.1 MiB, of
+        # which the destination's (10**4, 48) uint8 blocks are 0.46 MiB and
+        # one 2730-row tile's draws, thresholds and blocks 2.1 MiB.  With
+        # int64 blocks (3.7 MiB at the destination) and fresh likelihood
+        # arrays it peaked at 7.7 MiB; sampling and decoding whole
+        # (10**4, 48) int64 arrays peaked at 11.8 MiB
         plan = build_network_plan(load_graph_file(str(GRAPHS / "diamond.json")).graph, 3, 48)
         spec = plan.paths[0].spec
         assert spec.B * math.factorial(3) == 48
         tables = protocol.path_tables(spec, 10**4)
         scores = np.zeros((3, 10**4))
-        tracemalloc.start()
-        try:
-            lo = 0
+        lo = 0
+
+        def run():
+            nonlocal lo
             for blocks in run_series_blocks_batch(spec, 1, 10**4, np.random.default_rng(0), tables):
                 scores[:, lo : lo + len(blocks)] += protocol.block_scores_heuristic(
                     blocks, spec.channels[-1], spec.M, spec.B)
                 lo += len(blocks)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        assert peak_traced(run) < 6 * 2**20
         assert lo == 10**4
-        assert peak < 9 * 2**20
+
+
+class TestTableGuard:
+    """``path_tables`` checks each hop's sampling-table bytes against
+    ``TABLE_BYTES_GUARD`` before it builds any table."""
+
+    def test_guard_boundary(self, monkeypatch):
+        # two bsc hops at M=3, B=4: 6 raw symbols a use, so L=24, and 6
+        # sender states; the codeword index and one threshold plane are
+        # 8 * 2 * 3 * 3 * 24 bytes
+        spec = make_series_spec([bsc(0.1)] * 2, 3, 4)
+        size = 8 * 2 * 3 * 3 * 24
+        monkeypatch.setattr(protocol, "TABLE_BYTES_GUARD", size)
+        tables = protocol.path_tables(spec, 10)
+        assert tables[0].thresholds.nbytes * 2 == size
+        monkeypatch.setattr(protocol, "TABLE_BYTES_GUARD", size - 1)
+        with pytest.raises(StateSpaceTooLarge, match="table guard"):
+            protocol.path_tables(spec, 10)
+
+
+class TestSymbolDtype:
+    """Raw blocks are stored in the narrowest unsigned dtype that holds the
+    channel's outputs; block keys are formed in intp."""
+
+    WIDE = product(ksym(17, 0.03), ksym(17, 0.02))  # 289 outputs
+
+    def wide_plan(self):
+        # a direct (unreduced) chain at B=2: two raw symbols a block, so
+        # 289**2 blocks, inside the exact-law guard
+        P = self.WIDE
+        spec = SeriesSpec(channels=(P, P), M=2, B=2, flow_value=bhattacharyya(P, 0, 1))
+        path = protocol.PathPlan(index=0, nodes=(0, 1, 2), edge_ids=(0, 1), edge_budgets=(2, 2),
+                                 spec=spec, ell_factor=1)
+        return protocol.NetworkPlan(M=2, B=2, window=2, paths=(path,))
+
+    def test_bsc_blocks_are_bytes(self):
+        spec = make_series_spec([bsc(0.1)] * 3, 2, 2)
+        tables = protocol.path_tables(spec, 50)
+        assert tables[0].next_state is not None
+        hops = list(protocol._hop_blocks(spec, 1, 50, np.random.default_rng(0), tables))
+        assert {y.dtype for _, _, y in hops} == {np.dtype(np.uint8)}
+        blocks = protocol._enumerate_blocks(2, 8)
+        assert blocks.dtype == np.uint8
+        assert np.array_equal(blocks, np.arange(256)[:, None] // 2 ** np.arange(7, -1, -1) % 2)
+
+    def test_keys_of_byte_blocks_do_not_wrap(self):
+        blocks = np.random.default_rng(4).integers(0, 2, (300, 12)).astype(np.uint8)
+        blocks[0] = 1
+        got = protocol._encode_blocks(blocks, 2)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, blocks.astype(np.int64) @ 2 ** np.arange(11, -1, -1))
+        assert got[0] == 4095
+
+    def test_wide_channel_blocks_are_uint16(self):
+        spec = self.wide_plan().paths[0].spec
+        hops = list(protocol._hop_blocks(spec, 2, 30, np.random.default_rng(1)))
+        assert {y.dtype for _, _, y in hops} == {np.dtype(np.uint16)}
+        blocks = protocol._enumerate_blocks(289, 2)
+        assert blocks.dtype == np.uint16
+        assert blocks[-1].tolist() == [288, 288]
+        assert np.array_equal(protocol._encode_blocks(blocks, 289), np.arange(289**2))
+
+    @pytest.mark.parametrize("decoder", ["exact", "heuristic"])
+    @pytest.mark.parametrize("tile_elems", [40, 1 << 17], ids=["ragged", "one-tile"])
+    def test_wide_channel_cells_equal_the_oracle(self, monkeypatch, decoder, tile_elems):
+        monkeypatch.setattr(harness, "_TRIAL_CHUNK", 64)
+        monkeypatch.setattr(protocol, "_TILE_ELEMS", tile_elems)
+        plan = self.wide_plan()
+        dists = [exact_block_distribution(plan.paths[0].spec)] if decoder == "exact" else None
+        tables = _plan_tables(plan, 150)
+        n = 6 * plan.window
+        got = [_cell_errors(plan, tables, dists, decoder, n, m, 150, 5, 1) for m in (1, 2)]
+        want = [oracles.cell_errors(plan, dists, decoder, n, m, 150, 5, 1, chunk_size=64)
+                for m in (1, 2)]
+        assert got == want
+        assert sum(got) > 0

@@ -28,6 +28,7 @@ from .exponents import bsc_feedback_exponent_m3, channel_exponents, tilde_expone
 from .flow import ChannelGraph, NetEdge, Network, channel_network, make_channel_graph, maxflow, mincut_without_backedges, weighted_network
 from .protocol import (
     NetworkPlan,
+    _first_max_rows,
     block_scores_heuristic,
     block_scores_ml,
     build_network_plan,
@@ -220,20 +221,6 @@ class SimResult:
 _TRIAL_CHUNK = 1 << 14
 
 
-def _first_max_rows(scores: np.ndarray) -> np.ndarray:
-    """Index of each column's largest score in scores[k, n], by a strict
-    greater-than scan over the rows: ``np.argmax(scores, axis=0)``'s
-    first-maximum rule, so ties (all -inf columns included) go to the lowest
-    row.  Scores are log-likelihood sums, never NaN."""
-    best = scores[0]
-    idx = np.zeros(scores.shape[1], dtype=np.int64)
-    for k in range(1, scores.shape[0]):
-        better = scores[k] > best
-        idx[better] = k
-        best = np.maximum(best, scores[k])
-    return idx
-
-
 def _plan_tables(plan: NetworkPlan, trials: int) -> list:
     """Each path's :func:`path_tables` for the cell loop's largest batch,
     min(trials, _TRIAL_CHUNK) rows."""
@@ -274,7 +261,7 @@ def _cell_errors(plan: NetworkPlan, tables, dists, decoder: str, n: int, m: int,
                     cols += block_scores_heuristic(blocks, spec.channels[-1], spec.M, spec.B)
                 lo += len(blocks)
             del blocks, cols  # free this batch's blocks before the next batch allocates
-        errors += int(np.count_nonzero(_first_max_rows(scores) != m - 1))
+        errors += int(np.count_nonzero(_first_max_rows(scores)[0] != m - 1))
     return errors
 
 
@@ -287,9 +274,11 @@ def simulate(G: ChannelGraph, config: SimConfig) -> SimResult:
     """
     threads = os.environ.get("NETEXP_THREADS", "1")
     try:
-        workers = max(1, int(threads))
+        workers = int(threads)
     except ValueError:
         raise ParameterOutOfRange(f"NETEXP_THREADS must be an integer, got {threads!r}") from None
+    if workers < 1:
+        raise ParameterOutOfRange(f"NETEXP_THREADS must be at least 1, got {threads!r}")
     plan = build_network_plan(G, config.M, config.B)
     dists = None
     if config.decoder == "exact":

@@ -281,9 +281,14 @@ def _logsumexp_leading(a: np.ndarray) -> np.ndarray:
         a_max = a.max(axis=0)
         is_max = a == a_max
         m = is_max.sum(axis=0, dtype=a.dtype)
-        terms = np.where(is_max, -np.inf, a)
-        terms -= a_max
-        s = _pairwise_sum(np.exp(terms, out=terms), 0, K)
+        # exp(a - max) with the maxima's terms then zeroed, as exp(-inf) is:
+        # numpy's exp takes a slow path on -inf arguments.  A maximum's own
+        # term may be NaN (an all -inf column, or a +inf maximum) before
+        # the zeroing
+        terms = np.subtract(a, a_max)
+        np.exp(terms, out=terms)
+        np.putmask(terms, is_max, 0.0)
+        s = _pairwise_sum(terms, 0, K)
         np.divide(s, m, out=s, where=s != 0)
         out = np.log1p(s, out=s)
         out += np.log(m, out=m)
@@ -302,18 +307,33 @@ def _uniform_message_loglik(ll: np.ndarray) -> np.ndarray:
     return out
 
 
+def _first_max_rows(scores: np.ndarray):
+    """For each column of scores[k, n] (at least two rows): the index and
+    value of its largest entry, and its largest value once that entry is left
+    out.  One strict greater-than scan over the rows keeps
+    ``np.argmax(scores, axis=0)``'s first-maximum rule, so ties (all -inf
+    columns included) go to the lowest row, and a tie at the maximum is the
+    second value too.  Scores are log-likelihood sums, never NaN."""
+    idx = (scores[1] > scores[0]).astype(np.int64)
+    best = np.maximum(scores[0], scores[1])
+    second = np.minimum(scores[0], scores[1])
+    for k in range(2, len(scores)):
+        # k is above every index so far, so this sets it exactly where row
+        # k is strictly better; a masked assignment would branch on every
+        # element
+        np.maximum(idx, (scores[k] > best) * k, out=idx)
+        np.maximum(second, np.minimum(best, scores[k]), out=second)
+        np.maximum(best, scores[k], out=best)
+    return idx, best, second
+
+
 def _states_from_loglik(msg_ll: np.ndarray, flow_value: float, half: int):
     """Most likely message plus quantized log-likelihood-ratio confidence,
     from message log-likelihoods msg_ll[m, n].
 
     Ties break to the lowest message index; an infinite ratio clamps to B/2.
     """
-    cols = np.arange(msg_ll.shape[1])
-    m_idx = np.argmax(msg_ll, axis=0)
-    val1 = msg_ll[m_idx, cols]
-    tmp = msg_ll.copy()
-    tmp[m_idx, cols] = -np.inf
-    val2 = tmp.max(axis=0)
+    m_idx, val1, val2 = _first_max_rows(msg_ll)
     with np.errstate(invalid="ignore"):
         llr = val1 - val2
         raw = np.floor(llr / (4.0 * flow_value))
@@ -365,14 +385,30 @@ def _sample_symbols(thresholds: np.ndarray, state: np.ndarray, rng, out: np.ndar
     if not len(thresholds):
         out[...] = 0
         return out
-    # one state: its threshold row broadcasts over the draws.  States are
-    # rows of the table, so "clip" moves no index; with "raise" np.take
-    # would gather into a temporary copy first
-    gathered = work[1] if state.ndim else None
     first = out.view(bool) if out.itemsize == 1 else out
-    np.less_equal(np.take(thresholds[0], state, axis=0, out=gathered, mode="clip"), u, out=first)
-    for thr in thresholds[1:]:
-        out += np.take(thr, state, axis=0, out=gathered, mode="clip") <= u
+    if state.ndim:
+        pieces = [(state, u, out, first)]
+    else:
+        # one state for every row.  Broadcast against the (n, L) draws, its
+        # threshold row would make numpy's inner loop run over only L
+        # elements per row, so it is gathered for a run of k rows (about
+        # 1024 thresholds) and compared with the draws k rows at a time,
+        # then with the last n % k rows
+        n, L = out.shape
+        k = min(n, max(1, 1024 // L))
+        m = n - n % k
+        pieces = [(np.broadcast_to(state, k), *(a[:m].reshape(-1, k, L) for a in (u, out, first)))]
+        if m < n:
+            pieces.append((np.broadcast_to(state, n - m), u[m:], out[m:], first[m:]))
+    for i, thr in enumerate(thresholds):
+        for rows, draws, count, count_bool in pieces:
+            # states are rows of the table, so "clip" moves no index; with
+            # "raise" np.take would gather into a temporary copy first
+            gathered = np.take(thr, rows, axis=0, out=work[1][: len(rows)], mode="clip")
+            if i:
+                count += gathered <= draws
+            else:
+                np.less_equal(gathered, draws, out=count_bool)
     return out
 
 
@@ -754,15 +790,22 @@ def build_network_plan(G: ChannelGraph, M: int, B: int) -> NetworkPlan:
 
 def _encode_blocks(blocks: np.ndarray, base_out: int) -> np.ndarray:
     """Row-major digit index of each base-symbol block, by Horner's rule in
-    place over the columns.  The keys are intp whatever the symbols' dtype,
-    and a block of no symbols has key 0."""
-    if not blocks.shape[1]:
+    place over the contiguous rows of one column-major copy.  The copy's
+    dtype is the narrowest unsigned one that holds every key, base_out**L - 1,
+    and intp above 2**62, where keys wrap as intp arithmetic wraps.  The keys
+    come back as intp whatever the symbols' dtype, and a block of no symbols
+    has key 0."""
+    L = blocks.shape[1]
+    if not L:
         return np.zeros(len(blocks), dtype=np.intp)
-    idx = blocks[:, 0].astype(np.intp)
-    for t in range(1, blocks.shape[1]):
+    keys = base_out**L  # Python ints: no wrap-around
+    digits = np.array(blocks.T, order="C",
+                      dtype=np.min_scalar_type(keys - 1) if keys <= 1 << 62 else np.intp)
+    idx = digits[0]
+    for t in range(1, L):
         idx *= base_out
-        idx += blocks[:, t]
-    return idx
+        idx += digits[t]
+    return idx.astype(np.intp)
 
 
 def block_scores_ml(blocks: np.ndarray, cd: CompositeDistribution) -> np.ndarray:

@@ -5,7 +5,9 @@ The engine in ``netexp.protocol`` computes the kernels' quantities with
 table lookups and decides each distinct relay block once, and
 ``harness._cell_errors`` loops over trial chunks on the outside; these
 direct forms (per-input masks, per-symbol loops, per-row relay decisions,
-slot-outer loop) are the oracles their results must equal bit for bit.  The
+slot-outer loop, intp Horner over strided columns, ``np.argmax`` with a
+masked copy for the runner-up) are the oracles their results must equal bit
+for bit.  The
 law oracles (exact ML error, the state-transition inequalities) read
 ``series_forward_trace`` and ``exact_block_distribution``.
 """
@@ -54,6 +56,39 @@ def hop_blocks(spec: SeriesSpec, m: int, n_blocks: int, rng):
         yield m_idx, ell, y
         if hop < len(spec.channels) - 1:
             m_idx, ell = _relay_states(chan, spec.M, spec.B, spec.flow_value, y)
+
+
+def encode_blocks(blocks: np.ndarray, base_out: int) -> np.ndarray:
+    """Row-major digit index of each block by Horner's rule in intp over the
+    strided columns, wrapping as intp arithmetic wraps."""
+    idx = np.zeros(len(blocks), dtype=np.intp)
+    for t in range(blocks.shape[1]):
+        idx *= base_out
+        idx += blocks[:, t]
+    return idx
+
+
+def first_max_rows(scores: np.ndarray):
+    """``np.argmax`` over the rows of scores[k, n], the maximum it picks, and
+    the largest value of a copy with that entry set to -inf."""
+    cols = np.arange(scores.shape[1])
+    idx = np.argmax(scores, axis=0)
+    rest = scores.copy()
+    rest[idx, cols] = -np.inf
+    return idx, scores[idx, cols], rest.max(axis=0)
+
+
+def states_from_loglik(msg_ll: np.ndarray, flow_value: float, half: int):
+    """The relay decision from the values of :func:`first_max_rows`: the
+    floored log-likelihood ratio over 4*flow_value, an infinite ratio clamped
+    to ``half``, NaN ratios (both values infinite) to 0 or ``half``."""
+    m_idx, val1, val2 = first_max_rows(msg_ll)
+    with np.errstate(invalid="ignore"):
+        llr = val1 - val2
+        raw = np.floor(llr / (4.0 * flow_value))
+    ell = np.where(np.isposinf(raw), half, raw)
+    ell = np.where(np.isnan(ell), np.where(np.isposinf(llr), half, 0), ell)
+    return m_idx, np.clip(ell, 0, half).astype(np.int64)
 
 
 def symbol_logliks(base_logp: np.ndarray, words: np.ndarray, y: np.ndarray, B: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -274,6 +275,17 @@ class TestSimulateCommand:
         assert code == 3
         assert "NETEXP_THREADS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_exit_3(self, capsys, monkeypatch, threads):
+        monkeypatch.setenv("NETEXP_THREADS", threads)
+        code = main([
+            "simulate", str(GRAPHS / "series-2-bsc.json"),
+            "--block", "4", "--horizons", "12", "--trials", "10",
+        ])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert f"NETEXP_THREADS must be at least 1, got '{threads}'" in captured.err
+
 
 class TestCounterexampleCommand:
     def test_single_p(self, capsys):
@@ -445,9 +457,11 @@ class TestGraphFileValidation:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # the child imports netexp from this checkout's src, as pytest does
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "netexp.cli", "counterexample", "--p-grid", "0.01"],
-            capture_output=True, text=True, cwd=str(ROOT),
+            capture_output=True, text=True, cwd=str(ROOT), env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("p,min_db_q,")

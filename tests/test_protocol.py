@@ -233,10 +233,14 @@ def _leading_lse_mismatches():
         x[:, 2, 5] = 1.5  # every entry ties at the maximum
         top = x[:, 1, 7].max()
         x[[0, K - 1], 1, 7] = top  # two ties at a row's maximum
+        x[K // 2, 0, 3] = np.inf  # a row whose maximum is +inf
+        x[[0, K - 1], 2, 9] = np.inf  # two +inf ties at a row's maximum
+        x[1:, 1, 11] = np.inf  # +inf at every level but the first
         with np.errstate(divide="ignore"):
             got = protocol._logsumexp_leading(x)
         want = logsumexp(np.ascontiguousarray(np.moveaxis(x, 0, -1)), axis=-1)
         assert np.isneginf(got[0, 0]) and got.shape == want.shape
+        assert np.isposinf(got[[0, 2, 1], [3, 9, 11]]).all()
         if got.tobytes() != want.tobytes():
             bad.append(K)
     return bad
@@ -997,6 +1001,25 @@ class TestRowTiles:
             want = sample(thr, np.full(9, s), np.random.default_rng(s))
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("n_out", [2, 3, 5], ids=["1-threshold", "2-thresholds", "4-thresholds"])
+    def test_source_hop_equals_the_oracle(self, n_out, monkeypatch):
+        # the source's one state is gathered for a run of 1024 // L = 128
+        # rows and compared with the draws a run at a time, then with the
+        # rest of the tile; tiles of 300 rows leave a ragged last tile
+        probs = _kernel_channel(np.random.default_rng(n_out), 3, n_out)
+        spec = SeriesSpec(channels=(make_dmc(probs),), M=3, B=8, flow_value=1.0)
+        monkeypatch.setattr(protocol, "_TILE_ELEMS", 300 * 8)
+        seen = set()
+        for n in (1, 127, 128, 261, 1000):
+            for m in (1, 2, 3):
+                rng, rng_want = np.random.default_rng(n + m), np.random.default_rng(n + m)
+                got = engine_hops(spec, m, n, rng)
+                want = list(oracles.hop_blocks(spec, m, n, rng_want))
+                assert_hops_equal(got, want, spec.B // 2 + 1)
+                assert rng.random() == rng_want.random()  # the same draws, no more
+                seen |= set(got[0][1].ravel().tolist())
+        assert seen == set(np.flatnonzero(probs.any(axis=0)).tolist())
+
     def test_batch_memory_stays_in_tiles(self):
         # one diamond.json path at 10**4 rows, 48 raw symbols a block: the
         # batch and its heuristic decode, tile by tile, peak at 4.1 MiB, of
@@ -1097,3 +1120,91 @@ class TestSymbolDtype:
                 for m in (1, 2)]
         assert got == want
         assert sum(got) > 0
+
+
+class TestBlockKeys:
+    """``_encode_blocks`` runs Horner's rule in the narrowest unsigned dtype
+    that holds out**L - 1 (intp above 2**62); its keys equal the intp Horner
+    over strided columns of ``protocol_oracles.encode_blocks`` bit for bit."""
+
+    @staticmethod
+    def widths(out):
+        """Block widths on both sides of each dtype boundary, out**L at or
+        below 2**8, 2**16, 2**32 and 2**62 and above it, plus one whose
+        keys wrap in intp (out**L above 2**64)."""
+        if out == 1:
+            return [0, 1, 2, 70]
+        widths = {0}
+        for bound in (2**8, 2**16, 2**32, 2**62):
+            L = 0
+            while out ** (L + 1) <= bound:
+                L += 1
+            widths |= {L, L + 1}
+        L = max(widths)
+        while out**L <= 2**64:
+            L += 1
+        return sorted(widths | {L})
+
+    @pytest.mark.parametrize("out", [1, 2, 3, 17, 256, 289])
+    def test_keys_equal_the_strided_horner(self, out):
+        rng = np.random.default_rng(out)
+        dtype = protocol._symbol_dtype(out)
+        for L in self.widths(out):
+            blocks = rng.integers(0, out, (60, L)).astype(dtype)
+            blocks[0] = out - 1  # the largest key, out**L - 1
+            blocks[1] = 0
+            got = protocol._encode_blocks(blocks, out)
+            want = oracles.encode_blocks(blocks, out)
+            assert got.dtype == np.intp
+            assert got.tobytes() == want.tobytes(), (out, L)
+            if out**L <= 2**63:
+                assert int(got[0]) == out**L - 1
+
+
+class TestFirstMaxScan:
+    """One strict greater-than scan gives the relay decision's and the cell
+    decision's first maximum and the relays' runner-up; it equals
+    ``np.argmax`` with a masked copy (``protocol_oracles.first_max_rows``)
+    bit for bit."""
+
+    @staticmethod
+    def scores(M, rng):
+        s = np.round(rng.normal(scale=2.0, size=(M, 400)))  # rounding makes ties common
+        s[rng.random(s.shape) < 0.2] = -np.inf
+        s[rng.random(s.shape) < 0.05] = np.inf
+        s[:, 0] = -np.inf  # all -inf
+        s[:, 1] = np.inf  # all +inf
+        s[:, 2] = 1.0  # every row ties at the maximum
+        s[:, 3] = -np.inf
+        s[M - 1, 3] = np.inf  # one +inf over -inf
+        s[:, 4] = 0.5
+        s[M - 1, 4] = 2.0  # the others tie at the second best
+        s[:, 5] = 0.5
+        s[0, 5] = 2.0  # the best first, ties at the second best after it
+        s[:, 6] = -1.0
+        s[[0, M - 1], 6] = np.inf  # two +inf ties
+        return s + 0.0  # no -0.0, whose sign a maximum may take from either operand
+
+    def test_scan_equals_argmax_and_masked_copy(self):
+        rng = np.random.default_rng(31)
+        for M in (2, 3, 5):
+            s = self.scores(M, rng)
+            got = protocol._first_max_rows(s)
+            want = oracles.first_max_rows(s)
+            assert got[0].dtype == np.int64
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes(), M
+            idx, _, second = got
+            assert idx[:7].tolist() == [0, 0, 0, M - 1, M - 1, 0, 0]
+            assert second[:7].tolist() == [-np.inf, np.inf, 1.0, -np.inf, 0.5, 0.5, np.inf]
+
+    @pytest.mark.parametrize("flow_value", [0.05, 0.7, np.inf])
+    def test_states_equal_the_argmax_decision(self, flow_value):
+        rng = np.random.default_rng(32)
+        for M in (2, 3, 5):
+            s = self.scores(M, rng)
+            for half in (1, 4):
+                got = protocol._states_from_loglik(s, flow_value, half)
+                want = oracles.states_from_loglik(s, flow_value, half)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes()

@@ -9,13 +9,10 @@ from .channel import (
     channel_from_obj,
     channel_to_obj,
     chernoff,
-    chernoff_at,
-    compose,
     identity_channel,
     is_pairwise_reversible,
     ksym,
     make_dmc,
-    power,
     product,
     restrict,
 )
@@ -24,7 +21,6 @@ from .exponents import (
     ExponentReport,
     bsc_feedback_exponent_m3,
     exponent_two,
-    ksym_closed_form,
     tilde_exponent,
     zero_rate_exponent,
 )
@@ -45,14 +41,11 @@ from .flow import (
 )
 from .protocol import (
     CompositeDistribution,
-    NodeState,
     SeriesSpec,
-    Transcript,
     composite_db,
     exact_block_distribution,
     make_series_spec,
     reduce_inputs,
-    run_series_block,
 )
 from .harness import (
     BoundsReport,
@@ -60,7 +53,6 @@ from .harness import (
     SimResult,
     analyze,
     counterexample_experiment,
-    fit_exponent,
     simulate,
     wilson_interval,
 )

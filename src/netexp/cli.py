@@ -12,6 +12,7 @@ import math
 import sys
 
 from .errors import GraphFileError, NetexpError
+from .exponents import exponent_two, tilde_exponent, zero_rate_exponent
 from .flow import decompose, maxflow, weighted_network
 from .graphio import dump_normalized, load_graph_file
 from .harness import SimConfig, analyze, counterexample_experiment, simulate
@@ -82,7 +83,12 @@ def cmd_counterexample(args) -> int:
 
 def cmd_decompose(args) -> int:
     gf = load_graph_file(args.path)
-    net = weighted_network(gf.graph, args.weights, M=args.messages if args.weights == "tilde" else None)
+    capacity = {
+        "two": lambda P: exponent_two(P).value,
+        "tilde": lambda P: tilde_exponent(P, args.messages).value,
+        "zero": lambda P: zero_rate_exponent(P).value,
+    }[args.weights]
+    net = weighted_network(gf.graph, capacity)
     dec = decompose(net, maxflow(net))
     names = gf.nodes
     caps = {e.id: e.capacity for e in net.edges}

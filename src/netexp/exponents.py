@@ -1,7 +1,7 @@
 """1-hop error exponents: two-message, Bhattacharyya-averaged M-message,
 zero-rate, the per-channel record that holds all of them, the permutation
-codebook that equalizes pairwise distances, and closed-form reference
-values for symmetric channels.
+codebook that equalizes pairwise distances, and the binary symmetric
+channel's closed-form three-message feedback exponent.
 """
 from __future__ import annotations
 
@@ -200,20 +200,6 @@ def permutation_codebook(report: ExponentReport, M: int) -> Codebook:
     perms = list(itertools.permutations(range(M)))
     words = tuple(tuple(tup[sigma[m]] for sigma in perms) for m in range(M))
     return Codebook(M=M, ell=math.factorial(M), words=words)
-
-
-def ksym_closed_form(K: int, M: int, p: float) -> float:
-    """Tilde exponent of the K-ary symmetric channel with M <= K messages.
-
-    Any M distinct inputs attain the optimum and every distinct pair has the
-    same distance, so the value is -log(2 sqrt(p (1-(K-1)p)) + (K-2) p)
-    independently of M.
-    """
-    if K < 2 or not 2 <= M <= K:
-        raise ParameterOutOfRange(f"need 2 <= M <= K with K >= 2, got M={M}, K={K}")
-    if not 0 < p < 1 / (K - 1):
-        raise ParameterOutOfRange(f"need p in (0, 1/{K - 1}), got {p}")
-    return -math.log(2.0 * math.sqrt(p * (1.0 - (K - 1) * p)) + (K - 2) * p)
 
 
 def bsc_feedback_exponent_m3(p: float) -> float:

@@ -13,7 +13,6 @@ import numpy as np
 
 from .channel import Dmc
 from .errors import GraphTooLarge, ParameterOutOfRange
-from .exponents import exponent_two, tilde_exponent, zero_rate_exponent
 
 FLOW_TOL = 1e-12
 
@@ -124,9 +123,10 @@ def _reach(node_count, arcs, src) -> frozenset:
     return frozenset(v for v in range(node_count) if seen[v])
 
 
-def channel_network(G: ChannelGraph, capacity) -> Network:
-    """Network on G's edges with capacity(channel) as each edge's capacity,
-    evaluated once per distinct channel object."""
+def weighted_network(G: ChannelGraph, capacity) -> Network:
+    """Network on G's edges with capacity(channel), a 1-hop exponent of the
+    channel, as each edge's capacity; evaluated once per distinct channel
+    object."""
     cache: dict[int, float] = {}
     edges = []
     for e in G.edges:
@@ -135,23 +135,6 @@ def channel_network(G: ChannelGraph, capacity) -> Network:
             cache[key] = capacity(e.channel)
         edges.append(NetEdge(e.tail, e.head, cache[key], e.id))
     return Network(G.node_count, G.source, G.destination, tuple(edges))
-
-
-def weighted_network(G: ChannelGraph, mode: str, M: int | None = None) -> Network:
-    """Assign each edge the selected 1-hop exponent of its channel as capacity.
-
-    mode: "two" (optimized Chernoff pair), "tilde" (Bhattacharyya-averaged,
-    needs M), or "zero" (zero-rate).  Noiseless edges get +inf.
-    """
-    if mode == "tilde" and (M is None or M < 2):
-        raise ParameterOutOfRange("mode 'tilde' requires M >= 2")
-    if mode == "two":
-        return channel_network(G, lambda P: exponent_two(P).value)
-    if mode == "tilde":
-        return channel_network(G, lambda P: tilde_exponent(P, M).value)
-    if mode == "zero":
-        return channel_network(G, lambda P: zero_rate_exponent(P).value)
-    raise ParameterOutOfRange(f"unknown weight mode {mode!r}")
 
 
 def maxflow(net: Network) -> Flow:

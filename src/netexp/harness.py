@@ -1,5 +1,5 @@
-"""Monte Carlo error-probability estimation, exponent fitting, bound
-comparison reports, and the four-node counterexample experiment."""
+"""Monte Carlo error-probability estimation, bound comparison reports, and
+the four-node counterexample experiment."""
 from __future__ import annotations
 
 import math
@@ -20,12 +20,11 @@ from .channel import (
 from .errors import (
     BoundsViolation,
     DistributionUnavailable,
-    InsufficientData,
     ParameterOutOfRange,
     StateSpaceTooLarge,
 )
 from .exponents import bsc_feedback_exponent_m3, channel_exponents, tilde_exponent
-from .flow import ChannelGraph, NetEdge, Network, channel_network, make_channel_graph, maxflow, mincut_without_backedges, weighted_network
+from .flow import ChannelGraph, NetEdge, Network, make_channel_graph, maxflow, mincut_without_backedges, weighted_network
 from .protocol import (
     NetworkPlan,
     _first_max_rows,
@@ -137,9 +136,9 @@ def analyze(G: ChannelGraph, M: int) -> BoundsReport:
                 exp_zero=rec.zero_rate.value, reversible=rec.reversible,
             )
         )
-    net_tilde = channel_network(G, lambda P: records[id(P)].tilde.value)
-    net_two = channel_network(G, lambda P: records[id(P)].two.value)
-    net_zero = channel_network(G, lambda P: records[id(P)].zero_rate.value)
+    net_tilde = weighted_network(G, lambda P: records[id(P)].tilde.value)
+    net_two = weighted_network(G, lambda P: records[id(P)].two.value)
+    net_zero = weighted_network(G, lambda P: records[id(P)].zero_rate.value)
     flow_tilde = maxflow(net_tilde)
     f_tilde = flow_tilde.total
     f_two = maxflow(net_two).total
@@ -214,8 +213,6 @@ class SimRow:
 class SimResult:
     config: SimConfig
     rows: tuple
-    aggregate: tuple  # (n, worst-case p_hat over the messages) per horizon
-    skipped_horizons: tuple
 
 
 _TRIAL_CHUNK = 1 << 14
@@ -311,33 +308,7 @@ def simulate(G: ChannelGraph, config: SimConfig) -> SimResult:
         lo, hi = wilson_interval(e, config.trials)
         rows.append(SimRow(n=n, message=m, errors=e, trials=config.trials,
                            p_hat=e / config.trials, ci_lo=lo, ci_hi=hi))
-
-    aggregate = tuple((n, max(r.p_hat for r in rows if r.n == n)) for n in config.horizons)
-    skipped = tuple(n for n, p in aggregate if p == 0.0)
-    return SimResult(config=config, rows=tuple(rows), aggregate=aggregate,
-                     skipped_horizons=skipped)
-
-
-def fit_exponent(result: SimResult):
-    """OLS slope of -ln(p_hat) against n over horizons with nonzero errors.
-
-    Zero-error horizons are excluded (they are listed in
-    result.skipped_horizons); fewer than 3 usable horizons raises.
-    """
-    usable = [(n, p) for n, p in result.aggregate if p > 0.0]
-    if len(usable) < 3:
-        raise InsufficientData(
-            f"need at least 3 horizons with errors, have {len(usable)}"
-        )
-    xs = np.array([n for n, _ in usable], dtype=float)
-    ys = np.array([-math.log(p) for _, p in usable])
-    xbar, ybar = xs.mean(), ys.mean()
-    sxx = float(((xs - xbar) ** 2).sum())
-    slope = float(((xs - xbar) * (ys - ybar)).sum() / sxx)
-    resid = ys - (ybar + slope * (xs - xbar))
-    sigma2 = float((resid**2).sum() / (len(xs) - 2))
-    stderr = math.sqrt(sigma2 / sxx)
-    return slope, stderr
+    return SimResult(config=config, rows=tuple(rows))
 
 
 def counterexample_channel(p: float) -> Dmc:
@@ -396,10 +367,10 @@ def counterexample_experiment(p_grid) -> list:
             bhattacharyya(Q, a, b) for a in range(3) for b in range(a + 1, 3)
         )
         G = counterexample_graph(p)
-        net = weighted_network(G, "tilde", 3)
+        net = weighted_network(G, lambda P: tilde_exponent(P, 3).value)
         bound = maxflow(net).total
 
-        tern_fb = tilde_exponent(ksym(3, p), 3).value  # feedback gains nothing here
+        tern_fb = net.edges[0].capacity  # the ternary edge: feedback gains nothing here
         bsc_fb = bsc_feedback_exponent_m3(p)
         fb_caps = {0: tern_fb, 4: bsc_fb}
         fb_edges = tuple(

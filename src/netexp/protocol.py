@@ -33,14 +33,6 @@ _TILE_ELEMS = 1 << 17  # raw symbols one hop samples at once
 
 
 @dataclass(frozen=True)
-class NodeState:
-    """Belief state: message index m in 1..M, confidence ell in 0..B/2."""
-
-    m: int
-    ell: int
-
-
-@dataclass(frozen=True)
 class ReducedChannel:
     """Lazy restriction of base^ell to M codewords (one per message).
 
@@ -85,33 +77,6 @@ class SeriesSpec:
                 raise ParameterOutOfRange(
                     f"hop channel has {ch.input_size} inputs, needs at least M={self.M}"
                 )
-
-
-@dataclass(frozen=True)
-class HopRecord:
-    sent: tuple
-    received: tuple
-    state: NodeState
-
-
-@dataclass(frozen=True)
-class Transcript:
-    """Per-hop sent/received blocks and resulting states for one block run.
-
-    ``sent`` holds protocol symbols (1..M, one per hop-channel use);
-    ``received`` holds raw base-channel output indices.
-    """
-
-    hops: tuple
-    final_block: tuple
-
-    def dump(self) -> str:
-        lines = []
-        for j, hop in enumerate(self.hops, start=1):
-            sent = "".join(str(s) for s in hop.sent)
-            recv = "".join(str(s) for s in hop.received)
-            lines.append(f"hop={j} state=({hop.state.m},{hop.state.ell}) sent={sent} recv={recv}")
-        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -412,21 +377,23 @@ def _sample_symbols(thresholds: np.ndarray, state: np.ndarray, rng, out: np.ndar
     return out
 
 
-def reduce_inputs(channels, M: int):
+def reduce_inputs(channels, M: int, *, reports=None):
     """Replace each hop channel by the permutation-codebook restriction of its
     M!-fold power, giving M-input channels with equal pairwise distances.
 
     Returns (reduced channels, flow_value, ell_factor) where flow_value is
     the bottleneck pairwise Bhattacharyya distance per reduced use (M! times
-    the weakest hop's M-message exponent) and ell_factor = M!.
+    the weakest hop's M-message exponent) and ell_factor = M!.  ``reports``,
+    the channels' ``tilde_exponent`` reports for M, saves recomputing them.
     """
     if M < 2 or M > 4:
         raise MTooLarge(f"input reduction supports 2 <= M <= 4, got {M}")
+    if reports is None:
+        reports = [tilde_exponent(P, M) for P in channels]
     ell = math.factorial(M)
     reduced = []
     flow_value = math.inf
-    for P in channels:
-        report = tilde_exponent(P, M)
+    for P, report in zip(channels, reports):
         pair_db = ell * report.value
         words = permutation_codebook(report, M).words
         reduced.append(ReducedChannel(base=P, words=words, ell=ell, pair_db=pair_db))
@@ -572,31 +539,6 @@ def run_series_blocks_batch(spec: SeriesSpec, m: int, n_blocks: int, rng,
     """
     last = len(spec.channels) - 1
     return [y for hop, _, y in _hop_blocks(spec, m, n_blocks, rng, tables) if hop == last]
-
-
-def run_series_block(spec: SeriesSpec, m: int, rng) -> Transcript:
-    """One sequential block transmission with a full per-hop transcript.
-
-    The source starts at full confidence (m, B/2); each relay applies the
-    uniform-prior state update.  The draws are those of a one-row
-    ``run_series_blocks_batch``.
-    """
-    width = spec.B // 2 + 1
-    hops = [(int(state[0]), y[0].copy()) for _, state, y in _hop_blocks(spec, m, 1, rng)]
-    y_last = hops[-1][1]
-    m_idx, ell = _relay_states(spec.channels[-1], spec.M, spec.B, spec.flow_value, y_last[None])
-    received = [divmod(state, width) for state, _ in hops[1:]]
-    received.append((int(m_idx[0]), int(ell[0])))
-    table = _codeword_table(spec.M, spec.B).reshape(-1, spec.B)
-    records = tuple(
-        HopRecord(
-            sent=tuple(int(s) + 1 for s in table[state]),
-            received=tuple(int(v) for v in y),
-            state=NodeState(m=m_recv + 1, ell=ell_recv),
-        )
-        for (state, y), (m_recv, ell_recv) in zip(hops, received)
-    )
-    return Transcript(hops=records, final_block=tuple(int(v) for v in y_last))
 
 
 @dataclass(frozen=True)
@@ -747,7 +689,9 @@ def build_network_plan(G: ChannelGraph, M: int, B: int) -> NetworkPlan:
     """
     if B % 2 != 0 or B < 2:
         raise ParameterOutOfRange("block size must be even and at least 2")
-    net = weighted_network(G, "tilde", M)
+    channels = {id(e.channel): e.channel for e in G.edges}
+    tilde = {key: tilde_exponent(P, M) for key, P in channels.items()}
+    net = weighted_network(G, lambda P: tilde[id(P)].value)
     fl = maxflow(net)
     if fl.total <= 0:
         raise ParameterOutOfRange("graph maxflow is zero; no information can cross")
@@ -760,15 +704,13 @@ def build_network_plan(G: ChannelGraph, M: int, B: int) -> NetworkPlan:
     for eid, idxs in users.items():
         window = max(window, sum(budgets[(i, eid)] for i in idxs))
 
-    chan_by_id = {}
-    for g_edge in G.edges:
-        chan_by_id[g_edge.id] = g_edge.channel
+    chan_by_id = {g_edge.id: g_edge.channel for g_edge in G.edges}
 
     paths = []
     for i, p in enumerate(dec.paths):
         raw_budget = min(budgets[(i, eid)] for eid in p.edge_ids)
-        channels = [chan_by_id[eid] for eid in p.edge_ids]
-        reduced, flow_value, ell = reduce_inputs(channels, M)
+        hops = [chan_by_id[eid] for eid in p.edge_ids]
+        reduced, flow_value, ell = reduce_inputs(hops, M, reports=[tilde[id(P)] for P in hops])
         b_red = (raw_budget // ell) // 2 * 2
         if b_red < 2:
             raise BTooSmall(

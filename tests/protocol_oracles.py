@@ -9,7 +9,9 @@ slot-outer loop, intp Horner over strided columns, ``np.argmax`` with a
 masked copy for the runner-up) are the oracles their results must equal bit
 for bit.  The
 law oracles (exact ML error, the state-transition inequalities) read
-``series_forward_trace`` and ``exact_block_distribution``.
+``series_forward_trace`` and ``exact_block_distribution``.  A one-block
+transcript (``run_series_block``) reads the engine's ``_hop_blocks`` and
+records what each hop sent, received and decided.
 """
 import math
 from dataclasses import dataclass
@@ -18,9 +20,9 @@ import numpy as np
 
 from netexp.protocol import (
     CompositeDistribution,
-    NodeState,
     SeriesSpec,
     _codeword_table,
+    _hop_blocks,
     _hop_view,
     _relay_states,
     block_scores_heuristic,
@@ -29,6 +31,66 @@ from netexp.protocol import (
     logsumexp,
     series_forward_trace,
 )
+
+
+@dataclass(frozen=True)
+class NodeState:
+    """Belief state: message index m in 1..M, confidence ell in 0..B/2."""
+
+    m: int
+    ell: int
+
+
+@dataclass(frozen=True)
+class HopRecord:
+    sent: tuple
+    received: tuple
+    state: NodeState
+
+
+@dataclass(frozen=True)
+class Transcript:
+    """Per-hop sent/received blocks and resulting states for one block run.
+
+    ``sent`` holds protocol symbols (1..M, one per hop-channel use);
+    ``received`` holds raw base-channel output indices.
+    """
+
+    hops: tuple
+    final_block: tuple
+
+    def dump(self) -> str:
+        lines = []
+        for j, hop in enumerate(self.hops, start=1):
+            sent = "".join(str(s) for s in hop.sent)
+            recv = "".join(str(s) for s in hop.received)
+            lines.append(f"hop={j} state=({hop.state.m},{hop.state.ell}) sent={sent} recv={recv}")
+        return "\n".join(lines)
+
+
+def run_series_block(spec: SeriesSpec, m: int, rng) -> Transcript:
+    """One sequential block transmission with a full per-hop transcript.
+
+    The source starts at full confidence (m, B/2); each relay applies the
+    uniform-prior state update.  The draws are those of a one-row
+    ``run_series_blocks_batch``.
+    """
+    width = spec.B // 2 + 1
+    hops = [(int(state[0]), y[0].copy()) for _, state, y in _hop_blocks(spec, m, 1, rng)]
+    y_last = hops[-1][1]
+    m_idx, ell = _relay_states(spec.channels[-1], spec.M, spec.B, spec.flow_value, y_last[None])
+    received = [divmod(state, width) for state, _ in hops[1:]]
+    received.append((int(m_idx[0]), int(ell[0])))
+    table = _codeword_table(spec.M, spec.B).reshape(-1, spec.B)
+    records = tuple(
+        HopRecord(
+            sent=tuple(int(s) + 1 for s in table[state]),
+            received=tuple(int(v) for v in y),
+            state=NodeState(m=m_recv + 1, ell=ell_recv),
+        )
+        for (state, y), (m_recv, ell_recv) in zip(hops, received)
+    )
+    return Transcript(hops=records, final_block=tuple(int(v) for v in y_last))
 
 
 def sample_symbols(probs: np.ndarray, x_idx: np.ndarray, rng) -> np.ndarray:

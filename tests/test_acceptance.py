@@ -16,7 +16,6 @@ from netexp.harness import (
     SimConfig,
     analyze,
     counterexample_experiment,
-    fit_exponent,
     simulate,
 )
 from netexp.protocol import (
@@ -28,7 +27,9 @@ from netexp.protocol import (
 )
 from netexp.protocol import _encode_blocks
 from conftest import rand_dmc, rand_network, rand_channel_graph, rand_reversible
+from channel_oracles import chernoff_at, compose
 from protocol_oracles import min_pairwise_composite_db, ml_error_probs, verify_transition_bound
+from sim_fit import aggregate, fit_exponent
 
 DB_BSC01 = -math.log(0.6)
 E2_KSYM3 = -math.log(2 * math.sqrt(0.1 * 0.8) + 0.1)  # = 0.4069380549...
@@ -195,7 +196,8 @@ def test_criterion_8_desk_scale_achievability_surrogates():
         assert slope > 0
         # golden anchor recorded from the first audited run of this benchmark
         assert 0.5 * 0.27076 <= slope <= 1.5 * 0.27076
-        for (n1, p1), (n2, p2) in zip(res.aggregate, res.aggregate[1:]):
+        points = aggregate(res)
+        for (n1, p1), (n2, p2) in zip(points, points[1:]):
             s1 = math.sqrt(max(p1 * (1 - p1), 1e-12) / cfg.trials)
             s2 = math.sqrt(max(p2 * (1 - p2), 1e-12) / cfg.trials)
             assert p2 <= p1 + 2 * math.hypot(s1, s2)
@@ -206,7 +208,7 @@ def test_criterion_9_divergence_property_suites():
         rng = np.random.default_rng(91)
 
         # product channel inequality, two messages, arbitrary channels
-        from netexp.channel import chernoff_at, compose, product
+        from netexp.channel import product
 
         for _ in range(200):
             P = rand_dmc(rng, max_in=4, max_out=4)

@@ -10,14 +10,11 @@ from netexp.channel import (
     channel_from_obj,
     channel_to_obj,
     chernoff,
-    chernoff_at,
-    compose,
     identity_channel,
     is_pairwise_reversible,
     ksym,
     make_dmc,
     pairwise_chernoff,
-    power,
     product,
     restrict,
 )
@@ -32,6 +29,7 @@ from netexp.errors import (
     ParameterOutOfRange,
     SOutOfRange,
 )
+from channel_oracles import chernoff_at, compose, power
 from conftest import rand_dmc, rand_reversible
 
 DB_BSC01 = -math.log(0.6)  # 2*sqrt(0.1*0.9) = 0.6

@@ -227,6 +227,15 @@ class TestSimulateCommand:
         assert code == 3
         assert "block size must be even" in err
 
+    def test_one_message_exit_3(self, capsys):
+        code = main([
+            "simulate", str(GRAPHS / "series-2-bsc.json"), "--messages", "1",
+            "--block", "4", "--horizons", "12", "--trials", "10",
+        ])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "error: need M >= 2, got 1" in captured.err
+
     def test_table_guard_fires_before_the_tables_are_built(self, capsys):
         # --block 40000 on series-2-bsc005 at M=2: blocks of 40000 raw
         # symbols in 10001 confidence levels need 12.8 GB of sampling tables
@@ -351,6 +360,20 @@ class TestDecomposeCommand:
         code, out = run_cli(capsys, "decompose", str(GRAPHS / "diamond.json"), "--weights", "two")
         assert code == 0
         assert out == "s->a->t value=0.510825623766\ns->b->t value=0.223143551314\n"
+
+
+    def test_unknown_weights_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", str(GRAPHS / "diamond.json"), "--weights", "shannon"])
+        assert exc.value.code == 2
+        assert "--weights" in capsys.readouterr().err
+
+    def test_tilde_one_message_exit_3(self, capsys):
+        code = main(["decompose", str(GRAPHS / "diamond.json"), "--weights", "tilde",
+                     "--messages", "1"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "error: need M >= 2, got 1" in captured.err
 
 
 class TestOracleCommand:

@@ -11,7 +11,6 @@ from netexp.channel import (
     is_pairwise_reversible,
     ksym,
     make_dmc,
-    power,
     product,
 )
 from netexp.errors import ParameterOutOfRange, SearchSpaceTooLarge
@@ -20,12 +19,13 @@ from netexp.exponents import (
     bsc_feedback_exponent_m3,
     channel_exponents,
     exponent_two,
-    ksym_closed_form,
     permutation_codebook,
     tilde_exponent,
     zero_rate_exponent,
 )
+from channel_oracles import power
 from conftest import rand_dmc, rand_reversible
+from exponent_oracles import ksym_closed_form
 
 DB_BSC01 = -math.log(0.6)
 # -log(2 sqrt(p(1-2p)) + p) at p=0.1; the ternary symmetric pairwise distance

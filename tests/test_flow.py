@@ -6,6 +6,7 @@ import pytest
 
 from netexp.channel import bsc, identity_channel, ksym
 from netexp.errors import GraphTooLarge, ParameterOutOfRange
+from netexp.exponents import exponent_two, tilde_exponent
 from netexp.flow import (
     ChannelGraph,
     Flow,
@@ -25,6 +26,14 @@ from conftest import rand_network
 from flow_oracles import enumerate_mincut_without_backedges
 
 
+def two_network(G):
+    return weighted_network(G, lambda P: exponent_two(P).value)
+
+
+def tilde_network(G, M):
+    return weighted_network(G, lambda P: tilde_exponent(P, M).value)
+
+
 def series_net(*caps):
     edges = tuple(NetEdge(i, i + 1, c, i) for i, c in enumerate(caps))
     return Network(len(caps) + 1, 0, len(caps), edges)
@@ -38,26 +47,34 @@ def parallel_net(*caps):
 class TestWeightedNetwork:
     def test_series_two_weights(self):
         G = make_channel_graph(3, 0, 2, [(0, 1, bsc(0.1)), (1, 2, bsc(0.2))])
-        net = weighted_network(G, "two")
+        net = two_network(G)
         assert abs(net.edges[0].capacity - (-math.log(0.6))) < 1e-9
         assert abs(net.edges[1].capacity - (-math.log(0.8))) < 1e-9
 
     def test_tilde2_matches_two_for_reversible(self):
         G = make_channel_graph(3, 0, 2, [(0, 1, bsc(0.1)), (1, 2, ksym(3, 0.05))])
-        a = weighted_network(G, "tilde", 2)
-        b = weighted_network(G, "two")
+        a = tilde_network(G, 2)
+        b = two_network(G)
         for ea, eb in zip(a.edges, b.edges):
             assert abs(ea.capacity - eb.capacity) < 1e-7
 
     def test_noiseless_edge_infinite(self):
         G = make_channel_graph(2, 0, 1, [(0, 1, identity_channel(2))])
-        net = weighted_network(G, "tilde", 2)
+        net = tilde_network(G, 2)
         assert math.isinf(net.edges[0].capacity)
 
-    def test_unknown_mode(self):
-        G = make_channel_graph(2, 0, 1, [(0, 1, bsc(0.1))])
-        with pytest.raises(ParameterOutOfRange):
-            weighted_network(G, "shannon")
+    def test_one_evaluation_per_distinct_channel(self):
+        shared, other = bsc(0.1), bsc(0.1)
+        G = make_channel_graph(4, 0, 3, [(0, 1, shared), (1, 2, shared), (2, 3, other)])
+        seen = []
+
+        def capacity(P):
+            seen.append(P)
+            return 0.5
+
+        net = weighted_network(G, capacity)
+        assert [id(P) for P in seen] == [id(shared), id(other)]
+        assert [e.capacity for e in net.edges] == [0.5, 0.5, 0.5]
 
 
 class TestMaxflow:
@@ -72,7 +89,7 @@ class TestMaxflow:
     def test_counterexample_graph_flow(self):
         # finite dotted edges plus infinite solid edges: total = sum of dotted
         G = counterexample_graph(0.01)
-        net = weighted_network(G, "tilde", 3)
+        net = tilde_network(G, 3)
         tern = -math.log(2 * math.sqrt(0.01 * 0.98) + 0.01)
         bsc3 = -(2.0 / 3.0) * math.log(2 * math.sqrt(0.01 * 0.99))
         assert abs(maxflow(net).total - (tern + bsc3)) < 1e-9
@@ -107,7 +124,7 @@ class TestMincut:
         assert abs(cut.size - 0.7) < 1e-12
 
     def test_counterexample_cut_sides(self):
-        net = weighted_network(counterexample_graph(0.01), "tilde", 3)
+        net = tilde_network(counterexample_graph(0.01), 3)
         cut = mincut(net)
         # nodes are 1..4 at indices 0..3; the only mincut is {1,3} | {2,4}
         assert cut.side_a == frozenset({0, 2})
@@ -151,7 +168,7 @@ class TestDecompose:
         assert got == [((0, 1, 3), 0.3), ((0, 2, 3), 0.4)]
 
     def test_counterexample_two_paths(self):
-        net = weighted_network(counterexample_graph(0.01), "tilde", 3)
+        net = tilde_network(counterexample_graph(0.01), 3)
         dec = decompose(net, maxflow(net))
         routes = sorted(p.nodes for p in dec.paths)
         assert routes == [(0, 1, 3), (0, 2, 3)]  # 1->2->4 and 1->3->4
@@ -208,7 +225,7 @@ class TestMincutWithoutBackedges:
         assert mincut_without_backedges(parallel_net(0.3, 0.4)) is not None
 
     def test_counterexample_has_none(self):
-        net = weighted_network(counterexample_graph(0.01), "tilde", 3)
+        net = tilde_network(counterexample_graph(0.01), 3)
         assert mincut_without_backedges(net) is None
 
     def test_forty_nodes_answered(self):
@@ -264,7 +281,7 @@ class TestMincutWithoutBackedges:
 
 class TestEnumerationOracle:
     def test_counterexample_has_none(self):
-        net = weighted_network(counterexample_graph(0.01), "tilde", 3)
+        net = tilde_network(counterexample_graph(0.01), 3)
         assert enumerate_mincut_without_backedges(net) is None
 
     def test_guard(self):

@@ -16,13 +16,13 @@ from netexp.harness import (
     counterexample_channel,
     counterexample_experiment,
     counterexample_graph,
-    fit_exponent,
     simulate,
     wilson_interval,
 )
 from conftest import rand_dmc, rand_channel_graph
 from exponent_oracles import oracle_exponent_1hop
 import protocol_oracles as oracles
+from sim_fit import aggregate, fit_exponent, skipped_horizons
 
 DB_BSC01 = -math.log(0.6)
 
@@ -34,8 +34,7 @@ def synthetic_result(points, trials=10**6):
         for n, p in points
     )
     cfg = SimConfig(seed=0, trials=trials, horizons=tuple(n for n, _ in points), B=2, M=2)
-    return SimResult(config=cfg, rows=rows, aggregate=tuple(points),
-                     skipped_horizons=tuple(n for n, p in points if p == 0))
+    return SimResult(config=cfg, rows=rows)
 
 
 class TestWilson:
@@ -126,6 +125,23 @@ class TestAnalyze:
         analyze(G, 2)
         assert calls == {"zero": 2, "chernoff": 1 + 3}
 
+    def test_three_networks_through_weighted_network(self, monkeypatch):
+        built = []
+        real = harness.weighted_network
+
+        def counted(G, capacity):
+            built.append(real(G, capacity))
+            return built[-1]
+
+        monkeypatch.setattr(harness, "weighted_network", counted)
+        G = make_channel_graph(3, 0, 2, [(0, 1, bsc(0.1)), (1, 2, ksym(3, 0.05))])
+        rep = analyze(G, 3)
+        assert len(built) == 3
+        tilde, two, zero = ([e.capacity for e in net.edges] for net in built)
+        assert tilde == [e.exp_tilde for e in rep.edges]
+        assert two == [e.exp_two for e in rep.edges]
+        assert zero == [e.exp_zero for e in rep.edges]
+
     def test_broken_sandwich_raises(self, monkeypatch):
         # maxflows in call order: tilde, two, zero; tilde above two is a breach
         totals = iter([2.0, 1.0, 1.0])
@@ -146,7 +162,7 @@ class TestSimulate:
         cfg = SimConfig(seed=1, trials=500, horizons=(12, 16), B=4, M=2, decoder="heuristic")
         res = simulate(G, cfg)
         assert all(r.errors == 0 for r in res.rows)
-        assert len(res.skipped_horizons) == 2
+        assert len(skipped_horizons(res)) == 2
         with pytest.raises(InsufficientData):
             fit_exponent(res)
 
@@ -265,7 +281,8 @@ class TestSimulate:
         cfg = SimConfig(seed=7, trials=30000, horizons=(12, 16, 20, 24), B=4, M=2,
                         decoder="heuristic")
         res = simulate(G, cfg)
-        for (n1, p1), (n2, p2) in zip(res.aggregate, res.aggregate[1:]):
+        points = aggregate(res)
+        for (n1, p1), (n2, p2) in zip(points, points[1:]):
             s1 = math.sqrt(max(p1 * (1 - p1), 1e-12) / cfg.trials)
             s2 = math.sqrt(max(p2 * (1 - p2), 1e-12) / cfg.trials)
             assert p2 <= p1 + 2 * math.hypot(s1, s2)
@@ -292,7 +309,7 @@ class TestFitExponent:
         res = synthetic_result([(10, 1e-2), (20, 1e-3), (30, 1e-4), (40, 0.0)])
         slope, _ = fit_exponent(res)
         assert slope > 0
-        assert res.skipped_horizons == (40,)
+        assert skipped_horizons(res) == (40,)
 
     def test_insufficient_data(self):
         res = synthetic_result([(10, 0.0), (20, 0.0), (30, 0.0)])
@@ -328,6 +345,22 @@ class TestCounterexample:
             row = counterexample_experiment([p])[0]
             want = -math.log(4 * p * math.sqrt((1 - 2 * p) * (1 - p)) + p)
             assert row.min_db_q == pytest.approx(want, abs=1e-12)
+
+    def test_one_tilde_exponent_per_distinct_channel(self, monkeypatch):
+        # ternary, identity (one object on three edges) and binary edges;
+        # the ternary edge's feedback capacity reuses its report
+        calls = []
+        real = harness.tilde_exponent
+
+        def counted(P, M):
+            calls.append(P)
+            return real(P, M)
+
+        monkeypatch.setattr(harness, "tilde_exponent", counted)
+        row = counterexample_experiment([0.01])[0]
+        assert len(calls) == 3 and len({id(P) for P in calls}) == 3
+        tern = real(ksym(3, 0.01), 3).value
+        assert row.maxflow_feedback_bound == tern + exponents.bsc_feedback_exponent_m3(0.01)
 
     def test_grid_validation(self):
         with pytest.raises(ParameterOutOfRange):

@@ -20,7 +20,6 @@ from netexp.graphio import load_graph_file
 from netexp import harness
 from netexp.harness import _cell_errors, _plan_tables
 from netexp.protocol import (
-    NodeState,
     SeriesSpec,
     _codeword_table,
     _relay_states,
@@ -30,13 +29,15 @@ from netexp.protocol import (
     logsumexp,
     make_series_spec,
     reduce_inputs,
-    run_series_block,
     run_series_blocks_batch,
     series_forward_trace,
 )
+from channel_oracles import power
 from protocol_oracles import (
+    NodeState,
     min_pairwise_composite_db,
     ml_error_probs,
+    run_series_block,
     state_pseudometric,
     verify_transition_bound,
 )
@@ -192,6 +193,22 @@ class TestReduceInputs:
         assert calls == chans
         for P, r in zip(chans, reduced):
             assert r.words == permutation_codebook(tilde_exponent(P, 3), 3).words
+
+    def test_plan_one_tilde_exponent_per_distinct_channel(self, monkeypatch):
+        # the flow weights and both hops' codebooks share one report
+        calls = []
+        real = protocol.tilde_exponent
+
+        def counted(P, M):
+            calls.append(P)
+            return real(P, M)
+
+        monkeypatch.setattr(protocol, "tilde_exponent", counted)
+        shared = bsc(0.1)
+        G = make_channel_graph(3, 0, 2, [(0, 1, shared), (1, 2, shared)])
+        plan = build_network_plan(G, 2, 4)
+        assert calls == [shared]
+        assert plan.paths[0].spec == make_series_spec([shared, shared], 2, plan.paths[0].spec.B)
 
 
 class TestLogsumexp:
@@ -374,8 +391,6 @@ class TestExactBlockDistribution:
         channels = (bsc(0.1),)
         spec = SeriesSpec(channels=channels, M=2, B=2, flow_value=2 * DB_BSC01)
         cd = exact_block_distribution(spec)
-        from netexp.channel import power
-
         P2 = power(bsc(0.1), 2)
         assert np.allclose(np.exp(cd.log_dists[0]), P2.probs[0])  # codeword (1,1)
         assert np.allclose(np.exp(cd.log_dists[1]), P2.probs[3])  # codeword (2,2)

@@ -2,8 +2,6 @@
 import ast
 from pathlib import Path
 
-import netexp
-
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "netexp"
 
@@ -116,26 +114,33 @@ def _names_used(node) -> set:
     return names
 
 
-def test_every_src_definition_is_reached():
-    # Roots: the CLI, the benchmark and the public names.  Every top-level
-    # function and class in src/netexp must be reached from them by name, so
-    # code that only tests call lives under tests/.
-    defs = {}  # name -> [(file name, node)]
-    roots = set(netexp.__all__)
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        if path.name == "cli.py":
+def _is_all(node) -> bool:
+    """An assignment to ``__all__``: it names exports, not uses."""
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
+
+
+def _unreached(modules: dict, roots_code: list) -> list:
+    """``file:name`` of every top-level function and class in ``modules``
+    (file name -> source) that no root reaches by name.  Roots are the names
+    that ``roots_code`` (sources outside the package), ``cli.py`` and the
+    modules' import-time code use; imports and ``__all__`` are no roots, so
+    exporting a name does not keep it alive.  ``errors.py`` holds only the
+    error types and is not checked."""
+    defs = {}  # name -> [file name]
+    roots = set()
+    for fname, text in modules.items():
+        tree = ast.parse(text, filename=fname)
+        if fname == "cli.py":
             roots |= _names_used(tree)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if path.name != "errors.py":
-                    defs.setdefault(node.name, []).append((path.name, node))
-            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                if fname != "errors.py":
+                    defs.setdefault(node.name, []).append((fname, node))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)) and not _is_all(node):
                 roots |= _names_used(node)  # module-level code runs at import
-    bench = sorted((ROOT / "perfbench").glob("*.py"))
-    assert bench and defs
-    for path in bench:
-        roots |= _names_used(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    for text in roots_code:
+        roots |= _names_used(ast.parse(text))
 
     reached = set()
     todo = [name for name in roots if name in defs]
@@ -146,6 +151,40 @@ def test_every_src_definition_is_reached():
         reached.add(name)
         for _, node in defs[name]:
             todo += [used for used in _names_used(node) if used in defs and used not in reached]
-    missed = sorted(f"{fname}:{name}" for name, found in defs.items() if name not in reached
-                    for fname, _ in found)
+    return sorted(f"{fname}:{name}" for name, found in defs.items() if name not in reached
+                  for fname, _ in found)
+
+
+def test_every_src_definition_is_reached():
+    # Roots: the CLI and the benchmark.  Every top-level function and class
+    # in src/netexp must be reached from them by name, so code that only
+    # tests call lives under tests/.
+    modules = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    bench = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert "cli.py" in modules and bench
+    missed = _unreached(modules, bench)
     assert missed == [], f"src/netexp definitions reached only from tests: {', '.join(missed)}"
+
+
+def test_reachability_rule_reports_an_export_nothing_calls():
+    modules = {
+        "__init__.py": (
+            "from .core import exported, run\n"
+            "__all__ = ['exported', 'run']\n"
+            "__all__ += [n for n in dir() if not n.startswith('_')]\n"
+        ),
+        "core.py": (
+            "def run():\n    return helper()\n\n"
+            "def helper():\n    return 1\n\n"
+            "def exported():\n    return helper()\n\n"
+            "class Traced:\n    pass\n"
+        ),
+        "cli.py": (
+            "from .core import run\n\ndef main():\n    return run()\n\n"
+            "if __name__ == '__main__':\n    main()\n"
+        ),
+        "errors.py": "class NetexpError(Exception):\n    pass\n",
+    }
+    assert _unreached(modules, []) == ["core.py:Traced", "core.py:exported"]
+    # the benchmark names what its tracer wraps as strings
+    assert _unreached(modules, ["STAGES = (('stage', 'core', ('Traced',)),)\n"]) == ["core.py:exported"]

@@ -29,6 +29,12 @@ PRODUCT_GUARD = 10**7
 # Invariant: golden-section bracket shrinks to this width; d_C is concave in s
 # so the bracket always contains the maximizer.
 GOLDEN_TOL = 1e-10
+# A Chernoff probe replaces d_C(1/2) only when it is higher by more than this.
+TIE_TOL = 1e-13
+# A pair whose optimum exceeds d_C(1/2) by more than this is not reversible.
+REVERSIBLE_TOL = 1e-7
+# Rounding slack on the concavity bound d_C(s) <= d_C(1/2) + |d_C'(1/2)|/2.
+BOUND_SLACK = 1e-9
 
 
 def _lse(v: np.ndarray) -> float:
@@ -200,34 +206,81 @@ def chernoff(P: Dmc, x: int, xp: int) -> DivergenceResult:
     candidates = [(f(0.5), 0.5), (f(s_star), s_star), (f(0.0), 0.0), (f(1.0), 1.0)]
     best_val, best_s = candidates[0]
     for val, s in candidates[1:]:
-        if val > best_val + 1e-13:
+        if val > best_val + TIE_TOL:
             best_val, best_s = val, s
     return DivergenceResult(value=best_val, argmax_s=best_s, at_half=candidates[0][0])
 
 
+def _half_and_slope(P: Dmc, x: int, xp: int) -> tuple:
+    """d_C(1/2), bit-identical to the value :func:`chernoff` probes there,
+    and the slope d_C'(1/2): minus the mean of log(P_x'/P_x) under weights
+    proportional to sqrt(P_x P_x').  Disjoint rows give (+inf, 0)."""
+    lx, ly = P.log_probs[x], P.log_probs[xp]
+    mask = np.isfinite(lx) & np.isfinite(ly)
+    if not mask.any():
+        return math.inf, 0.0
+    la = lx[mask]
+    lb = ly[mask]
+    v = 0.5 * la + 0.5 * lb
+    mx = v.max()
+    w = np.exp(v - mx)
+    total = w.sum()
+    val = -float(mx + math.log(total))
+    slope = -float(w @ (lb - la)) / float(total)
+    return (val if val > 1e-12 else 0.0), slope
+
+
+def _off_half(res: DivergenceResult) -> bool:
+    """Whether the optimum sits more than REVERSIBLE_TOL above d_C(1/2)."""
+    return res.value > res.at_half + REVERSIBLE_TOL
+
+
 def pairwise_chernoff(P: Dmc) -> dict:
-    """Optimized Chernoff divergence of every input pair, keyed (x, x') with
-    x < x' in lexicographic order."""
+    """Optimized Chernoff divergence of the input pairs that can change
+    ``exponents.exponent_two`` or :func:`is_pairwise_reversible`, keyed
+    (x, x') with x < x' in lexicographic order.
+
+    d_C is concave on [0, 1], so d_C(s) <= d_B + |d_C'(1/2)|/2 with
+    d_B = d_C(1/2).  The first pair is always searched; a later one only when
+    - that bound, plus BOUND_SLACK, reaches the best value so far, unless
+      |d_C'(1/2)| <= TIE_TOL and 0 < d_B <= best: the search would then
+      return d_B itself, and a tie does not replace the first maximum; or
+    - no searched pair is off its midpoint yet and |d_C'(1/2)| exceeds
+      REVERSIBLE_TOL, so the pair could be the first non-reversible one.
+    A skipped pair can neither be the first maximum nor the first witness,
+    so both readers return what a search of every pair gives.
+    """
     n = P.input_size
-    return {(x, xp): chernoff(P, x, xp) for x in range(n) for xp in range(x + 1, n)}
+    pairs = {}
+    best, witnessed = -math.inf, False
+    for x in range(n):
+        for xp in range(x + 1, n):
+            if pairs:
+                d_b, slope = _half_and_slope(P, x, xp)
+                flat_tie = abs(slope) <= TIE_TOL and 0.0 < d_b <= best
+                could_win = d_b + abs(slope) / 2 + BOUND_SLACK >= best and not flat_tie
+                if not could_win and (witnessed or abs(slope) <= REVERSIBLE_TOL):
+                    continue
+            res = chernoff(P, x, xp)
+            pairs[(x, xp)] = res
+            best = max(best, res.value)
+            witnessed = witnessed or _off_half(res)
+    return pairs
 
 
-def is_pairwise_reversible(P: Dmc, tol: float = 1e-7, *, pairs: dict | None = None):
-    """Check whether every input pair's Chernoff optimum is attained at s=1/2.
+def is_pairwise_reversible(P: Dmc, *, pairs: dict | None = None):
+    """Check whether every input pair's Chernoff optimum is attained at s=1/2,
+    up to REVERSIBLE_TOL.
 
     Returns ``(flag, witness)``; witness is ``(x, x', s*)`` for the first
     violating pair when the flag is False, else None.  ``pairs``, the
-    channel's :func:`pairwise_chernoff`, saves recomputing it.
+    channel's :func:`pairwise_chernoff`, saves recomputing it.  Pairs with
+    disjoint rows (value and midpoint both +inf) never violate.
     """
-    if tol <= 0:
-        raise ParameterOutOfRange(f"tol must be positive, got {tol}")
     if pairs is None:
         pairs = pairwise_chernoff(P)
     for (x, xp), opt in pairs.items():
-        mid = opt.at_half
-        if math.isinf(opt.value) and math.isinf(mid):
-            continue
-        if opt.value > mid + tol:
+        if _off_half(opt):
             return False, (x, xp, opt.argmax_s)
     return True, None
 

@@ -25,10 +25,6 @@ class IndexOutOfRange(NetexpError):
     pass
 
 
-class SOutOfRange(NetexpError):
-    pass
-
-
 class AlphabetTooLarge(NetexpError):
     pass
 
@@ -70,10 +66,6 @@ class HorizonTooShort(NetexpError):
 
 
 class DistributionUnavailable(NetexpError):
-    pass
-
-
-class InsufficientData(NetexpError):
     pass
 
 

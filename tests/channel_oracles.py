@@ -1,13 +1,15 @@
 """Channel operations that only tests use: the Chernoff divergence at a
-fixed s, the k-fold power of a channel and the cascade of two channels.
-They are the reference forms for the divergence identities the tests
-check (additivity over products, the data-processing bound of a cascade)."""
+fixed s, the search of every input pair, the k-fold power of a channel and
+the cascade of two channels.  They are the reference forms for the
+divergence identities the tests check (additivity over products, the
+data-processing bound of a cascade) and for the pairs that
+``pairwise_chernoff`` leaves unsearched."""
 import math
 
 import numpy as np
 
-from netexp.channel import PRODUCT_GUARD, Dmc, _lse, make_dmc, product
-from netexp.errors import AlphabetTooLarge, DimensionMismatch, ParameterOutOfRange, SOutOfRange
+from netexp.channel import PRODUCT_GUARD, Dmc, _lse, chernoff, make_dmc, product
+from netexp.errors import AlphabetTooLarge, DimensionMismatch, ParameterOutOfRange
 
 
 def chernoff_at(P: Dmc, x: int, xp: int, s: float) -> float:
@@ -19,13 +21,20 @@ def chernoff_at(P: Dmc, x: int, xp: int, s: float) -> float:
     P.check_input(x)
     P.check_input(xp)
     if not 0.0 <= s <= 1.0:
-        raise SOutOfRange(f"s must lie in [0, 1], got {s}")
+        raise ParameterOutOfRange(f"s must lie in [0, 1], got {s}")
     lx, ly = P.log_probs[x], P.log_probs[xp]
     mask = np.isfinite(lx) & np.isfinite(ly)
     if not mask.any():
         return math.inf
     val = -_lse((1.0 - s) * lx[mask] + s * ly[mask])
     return val if val > 1e-12 else 0.0
+
+
+def every_pair_chernoff(P: Dmc) -> dict:
+    """Optimized Chernoff divergence of every input pair, keyed (x, x') with
+    x < x' in lexicographic order."""
+    n = P.input_size
+    return {(x, xp): chernoff(P, x, xp) for x in range(n) for xp in range(x + 1, n)}
 
 
 def power(P: Dmc, k: int) -> Dmc:

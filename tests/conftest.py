@@ -1,6 +1,9 @@
-"""Shared randomized-instance generators for the property suites, and a
-traced-memory helper."""
+"""Shared randomized-instance generators for the property suites, the
+benchmark's input builders, and a traced-memory helper."""
+import importlib.util
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,6 +85,21 @@ def rand_channel_graph(rng, chan_fn, max_nodes=6, max_extra=6):
             continue
         edges.append((t, h, chan_fn(rng)))
     return make_channel_graph(n, 0, n - 1, edges)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def perfbench_inputs():
+    """``perfbench/inputs.py``, which builds each workload's graphs from a
+    seed (``corpus_cases(ROOT, seed)``, ``wide_cases(seed)``)."""
+    name = "perfbench_inputs"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / "inputs.py")
+        mod = importlib.util.module_from_spec(spec)
+        sys.modules[name] = mod  # its dataclasses look their module up
+        spec.loader.exec_module(mod)
+    return sys.modules[name]
 
 
 def peak_traced(fn) -> int:

@@ -5,7 +5,11 @@ import math
 
 import numpy as np
 
-from netexp.errors import InsufficientData
+from netexp.errors import NetexpError
+
+
+class InsufficientData(NetexpError):
+    """Fewer than three horizons with errors to fit a slope to."""
 
 
 def aggregate(result) -> tuple:

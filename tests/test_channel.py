@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from netexp.channel import (
+    REVERSIBLE_TOL,
+    TIE_TOL,
+    _half_and_slope,
     bec,
     bhattacharyya,
     bsc,
@@ -27,10 +30,10 @@ from netexp.errors import (
     NonFiniteEntry,
     NonStochasticRow,
     ParameterOutOfRange,
-    SOutOfRange,
 )
-from channel_oracles import chernoff_at, compose, power
-from conftest import rand_dmc, rand_reversible
+from netexp.exponents import exponent_two
+from channel_oracles import chernoff_at, compose, every_pair_chernoff, power
+from conftest import ROOT, perfbench_inputs, rand_dmc, rand_reversible
 
 DB_BSC01 = -math.log(0.6)  # 2*sqrt(0.1*0.9) = 0.6
 
@@ -143,7 +146,7 @@ class TestChernoffAt:
         assert abs(chernoff_at(Z, 0, 1, 1.0) - (-math.log(0.5))) < 1e-12
 
     def test_s_out_of_range(self):
-        with pytest.raises(SOutOfRange):
+        with pytest.raises(ParameterOutOfRange):
             chernoff_at(bsc(0.1), 0, 1, 1.5)
 
     def test_endpoint_limit_convention(self, rng):
@@ -228,12 +231,12 @@ class TestPairwiseReversible:
     def test_reads_midpoint_from_the_optimizer(self, rng):
         # d_C(1/2) carried by chernoff equals a fresh chernoff_at(.., 0.5), so
         # flags and witnesses match a check that recomputes it per pair
-        def recomputed(P, tol=1e-7):
-            for (x, xp), opt in pairwise_chernoff(P).items():
+        def recomputed(P):
+            for (x, xp), opt in every_pair_chernoff(P).items():
                 mid = chernoff_at(P, x, xp, 0.5)
                 if math.isinf(opt.value) and math.isinf(mid):
                     continue
-                if opt.value > mid + tol:
+                if opt.value > mid + REVERSIBLE_TOL:
                     return False, (x, xp, opt.argmax_s)
             return True, None
 
@@ -242,7 +245,7 @@ class TestPairwiseReversible:
         channels += [make_dmc([[1.0, 0.0], [0.0, 1.0]]), make_dmc([[1.0, 0.0], [0.5, 0.5]])]
         flags = set()
         for P in channels:
-            for (x, xp), opt in pairwise_chernoff(P).items():
+            for (x, xp), opt in every_pair_chernoff(P).items():
                 mid = chernoff_at(P, x, xp, 0.5)
                 assert opt.at_half == mid or (math.isinf(opt.at_half) and math.isinf(mid))
             got = is_pairwise_reversible(P)
@@ -250,6 +253,94 @@ class TestPairwiseReversible:
             flags.add(got[0])
         assert flags == {True, False}
 
+
+class TestPrunedPairs:
+    """``pairwise_chernoff`` searches only the pairs that can change
+    ``exponent_two`` or ``is_pairwise_reversible``; both must read exactly
+    what a search of every pair gives."""
+
+    @staticmethod
+    def check(P) -> tuple:
+        pruned, full = pairwise_chernoff(P), every_pair_chernoff(P)
+        assert list(pruned) == [pair for pair in full if pair in pruned]
+        assert all(repr(res) == repr(full[pair]) for pair, res in pruned.items())
+        assert repr(exponent_two(P, pairs=pruned)) == repr(exponent_two(P, pairs=full))
+        assert repr(is_pairwise_reversible(P, pairs=pruned)) == repr(is_pairwise_reversible(P, pairs=full))
+        return len(pruned), len(full)
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_analyze_corpus_channels(self, seed):
+        channels = {id(e.channel): e.channel
+                    for case in perfbench_inputs().corpus_cases(ROOT, seed) for e in case.graph.edges}
+        counts = [self.check(P) for P in channels.values()]
+        searched, total = (sum(c) for c in zip(*counts))
+        assert searched < total / 2
+
+    def test_random_channels_with_zeros_and_disjoint_rows(self, rng):
+        seen = set()
+        for _ in range(250):
+            n_in, n_out = (int(v) for v in rng.integers(2, 7, size=2))
+            mat = np.where(rng.random((n_in, n_out)) < 0.5, 0.0, rng.random((n_in, n_out)))
+            for r in np.flatnonzero(mat.sum(axis=1) == 0):
+                mat[r, int(rng.integers(0, n_out))] = 1.0
+            P = make_dmc(mat / mat.sum(axis=1, keepdims=True))
+            self.check(P)
+            value = exponent_two(P).value
+            seen.add(("inf" if math.isinf(value) else "finite", is_pairwise_reversible(P)[0]))
+        assert seen == {("inf", True), ("inf", False), ("finite", True), ("finite", False)}
+
+    def test_ksym_ties_and_perturbations_near_both_tolerances(self):
+        # ksym's pairs tie and are flat at 1/2; moving eps of one row's mass
+        # between two outputs tilts every pair with that row.  Scaled so the
+        # tilted pairs' slopes land just under and over TIE_TOL and
+        # REVERSIBLE_TOL, and swept over 1e-16 .. 1e-6.
+        def tilted(K, p, row, eps):
+            mat = ksym(K, p).probs.copy()
+            mat[row, (row + 1) % K] += eps
+            mat[row, (row + 2) % K] -= eps
+            return make_dmc(mat)
+
+        slopes = []
+        for K, p in ((3, 0.1), (4, 0.05), (5, 0.02)):
+            assert self.check(ksym(K, p)) == (1, K * (K - 1) // 2)
+            for row in (0, K - 1):
+                # the most tilted pair after the first, which is always searched
+                unit, pair = max((abs(_half_and_slope(tilted(K, p, row, 1e-9), x, xp)[1]) / 1e-9, (x, xp))
+                                 for x in range(K) for xp in range(x + 1, K) if (x, xp) != (0, 1))
+                eps_list = [t / unit * f for t in (TIE_TOL, REVERSIBLE_TOL) for f in (0.9, 0.999, 1.001, 1.1)]
+                for eps in eps_list + list(np.logspace(-16, -6, 21)):
+                    P = tilted(K, p, row, eps)
+                    self.check(P)
+                    slopes.append(abs(_half_and_slope(P, *pair)[1]))
+        for tol in (TIE_TOL, REVERSIBLE_TOL):
+            assert any(tol / 1.1 < s <= tol for s in slopes)
+            assert any(tol < s < tol * 1.1 for s in slopes)
+
+
+    def test_pair_that_wins_by_its_slope_alone(self):
+        # after the witness (0, 1), pair (1, 2)'s d_B sits half its interior
+        # gain below the best so far, with |d_C'(1/2)| under 1e-6: only the
+        # concavity bound shows that it can still win
+        def tuned(t, eta=6e-6):
+            return make_dmc([[0.5, 0.2, 0.3], [1 - 2 * t, t, t], [t + eta, 1 - 2 * t, t - eta]])
+
+        def excess(t):
+            P = tuned(t)
+            res = chernoff(P, 1, 2)
+            best = max(chernoff(P, 0, 1).value, chernoff(P, 0, 2).value)
+            return (res.at_half + res.value) / 2 - best
+
+        lo, hi = 0.2, 0.25
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if excess(mid) > 0 else (lo, mid)
+        P = tuned(lo)
+        full = every_pair_chernoff(P)
+        assert TIE_TOL < abs(_half_and_slope(P, 1, 2)[1]) < 1e-6
+        assert full[(1, 2)].at_half < max(full[(0, 1)].value, full[(0, 2)].value) < full[(1, 2)].value
+        assert exponent_two(P).optimizer == (1, 2)
+        assert is_pairwise_reversible(P)[1][:2] == (0, 1)
+        self.check(P)
 
 class TestProductPower:
     def test_power_bsc_row(self):

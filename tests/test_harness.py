@@ -6,7 +6,7 @@ import pytest
 
 from netexp.channel import bsc, identity_channel, ksym, make_dmc
 from netexp import channel, exponents, harness
-from netexp.errors import AlphabetTooLarge, BoundsViolation, InsufficientData, ParameterOutOfRange
+from netexp.errors import AlphabetTooLarge, BoundsViolation, ParameterOutOfRange
 from netexp.flow import Flow, make_channel_graph
 from netexp.harness import (
     SimConfig,
@@ -19,10 +19,10 @@ from netexp.harness import (
     simulate,
     wilson_interval,
 )
-from conftest import rand_dmc, rand_channel_graph
+from conftest import ROOT, perfbench_inputs, rand_dmc, rand_channel_graph
 from exponent_oracles import oracle_exponent_1hop
 import protocol_oracles as oracles
-from sim_fit import aggregate, fit_exponent, skipped_horizons
+from sim_fit import InsufficientData, aggregate, fit_exponent, skipped_horizons
 
 DB_BSC01 = -math.log(0.6)
 
@@ -107,7 +107,8 @@ class TestAnalyze:
         assert obj["edges"][0]["exponent_two"] == pytest.approx(0.510825623766)
 
     def test_exponents_once_per_distinct_channel(self, monkeypatch):
-        # one BSC object on three edges, one ternary channel on the fourth
+        # one BSC object on three edges, one ternary channel on the fourth,
+        # whose three pairs tie flat at s=1/2, so only its first is searched
         calls = {"zero": 0, "chernoff": 0}
 
         def counted(name, fn):
@@ -123,7 +124,23 @@ class TestAnalyze:
         G = make_channel_graph(4, 0, 3, [(0, 1, shared), (1, 2, shared), (2, 3, shared),
                                          (0, 3, ksym(3, 0.1))])
         analyze(G, 2)
-        assert calls == {"zero": 2, "chernoff": 1 + 3}
+        assert calls == {"zero": 2, "chernoff": 1 + 1}
+
+    def test_chernoff_searches_on_the_benchmark_inputs(self, monkeypatch):
+        # seed 7: a search of every pair makes 1725 on analyze-corpus; every
+        # analyze-wide channel is a BSC or BEC with one pair
+        calls = []
+        real = channel.chernoff
+        monkeypatch.setattr(channel, "chernoff", lambda *args: calls.append(args) or real(*args))
+        inputs = perfbench_inputs()
+        counts = []
+        for cases in (inputs.corpus_cases(ROOT, 7), inputs.wide_cases(7)):
+            calls.clear()
+            for case in cases:
+                analyze(case.graph, case.M)
+            counts.append(len(calls))
+        assert counts[0] <= 600
+        assert counts[1] == 180
 
     def test_three_networks_through_weighted_network(self, monkeypatch):
         built = []

@@ -125,8 +125,9 @@ def _unreached(modules: dict, roots_code: list) -> list:
     (file name -> source) that no root reaches by name.  Roots are the names
     that ``roots_code`` (sources outside the package), ``cli.py`` and the
     modules' import-time code use; imports and ``__all__`` are no roots, so
-    exporting a name does not keep it alive.  ``errors.py`` holds only the
-    error types and is not checked."""
+    exporting a name does not keep it alive.  An error type counts as
+    reached only where reached code raises or catches it (or subclasses
+    it)."""
     defs = {}  # name -> [file name]
     roots = set()
     for fname, text in modules.items():
@@ -135,8 +136,7 @@ def _unreached(modules: dict, roots_code: list) -> list:
             roots |= _names_used(tree)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if fname != "errors.py":
-                    defs.setdefault(node.name, []).append((fname, node))
+                defs.setdefault(node.name, []).append((fname, node))
             elif not isinstance(node, (ast.Import, ast.ImportFrom)) and not _is_all(node):
                 roots |= _names_used(node)  # module-level code runs at import
     for text in roots_code:
@@ -174,17 +174,24 @@ def test_reachability_rule_reports_an_export_nothing_calls():
             "__all__ += [n for n in dir() if not n.startswith('_')]\n"
         ),
         "core.py": (
+            "from .errors import Raised, Unraised\n\n"
             "def run():\n    return helper()\n\n"
-            "def helper():\n    return 1\n\n"
+            "def helper():\n    raise Raised('no')\n\n"
             "def exported():\n    return helper()\n\n"
             "class Traced:\n    pass\n"
         ),
         "cli.py": (
-            "from .core import run\n\ndef main():\n    return run()\n\n"
+            "from .core import run\nfrom .errors import NetexpError\n\n"
+            "def main():\n    try:\n        return run()\n    except NetexpError:\n        return 2\n\n"
             "if __name__ == '__main__':\n    main()\n"
         ),
-        "errors.py": "class NetexpError(Exception):\n    pass\n",
+        "errors.py": (
+            "class NetexpError(Exception):\n    pass\n\n"
+            "class Raised(NetexpError):\n    pass\n\n"
+            "class Unraised(NetexpError):\n    pass\n"
+        ),
     }
-    assert _unreached(modules, []) == ["core.py:Traced", "core.py:exported"]
+    assert _unreached(modules, []) == ["core.py:Traced", "core.py:exported", "errors.py:Unraised"]
     # the benchmark names what its tracer wraps as strings
-    assert _unreached(modules, ["STAGES = (('stage', 'core', ('Traced',)),)\n"]) == ["core.py:exported"]
+    assert _unreached(modules, ["STAGES = (('stage', 'core', ('Traced',)),)\n"]) == [
+        "core.py:exported", "errors.py:Unraised"]

@@ -39,11 +39,13 @@ BOUND_SLACK = 1e-9
 
 def _lse(v: np.ndarray) -> float:
     """log(sum(exp(v))) of a small 1-d array, shifted by its maximum; a
-    non-finite maximum is returned as it is."""
-    mx = v.max()
-    if not np.isfinite(mx):
+    non-finite maximum is returned as it is.  Calls the ufunc reductions
+    directly: ``v.max()`` and ``.sum()`` are the same reductions behind a
+    Python wrapper."""
+    mx = np.maximum.reduce(v)
+    if not math.isfinite(mx):
         return float(mx)
-    return float(mx + math.log(np.exp(v - mx).sum()))
+    return float(mx + math.log(np.add.reduce(np.exp(v - mx))))
 
 
 @dataclass(frozen=True)
@@ -212,9 +214,10 @@ def chernoff(P: Dmc, x: int, xp: int) -> DivergenceResult:
 
 
 def _half_and_slope(P: Dmc, x: int, xp: int) -> tuple:
-    """d_C(1/2), bit-identical to the value :func:`chernoff` probes there,
-    and the slope d_C'(1/2): minus the mean of log(P_x'/P_x) under weights
-    proportional to sqrt(P_x P_x').  Disjoint rows give (+inf, 0)."""
+    """d_C(1/2), bit-identical to :func:`bhattacharyya` and to the value
+    :func:`chernoff` probes there, and the slope d_C'(1/2): minus the mean
+    of log(P_x'/P_x) under weights proportional to sqrt(P_x P_x').
+    Disjoint rows give (+inf, 0)."""
     lx, ly = P.log_probs[x], P.log_probs[xp]
     mask = np.isfinite(lx) & np.isfinite(ly)
     if not mask.any():
@@ -222,9 +225,9 @@ def _half_and_slope(P: Dmc, x: int, xp: int) -> tuple:
     la = lx[mask]
     lb = ly[mask]
     v = 0.5 * la + 0.5 * lb
-    mx = v.max()
+    mx = np.maximum.reduce(v)
     w = np.exp(v - mx)
-    total = w.sum()
+    total = np.add.reduce(w)
     val = -float(mx + math.log(total))
     slope = -float(w @ (lb - la)) / float(total)
     return (val if val > 1e-12 else 0.0), slope
@@ -235,7 +238,7 @@ def _off_half(res: DivergenceResult) -> bool:
     return res.value > res.at_half + REVERSIBLE_TOL
 
 
-def pairwise_chernoff(P: Dmc) -> dict:
+def pairwise_chernoff(P: Dmc, *, halves: dict | None = None) -> dict:
     """Optimized Chernoff divergence of the input pairs that can change
     ``exponents.exponent_two`` or :func:`is_pairwise_reversible`, keyed
     (x, x') with x < x' in lexicographic order.
@@ -248,7 +251,8 @@ def pairwise_chernoff(P: Dmc) -> dict:
     - no searched pair is off its midpoint yet and |d_C'(1/2)| exceeds
       REVERSIBLE_TOL, so the pair could be the first non-reversible one.
     A skipped pair can neither be the first maximum nor the first witness,
-    so both readers return what a search of every pair gives.
+    so both readers return what a search of every pair gives.  ``halves``,
+    the channel's ``_half_and_slope`` keyed by pair, saves recomputing them.
     """
     n = P.input_size
     pairs = {}
@@ -256,7 +260,7 @@ def pairwise_chernoff(P: Dmc) -> dict:
     for x in range(n):
         for xp in range(x + 1, n):
             if pairs:
-                d_b, slope = _half_and_slope(P, x, xp)
+                d_b, slope = _half_and_slope(P, x, xp) if halves is None else halves[x, xp]
                 flat_tie = abs(slope) <= TIE_TOL and 0.0 < d_b <= best
                 could_win = d_b + abs(slope) / 2 + BOUND_SLACK >= best and not flat_tie
                 if not could_win and (witnessed or abs(slope) <= REVERSIBLE_TOL):

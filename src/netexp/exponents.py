@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Dmc, bhattacharyya, is_pairwise_reversible, pairwise_chernoff
+from .channel import Dmc, _half_and_slope, bhattacharyya, is_pairwise_reversible, pairwise_chernoff
 from .errors import ParameterOutOfRange, SearchSpaceTooLarge
 
 MULTISET_GUARD = 10**6
@@ -60,10 +60,15 @@ def _db_matrix(P: Dmc) -> np.ndarray:
 
 
 def channel_exponents(P: Dmc, M: int) -> ChannelExponents:
-    """Every exponent of P for M messages, from one Bhattacharyya matrix and
-    one pass of pairwise Chernoff."""
-    D = _db_matrix(P)
-    pairs = pairwise_chernoff(P)
+    """Every exponent of P for M messages, from one (d_B, d_C'(1/2)) pass over
+    the input pairs and one pass of pairwise Chernoff.  The pass fills the
+    Bhattacharyya matrix and feeds the Chernoff screen."""
+    n = P.input_size
+    halves = {(x, xp): _half_and_slope(P, x, xp) for x in range(n) for xp in range(x + 1, n)}
+    D = np.zeros((n, n))
+    for (x, xp), (d_b, _) in halves.items():
+        D[x, xp] = D[xp, x] = d_b
+    pairs = pairwise_chernoff(P, halves=halves)
     return ChannelExponents(
         two=exponent_two(P, pairs=pairs),
         tilde=tilde_exponent(P, M, db_matrix=D),
@@ -129,31 +134,48 @@ def _support_enumeration(D: np.ndarray):
     """Maximum of q^T D q over the simplex, and a maximizer, by solving the
     bordered KKT system [D_SS 1; 1^T 0] for every support S (Bomze 1998).
 
-    A singular system is skipped: the objective is then constant along a
-    direction that reaches a smaller support.  Supports run by size, then
-    lexicographically; a later one must win by more than 1e-12.
+    The systems of one support size are solved as one stack.  A singular
+    system is skipped: the objective is then constant along a direction that
+    reaches a smaller support.  Supports run by size, then lexicographically;
+    a later one must win by more than 1e-12.
     """
     n = D.shape[0]
     best_val, best_q = -math.inf, None
     for k in range(1, n + 1):
+        supports = np.array(list(itertools.combinations(range(n), k)))
+        A = np.ones((len(supports), k + 1, k + 1))
+        A[:, :k, :k] = D[supports[:, :, None], supports[:, None, :]]
+        A[:, k, k] = 0.0
         rhs = np.zeros(k + 1)
         rhs[k] = 1.0
-        for S in itertools.combinations(range(n), k):
-            A = np.ones((k + 1, k + 1))
-            A[:k, :k] = D[np.ix_(S, S)]
-            A[k, k] = 0.0
-            try:
-                sol = np.linalg.solve(A, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            if np.any(sol[:k] < 0):
-                continue
+        sols, solved = _solve_stack(A, rhs)
+        feasible = solved & ~np.any(sols[:, :k] < 0, axis=1)
+        for i in np.flatnonzero(feasible):
             q = np.zeros(n)
-            q[list(S)] = sol[:k]
+            q[supports[i]] = sols[i, :k]
             val = float(q @ D @ q)
             if val > best_val + 1e-12:
                 best_val, best_q = val, q
     return best_val, best_q
+
+
+def _solve_stack(A: np.ndarray, rhs: np.ndarray):
+    """Solutions of every system in the stack A against rhs, and which were
+    nonsingular.  One singular system fails the batched call; the stack is
+    then solved one system at a time."""
+    try:
+        return np.linalg.solve(A, rhs), np.ones(len(A), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    sols = np.zeros((len(A), len(rhs)))
+    solved = np.zeros(len(A), dtype=bool)
+    for i, system in enumerate(A):
+        try:
+            sols[i] = np.linalg.solve(system, rhs)
+            solved[i] = True
+        except np.linalg.LinAlgError:
+            pass
+    return sols, solved
 
 
 def zero_rate_exponent(P: Dmc, *, db_matrix: np.ndarray | None = None) -> ExponentReport:

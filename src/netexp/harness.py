@@ -54,7 +54,7 @@ def wilson_interval(errors: int, trials: int, z: float = WILSON_Z):
     return max(0.0, lo), min(1.0, hi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeBounds:
     edge_id: int
     tail: int
@@ -66,7 +66,7 @@ class EdgeBounds:
     reversible: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundsReport:
     """Achievability/converse summary for one graph and message count."""
 

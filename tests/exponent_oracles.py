@@ -1,6 +1,8 @@
 """Enumeration oracle for the finite-length error probability of a 1-hop
-permutation codebook, and the closed-form tilde exponent of the K-ary
-symmetric channel."""
+permutation codebook, the closed-form tilde exponent of the K-ary
+symmetric channel, and the one-system-at-a-time zero-rate support
+enumeration."""
+import itertools
 import math
 
 import numpy as np
@@ -42,3 +44,29 @@ def ksym_closed_form(K: int, M: int, p: float) -> float:
     if not 0 < p < 1 / (K - 1):
         raise ParameterOutOfRange(f"need p in (0, 1/{K - 1}), got {p}")
     return -math.log(2.0 * math.sqrt(p * (1.0 - (K - 1) * p)) + (K - 2) * p)
+
+
+def support_enumeration_loop(D: np.ndarray):
+    """``exponents._support_enumeration`` with one ``np.linalg.solve`` per
+    support: same supports, order, skip rule and 1e-12 tie rule."""
+    n = D.shape[0]
+    best_val, best_q = -math.inf, None
+    for k in range(1, n + 1):
+        rhs = np.zeros(k + 1)
+        rhs[k] = 1.0
+        for S in itertools.combinations(range(n), k):
+            A = np.ones((k + 1, k + 1))
+            A[:k, :k] = D[np.ix_(S, S)]
+            A[k, k] = 0.0
+            try:
+                sol = np.linalg.solve(A, rhs)
+            except np.linalg.LinAlgError:
+                continue
+            if np.any(sol[:k] < 0):
+                continue
+            q = np.zeros(n)
+            q[list(S)] = sol[:k]
+            val = float(q @ D @ q)
+            if val > best_val + 1e-12:
+                best_val, best_q = val, q
+    return best_val, best_q

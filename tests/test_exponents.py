@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from netexp import channel, exponents
 from netexp.channel import (
+    _half_and_slope,
     bhattacharyya,
     bsc,
     identity_channel,
@@ -15,7 +17,10 @@ from netexp.channel import (
 )
 from netexp.errors import ParameterOutOfRange, SearchSpaceTooLarge
 from netexp.exponents import (
+    ZERO_RATE_INPUT_GUARD,
+    ChannelExponents,
     _db_matrix,
+    _support_enumeration,
     bsc_feedback_exponent_m3,
     channel_exponents,
     exponent_two,
@@ -24,8 +29,8 @@ from netexp.exponents import (
     zero_rate_exponent,
 )
 from channel_oracles import power
-from conftest import rand_dmc, rand_reversible
-from exponent_oracles import ksym_closed_form
+from conftest import ROOT, perfbench_inputs, rand_dmc, rand_reversible
+from exponent_oracles import ksym_closed_form, support_enumeration_loop
 
 DB_BSC01 = -math.log(0.6)
 # -log(2 sqrt(p(1-2p)) + p) at p=0.1; the ternary symmetric pairwise distance
@@ -117,6 +122,35 @@ class TestTildeExponent:
             tilde_exponent(ksym(100, 0.001), 6)
 
 
+def corpus_channels(seeds=(7, 11)) -> list:
+    """The distinct channels of the analyze-corpus benchmark inputs at these seeds."""
+    return list({id(e.channel): e.channel for seed in seeds
+                 for case in perfbench_inputs().corpus_cases(ROOT, seed) for e in case.graph.edges}.values())
+
+
+def zero_channels(rng, count, min_in=3):
+    """Seeded channels with min_in to 8 inputs, about 30% zero entries and
+    no two inputs with disjoint output supports."""
+    out = []
+    while len(out) < count:
+        P = rand_dmc(rng, max_in=8, max_out=6, zeros=True)
+        if P.input_size >= min_in and not np.isinf(_db_matrix(P)).any():
+            out.append(P)
+    return out
+
+
+def pair_pass_channels(rng, seeds=(7, 11)) -> list:
+    """Corpus channels, random channels with zeros and disjoint rows, and
+    random channels with one near-underflow entry per row."""
+    out = corpus_channels(seeds)
+    out += [rand_dmc(rng, max_in=6, max_out=5, zeros=True) for _ in range(300)]
+    for _ in range(100):
+        mat = rng.random((int(rng.integers(2, 7)), int(rng.integers(2, 6))))
+        mat[np.arange(len(mat)), rng.integers(0, mat.shape[1], size=len(mat))] = 10.0 ** -rng.uniform(300, 320)
+        out.append(make_dmc(mat / mat.sum(axis=1, keepdims=True)))
+    return out
+
+
 class TestZeroRate:
     def test_bsc_closed_form(self):
         rep = zero_rate_exponent(bsc(0.1))
@@ -200,16 +234,96 @@ class TestZeroRate:
         assert max(abs(v - 1 / 12) for v in rep.optimizer) < 1e-12
 
 
+class TestSupportEnumeration:
+    """The batched ``_support_enumeration`` returns, bit for bit, what one
+    ``np.linalg.solve`` per support returns."""
+
+    @staticmethod
+    def check(D):
+        got, want = _support_enumeration(D), support_enumeration_loop(D)
+        assert repr((got[0], got[1].tolist())) == repr((want[0], want[1].tolist()))
+
+    def test_analyze_corpus_channels(self):
+        Ds = [_db_matrix(P) for P in corpus_channels() if P.input_size >= 3]
+        Ds = [D for D in Ds if not np.isinf(D).any()]
+        assert len(Ds) > 500
+        for D in Ds:
+            self.check(D)
+
+    def test_random_channels_with_zeros_and_singular_stacks(self, rng, monkeypatch):
+        singular = []
+        real = np.linalg.solve
+
+        def solve(A, b):
+            try:
+                return real(A, b)
+            except np.linalg.LinAlgError:
+                singular.append(np.ndim(A))
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        for P in zero_channels(rng, 600):
+            self.check(_db_matrix(P))
+        assert singular.count(3) >= 10
+
+    def test_identical_rows_ksym_and_the_input_guard(self, rng):
+        base = rand_dmc(rng, max_in=4, max_out=4)
+        self.check(_db_matrix(make_dmc(base.probs[[0, 1, 0]])))
+        for K in range(3, 13):
+            self.check(_db_matrix(ksym(K, 0.01)))
+        n = ZERO_RATE_INPUT_GUARD
+        mat = rng.random((n, n))
+        self.check(_db_matrix(make_dmc(mat / mat.sum(axis=1, keepdims=True))))
+
+    def test_one_solve_per_support_size(self, monkeypatch):
+        calls = []
+        real = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda A, b: calls.append(np.ndim(A)) or real(A, b))
+        _support_enumeration(_db_matrix(ksym(12, 0.01)))
+        assert calls == [3] * 12
+        # rows 0 and 1 are equal, so every support holding both is a
+        # singular system: sizes 2 and 3 are re-solved one system at a time
+        calls.clear()
+        _support_enumeration(_db_matrix(make_dmc([[0.7, 0.2, 0.1], [0.7, 0.2, 0.1], [0.1, 0.3, 0.6]])))
+        assert calls == [3, 3, 2, 2, 2, 3, 2]
+
+
 class TestChannelExponents:
     def test_record_matches_public_functions(self, rng):
-        for i in range(60):
-            P = rand_reversible(rng) if i % 3 == 0 else rand_dmc(rng, zeros=i % 3 == 2)
+        reversible = [rand_reversible(rng) for _ in range(20)]
+        for P in reversible + pair_pass_channels(rng, seeds=(7,)):
             M = int(rng.integers(2, 5))
-            rec = channel_exponents(P, M)
-            assert rec.two == exponent_two(P)
-            assert rec.tilde == tilde_exponent(P, M)
-            assert rec.zero_rate == zero_rate_exponent(P)
-            assert rec.reversible == is_pairwise_reversible(P)[0]
+            alone = ChannelExponents(
+                two=exponent_two(P), tilde=tilde_exponent(P, M), zero_rate=zero_rate_exponent(P),
+                reversible=is_pairwise_reversible(P)[0],
+            )
+            assert repr(channel_exponents(P, M)) == repr(alone)
+
+    def test_screen_d_b_is_bhattacharyya(self, rng):
+        for P in pair_pass_channels(rng):
+            for x in range(P.input_size):
+                for xp in range(x + 1, P.input_size):
+                    assert repr(_half_and_slope(P, x, xp)[0]) == repr(bhattacharyya(P, x, xp))
+
+    def test_one_pair_pass(self, rng, monkeypatch):
+        calls = {"half": 0, "bhattacharyya": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        half = counted("half", channel._half_and_slope)
+        db = counted("bhattacharyya", channel.bhattacharyya)
+        for module in (channel, exponents):
+            monkeypatch.setattr(module, "_half_and_slope", half)
+            monkeypatch.setattr(module, "bhattacharyya", db)
+        for P in [ksym(5, 0.02), bsc(0.1)] + zero_channels(rng, 20, min_in=2):
+            calls.update(half=0, bhattacharyya=0)
+            channel_exponents(P, 3)
+            n = P.input_size
+            assert calls == {"half": n * (n - 1) // 2, "bhattacharyya": 0}
 
 
 def berlekamp_codebook(P, M):

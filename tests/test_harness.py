@@ -1,5 +1,8 @@
+import dataclasses
+import json
 import math
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -8,7 +11,10 @@ from netexp.channel import bsc, identity_channel, ksym, make_dmc
 from netexp import channel, exponents, harness
 from netexp.errors import AlphabetTooLarge, BoundsViolation, ParameterOutOfRange
 from netexp.flow import Flow, make_channel_graph
+from netexp.graphio import load_graph_file
 from netexp.harness import (
+    BoundsReport,
+    EdgeBounds,
     SimConfig,
     SimResult,
     SimRow,
@@ -105,6 +111,19 @@ class TestAnalyze:
             "backedge_free_mincut_exists",
         }
         assert obj["edges"][0]["exponent_two"] == pytest.approx(0.510825623766)
+
+    @pytest.mark.parametrize("name", ["diamond", "noiseless"])
+    def test_slotted_report_round_trips(self, name):
+        # no per-instance __dict__; pickle and asdict rebuild an equal
+        # report, and its JSON object is the analyze golden's
+        rep = analyze(load_graph_file(str(ROOT / "graphs" / f"{name}.json")).graph, 3)
+        assert not hasattr(rep, "__dict__")
+        assert not any(hasattr(e, "__dict__") for e in rep.edges)
+        assert pickle.loads(pickle.dumps(rep)) == rep
+        fields = dataclasses.asdict(rep)
+        assert BoundsReport(**{**fields, "edges": tuple(EdgeBounds(**e) for e in fields["edges"])}) == rep
+        golden = json.loads((ROOT / "tests" / "data" / "cli_golden" / f"analyze-{name}-m3.txt").read_text())
+        assert {**rep.to_json_obj(), "weights": "tilde", "maxflow": golden["maxflow"]} == golden
 
     def test_exponents_once_per_distinct_channel(self, monkeypatch):
         # one BSC object on three edges, one ternary channel on the fourth,

@@ -233,6 +233,14 @@ def _half_and_slope(P: Dmc, x: int, xp: int) -> tuple:
     return (val if val > 1e-12 else 0.0), slope
 
 
+def _pair_halves(P: Dmc) -> dict:
+    """:func:`_half_and_slope` of every input pair (x, x'), x < x', keyed by
+    pair: the one d_B pass that the Bhattacharyya matrix and the
+    :func:`pairwise_chernoff` screen both read."""
+    n = P.input_size
+    return {(x, xp): _half_and_slope(P, x, xp) for x in range(n) for xp in range(x + 1, n)}
+
+
 def _off_half(res: DivergenceResult) -> bool:
     """Whether the optimum sits more than REVERSIBLE_TOL above d_C(1/2)."""
     return res.value > res.at_half + REVERSIBLE_TOL
@@ -252,15 +260,17 @@ def pairwise_chernoff(P: Dmc, *, halves: dict | None = None) -> dict:
       REVERSIBLE_TOL, so the pair could be the first non-reversible one.
     A skipped pair can neither be the first maximum nor the first witness,
     so both readers return what a search of every pair gives.  ``halves``,
-    the channel's ``_half_and_slope`` keyed by pair, saves recomputing them.
+    the channel's :func:`_pair_halves`, saves recomputing them.
     """
+    if halves is None:
+        halves = _pair_halves(P)
     n = P.input_size
     pairs = {}
     best, witnessed = -math.inf, False
     for x in range(n):
         for xp in range(x + 1, n):
             if pairs:
-                d_b, slope = _half_and_slope(P, x, xp) if halves is None else halves[x, xp]
+                d_b, slope = halves[x, xp]
                 flat_tie = abs(slope) <= TIE_TOL and 0.0 < d_b <= best
                 could_win = d_b + abs(slope) / 2 + BOUND_SLACK >= best and not flat_tie
                 if not could_win and (witnessed or abs(slope) <= REVERSIBLE_TOL):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Dmc, _half_and_slope, bhattacharyya, is_pairwise_reversible, pairwise_chernoff
+from .channel import Dmc, _pair_halves, is_pairwise_reversible, pairwise_chernoff
 from .errors import ParameterOutOfRange, SearchSpaceTooLarge
 
 MULTISET_GUARD = 10**6
@@ -50,12 +50,15 @@ class Codebook:
     words: tuple
 
 
-def _db_matrix(P: Dmc) -> np.ndarray:
+def _db_matrix(P: Dmc, halves: dict | None = None) -> np.ndarray:
+    """Pairwise Bhattacharyya distances of P's inputs.  ``halves``, the
+    channel's ``_pair_halves``, saves recomputing them."""
+    if halves is None:
+        halves = _pair_halves(P)
     n = P.input_size
     D = np.zeros((n, n))
-    for x in range(n):
-        for xp in range(x + 1, n):
-            D[x, xp] = D[xp, x] = bhattacharyya(P, x, xp)
+    for (x, xp), (d_b, _) in halves.items():
+        D[x, xp] = D[xp, x] = d_b
     return D
 
 
@@ -63,11 +66,8 @@ def channel_exponents(P: Dmc, M: int) -> ChannelExponents:
     """Every exponent of P for M messages, from one (d_B, d_C'(1/2)) pass over
     the input pairs and one pass of pairwise Chernoff.  The pass fills the
     Bhattacharyya matrix and feeds the Chernoff screen."""
-    n = P.input_size
-    halves = {(x, xp): _half_and_slope(P, x, xp) for x in range(n) for xp in range(x + 1, n)}
-    D = np.zeros((n, n))
-    for (x, xp), (d_b, _) in halves.items():
-        D[x, xp] = D[xp, x] = d_b
+    halves = _pair_halves(P)
+    D = _db_matrix(P, halves)
     pairs = pairwise_chernoff(P, halves=halves)
     return ChannelExponents(
         two=exponent_two(P, pairs=pairs),
@@ -162,9 +162,14 @@ def _support_enumeration(D: np.ndarray):
 def _solve_stack(A: np.ndarray, rhs: np.ndarray):
     """Solutions of every system in the stack A against rhs, and which were
     nonsingular.  One singular system fails the batched call; the stack is
-    then solved one system at a time."""
+    then solved one system at a time.
+
+    The batched right-hand side is an explicit (len(A), len(rhs), 1) stack
+    of columns: numpy 1.x does not broadcast a 1-D b over a stack of
+    matrices."""
+    cols = np.broadcast_to(rhs[:, None], (len(A), len(rhs), 1))
     try:
-        return np.linalg.solve(A, rhs), np.ones(len(A), dtype=bool)
+        return np.linalg.solve(A, cols)[..., 0], np.ones(len(A), dtype=bool)
     except np.linalg.LinAlgError:
         pass
     sols = np.zeros((len(A), len(rhs)))

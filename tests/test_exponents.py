@@ -300,10 +300,14 @@ class TestChannelExponents:
             assert repr(channel_exponents(P, M)) == repr(alone)
 
     def test_screen_d_b_is_bhattacharyya(self, rng):
+        # the screen and the matrix read the same _pair_halves values
         for P in pair_pass_channels(rng):
+            D = _db_matrix(P)
             for x in range(P.input_size):
                 for xp in range(x + 1, P.input_size):
-                    assert repr(_half_and_slope(P, x, xp)[0]) == repr(bhattacharyya(P, x, xp))
+                    want = repr(bhattacharyya(P, x, xp))
+                    assert repr(_half_and_slope(P, x, xp)[0]) == want
+                    assert repr(float(D[x, xp])) == repr(float(D[xp, x])) == want
 
     def test_one_pair_pass(self, rng, monkeypatch):
         calls = {"half": 0, "bhattacharyya": 0}
@@ -314,11 +318,14 @@ class TestChannelExponents:
                 return fn(*args, **kwargs)
             return wrapper
 
-        half = counted("half", channel._half_and_slope)
-        db = counted("bhattacharyya", channel.bhattacharyya)
+        wrappers = {
+            "_half_and_slope": counted("half", channel._half_and_slope),
+            "bhattacharyya": counted("bhattacharyya", channel.bhattacharyya),
+        }
         for module in (channel, exponents):
-            monkeypatch.setattr(module, "_half_and_slope", half)
-            monkeypatch.setattr(module, "bhattacharyya", db)
+            for name, wrapper in wrappers.items():
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
         for P in [ksym(5, 0.02), bsc(0.1)] + zero_channels(rng, 20, min_in=2):
             calls.update(half=0, bhattacharyya=0)
             channel_exponents(P, 3)

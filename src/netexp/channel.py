@@ -151,6 +151,16 @@ def identity_channel(K: int) -> Dmc:
     return make_dmc(np.eye(K), label=f"identity({K})")
 
 
+def _common_support(P: Dmc, x: int, xp: int):
+    """The log rows of inputs x and x' on the outputs both can produce, as
+    (log P(.|x), log P(.|x')), or None when their supports are disjoint."""
+    lx, ly = P.log_probs[x], P.log_probs[xp]
+    mask = np.isfinite(lx) & np.isfinite(ly)
+    if not mask.any():
+        return None
+    return lx[mask], ly[mask]
+
+
 def bhattacharyya(P: Dmc, x: int, xp: int) -> float:
     """Bhattacharyya distance between input rows: -log sum_y sqrt(P(y|x)P(y|x')).
 
@@ -159,11 +169,11 @@ def bhattacharyya(P: Dmc, x: int, xp: int) -> float:
     """
     P.check_input(x)
     P.check_input(xp)
-    lx, ly = P.log_probs[x], P.log_probs[xp]
-    mask = np.isfinite(lx) & np.isfinite(ly)
-    if not mask.any():
+    rows = _common_support(P, x, xp)
+    if rows is None:
         return math.inf
-    val = -_lse(0.5 * (lx[mask] + ly[mask]))
+    la, lb = rows
+    val = -_lse(0.5 * (la + lb))
     return val if val > 1e-12 else 0.0
 
 
@@ -176,13 +186,10 @@ def chernoff(P: Dmc, x: int, xp: int) -> DivergenceResult:
     """
     P.check_input(x)
     P.check_input(xp)
-    lx, ly = P.log_probs[x], P.log_probs[xp]
-    mask = np.isfinite(lx) & np.isfinite(ly)
-    if not mask.any():
+    rows = _common_support(P, x, xp)
+    if rows is None:
         return DivergenceResult(value=math.inf, argmax_s=0.5, at_half=math.inf)
-
-    la = lx[mask]
-    lb = ly[mask]
+    la, lb = rows
 
     def f(s: float) -> float:
         val = -_lse((1.0 - s) * la + s * lb)
@@ -218,12 +225,10 @@ def _half_and_slope(P: Dmc, x: int, xp: int) -> tuple:
     :func:`chernoff` probes there, and the slope d_C'(1/2): minus the mean
     of log(P_x'/P_x) under weights proportional to sqrt(P_x P_x').
     Disjoint rows give (+inf, 0)."""
-    lx, ly = P.log_probs[x], P.log_probs[xp]
-    mask = np.isfinite(lx) & np.isfinite(ly)
-    if not mask.any():
+    rows = _common_support(P, x, xp)
+    if rows is None:
         return math.inf, 0.0
-    la = lx[mask]
-    lb = ly[mask]
+    la, lb = rows
     v = 0.5 * la + 0.5 * lb
     mx = np.maximum.reduce(v)
     w = np.exp(v - mx)
@@ -252,15 +257,21 @@ def pairwise_chernoff(P: Dmc, *, halves: dict | None = None) -> dict:
     (x, x') with x < x' in lexicographic order.
 
     d_C is concave on [0, 1], so d_C(s) <= d_B + |d_C'(1/2)|/2 with
-    d_B = d_C(1/2).  The first pair is always searched; a later one only when
+    d_B = d_C(1/2).  The first pair is always kept; a later one only when
     - that bound, plus BOUND_SLACK, reaches the best value so far, unless
       |d_C'(1/2)| <= TIE_TOL and 0 < d_B <= best: the search would then
       return d_B itself, and a tie does not replace the first maximum; or
-    - no searched pair is off its midpoint yet and |d_C'(1/2)| exceeds
+    - no kept pair is off its midpoint yet and |d_C'(1/2)| exceeds
       REVERSIBLE_TOL, so the pair could be the first non-reversible one.
     A skipped pair can neither be the first maximum nor the first witness,
-    so both readers return what a search of every pair gives.  ``halves``,
-    the channel's :func:`_pair_halves`, saves recomputing them.
+    so both readers return what a search of every pair gives.
+
+    A kept pair is searched with :func:`chernoff` unless it is flat,
+    |d_C'(1/2)| <= TIE_TOL.  Its optimum is then at most d_B + TIE_TOL/2, so
+    no probe beats d_C(1/2) by TIE_TOL, and the search would return
+    (d_B, 1/2, d_B): d_B is bit-identical to the value it probes at 1/2.
+    Disjoint rows, (+inf, 0), give chernoff's (+inf, 1/2, +inf) this way.
+    ``halves``, the channel's :func:`_pair_halves`, saves recomputing them.
     """
     if halves is None:
         halves = _pair_halves(P)
@@ -269,13 +280,17 @@ def pairwise_chernoff(P: Dmc, *, halves: dict | None = None) -> dict:
     best, witnessed = -math.inf, False
     for x in range(n):
         for xp in range(x + 1, n):
+            d_b, slope = halves[x, xp]
+            flat = abs(slope) <= TIE_TOL
             if pairs:
-                d_b, slope = halves[x, xp]
-                flat_tie = abs(slope) <= TIE_TOL and 0.0 < d_b <= best
+                flat_tie = flat and 0.0 < d_b <= best
                 could_win = d_b + abs(slope) / 2 + BOUND_SLACK >= best and not flat_tie
                 if not could_win and (witnessed or abs(slope) <= REVERSIBLE_TOL):
                     continue
-            res = chernoff(P, x, xp)
+            if flat:
+                res = DivergenceResult(value=d_b, argmax_s=0.5, at_half=d_b)
+            else:
+                res = chernoff(P, x, xp)
             pairs[(x, xp)] = res
             best = max(best, res.value)
             witnessed = witnessed or _off_half(res)

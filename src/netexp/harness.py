@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -66,18 +67,50 @@ class EdgeBounds:
     reversible: bool
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class BoundsReport:
-    """Achievability/converse summary for one graph and message count."""
+    """Achievability/converse summary for one graph and message count.
+
+    The per-edge numbers are packed: ``exponents`` holds each edge's (two,
+    tilde, zero-rate) exponents edge after edge in one float64 array, and
+    ``reversible`` one 0/1 byte per edge.  Edge ids, ends and labels stay in
+    ``graph_edges``, the analyzed graph's own edge tuple; :attr:`edges`
+    unpacks all of them into `EdgeBounds`."""
 
     M: int
-    edges: tuple
+    graph_edges: tuple
+    exponents: array
+    reversible: bytes
     maxflow_tilde: float
     maxflow_two: float
     maxflow_zero: float
     ratio_two_over_tilde: float
     all_reversible: bool
     backedge_free_mincut_exists: bool
+
+    @property
+    def edges(self) -> tuple:
+        ex, rev = self.exponents, self.reversible
+        return tuple(
+            EdgeBounds(edge_id=e.id, tail=e.tail, head=e.head, label=e.channel.label,
+                       exp_two=ex[3 * i], exp_tilde=ex[3 * i + 1], exp_zero=ex[3 * i + 2],
+                       reversible=bool(rev[i]))
+            for i, e in enumerate(self.graph_edges)
+        )
+
+    def _key(self) -> tuple:
+        """What equality compares: the unpacked edges, not the graph's
+        channels, whose arrays a copy does not share."""
+        return (self.M, self.edges, self.maxflow_tilde, self.maxflow_two, self.maxflow_zero,
+                self.ratio_two_over_tilde, self.all_reversible, self.backedge_free_mincut_exists)
+
+    def __eq__(self, other):
+        if not isinstance(other, BoundsReport):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def to_json_obj(self) -> dict:
         def num(v):
@@ -126,16 +159,7 @@ def analyze(G: ChannelGraph, M: int) -> BoundsReport:
     """
     channels = {id(e.channel): e.channel for e in G.edges}
     records = {key: channel_exponents(P, M) for key, P in channels.items()}
-    edges = []
-    for e in G.edges:
-        rec = records[id(e.channel)]
-        edges.append(
-            EdgeBounds(
-                edge_id=e.id, tail=e.tail, head=e.head, label=e.channel.label,
-                exp_two=rec.two.value, exp_tilde=rec.tilde.value,
-                exp_zero=rec.zero_rate.value, reversible=rec.reversible,
-            )
-        )
+    per_edge = [records[id(e.channel)] for e in G.edges]
     net_tilde = weighted_network(G, lambda P: records[id(P)].tilde.value)
     net_two = weighted_network(G, lambda P: records[id(P)].two.value)
     net_zero = weighted_network(G, lambda P: records[id(P)].zero_rate.value)
@@ -151,7 +175,7 @@ def analyze(G: ChannelGraph, M: int) -> BoundsReport:
     else:
         ratio = f_two / f_tilde
 
-    all_rev = all(e.reversible for e in edges)
+    all_rev = all(rec.reversible for rec in per_edge)
     backedge_free = mincut_without_backedges(net_tilde, flow_tilde) is not None
 
     if f_tilde > f_two + 1e-9:
@@ -163,7 +187,10 @@ def analyze(G: ChannelGraph, M: int) -> BoundsReport:
 
     return BoundsReport(
         M=M,
-        edges=tuple(edges),
+        graph_edges=G.edges,
+        exponents=array("d", [v for rec in per_edge
+                              for v in (rec.two.value, rec.tilde.value, rec.zero_rate.value)]),
+        reversible=bytes(rec.reversible for rec in per_edge),
         maxflow_tilde=f_tilde,
         maxflow_two=f_two,
         maxflow_zero=f_zero,

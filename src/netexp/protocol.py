@@ -92,28 +92,6 @@ class CompositeDistribution:
     block_symbols: int
 
 
-def logsumexp(a, axis=None):
-    """log(sum(exp(a))) over ``axis`` (all axes when None) for real input,
-    step for step as ``scipy.special.logsumexp`` computes it, so bit-identical;
-    its direct-formula fallback is evaluated only when a result is non-finite."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    axis = tuple(range(a.ndim)) if axis is None else axis
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.max(a, axis=axis, keepdims=True)
-        is_max = a == a_max
-        m = np.sum(is_max, axis=axis, keepdims=True, dtype=a.dtype)
-        rest = a.copy(order="K")
-        rest[is_max] = -np.inf
-        s = np.sum(np.exp(rest - a_max), axis=axis, keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + a_max
-        bad = ~np.isfinite(out)
-        if bad.any():
-            out = np.where(bad, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)), out)
-    out = np.squeeze(out, axis=axis)
-    return out[()] if out.ndim == 0 else out
-
-
 def _hop_view(chan, M: int):
     """Uniform (base channel, codeword table) view of a hop channel.
 
@@ -234,13 +212,13 @@ def _pairwise_sum(t: np.ndarray, lo: int, n: int) -> np.ndarray:
 
 
 def _logsumexp_leading(a: np.ndarray) -> np.ndarray:
-    """:func:`logsumexp` over the leading axis, as element-wise work on the
-    contiguous trailing slices.  It takes :func:`logsumexp`'s steps (max, tie
-    count, exp-sum, ``log1p``/``log``, non-finite fallback) and sums in
-    :func:`_pairwise_sum`'s order, so it is bit-identical to ``logsumexp`` over
-    the last axis of the C-contiguous array with this axis moved last.  The
-    exp terms live in one buffer, and the trailing-shaped steps run in place
-    in the same order: (log1p(s) + log(m)) + max."""
+    """log(sum(exp(a))) over the leading axis, as element-wise work on the
+    contiguous trailing slices.  It takes ``scipy.special.logsumexp``'s steps
+    (max, tie count, exp-sum, ``log1p``/``log``, non-finite fallback) and sums
+    in :func:`_pairwise_sum`'s order, so it is bit-identical to scipy's
+    log-sum-exp over the last axis of the C-contiguous array with this axis
+    moved last.  The exp terms live in one buffer, and the trailing-shaped
+    steps run in place in the same order: (log1p(s) + log(m)) + max."""
     K = a.shape[0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a_max = a.max(axis=0)
@@ -595,13 +573,13 @@ def series_forward_trace(spec: SeriesSpec, update_mode: str = "uniform") -> Forw
         blocks = _enumerate_blocks(Q.output_size, B)
         ident = np.arange(M, dtype=np.int64)[:, None]
         ll = _state_logliks(_symbol_logliks(Q.log_probs, ident, blocks, B), B)  # (half+1, M, K)
-        flat = ll.transpose(2, 1, 0).reshape(ll.shape[2], n_states)
+        flat = ll.transpose(1, 0, 2).reshape(n_states, ll.shape[2])  # (state, block)
         prev = occupancies[-1]
         with np.errstate(divide="ignore"):
             logocc = np.log(prev)
-        ld = np.empty((M, flat.shape[0]))
+        ld = np.empty((M, flat.shape[1]))
         for m_idx in range(M):
-            ld[m_idx] = logsumexp(flat + logocc[m_idx][None, :], axis=1)
+            ld[m_idx] = _logsumexp_leading(flat + logocc[m_idx][:, None])
         if update_mode == "uniform":
             # the sampled relays' own decision; restrict's outputs run
             # row-major over the base digits, so these rows are the law's
@@ -638,7 +616,8 @@ def composite_db(cd: CompositeDistribution, m1: int, m2: int) -> float:
     mask = np.isfinite(l1) & np.isfinite(l2)
     if not mask.any():
         return math.inf
-    return max(-float(logsumexp(0.5 * (l1[mask] + l2[mask]))), 0.0)
+    half_sum = 0.5 * (l1[mask] + l2[mask])
+    return max(-float(_logsumexp_leading(half_sum[:, None])[0]), 0.0)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ table lookups and decides each distinct relay block once, and
 direct forms (per-input masks, per-symbol loops, per-row relay decisions,
 slot-outer loop, intp Horner over strided columns, ``np.argmax`` with a
 masked copy for the runner-up) are the oracles their results must equal bit
-for bit.  The
+for bit; ``logsumexp``, scipy's log-sum-exp step for step, is the one
+that the engine's leading-axis log-sum-exp must equal.  The
 law oracles (exact ML error, the state-transition inequalities) read
 ``series_forward_trace`` and ``exact_block_distribution``.  A one-block
 transcript (``run_series_block``) reads the engine's ``_hop_blocks`` and
@@ -28,9 +29,30 @@ from netexp.protocol import (
     block_scores_heuristic,
     block_scores_ml,
     composite_db,
-    logsumexp,
     series_forward_trace,
 )
+
+
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) over ``axis`` (all axes when None) for real input,
+    step for step as ``scipy.special.logsumexp`` computes it, so bit-identical;
+    its direct-formula fallback is evaluated only when a result is non-finite."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, axis=axis, keepdims=True)
+        is_max = a == a_max
+        m = np.sum(is_max, axis=axis, keepdims=True, dtype=a.dtype)
+        rest = a.copy(order="K")
+        rest[is_max] = -np.inf
+        s = np.sum(np.exp(rest - a_max), axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out = np.where(bad, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)), out)
+    out = np.squeeze(out, axis=axis)
+    return out[()] if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from netexp import channel
 from netexp.channel import (
     REVERSIBLE_TOL,
     TIE_TOL,
+    DivergenceResult,
     _half_and_slope,
+    _pair_halves,
     bec,
     bhattacharyya,
     bsc,
@@ -341,6 +344,38 @@ class TestPrunedPairs:
         assert exponent_two(P).optimizer == (1, 2)
         assert is_pairwise_reversible(P)[1][:2] == (0, 1)
         self.check(P)
+
+
+class TestFlatPairs:
+    """A pair with |d_C'(1/2)| <= TIE_TOL is not searched: concavity keeps
+    every probe within TIE_TOL of d_C(1/2), so the search returns
+    (d_B, 1/2, d_B), the result ``pairwise_chernoff`` stores in its place."""
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_benchmark_flat_pairs_match_the_search(self, seed, monkeypatch):
+        inputs = perfbench_inputs()
+        cases = inputs.corpus_cases(ROOT, seed) + inputs.wide_cases(seed)
+        channels = {id(e.channel): e.channel for case in cases for e in case.graph.edges}
+        searched = []
+        real = channel.chernoff
+        monkeypatch.setattr(channel, "chernoff", lambda *args: searched.append(args[1:]) or real(*args))
+        flat = kept_flat = 0
+        for P in channels.values():
+            halves = _pair_halves(P)
+            searched.clear()
+            kept = pairwise_chernoff(P, halves=halves)
+            assert all(abs(halves[pair][1]) > TIE_TOL for pair in searched)
+            for pair, (d_b, slope) in halves.items():
+                if abs(slope) > TIE_TOL:
+                    continue
+                shortcut = DivergenceResult(value=d_b, argmax_s=0.5, at_half=d_b)
+                assert repr(shortcut) == repr(real(P, *pair))
+                flat += 1
+                if pair in kept:
+                    assert repr(kept[pair]) == repr(shortcut)
+                    kept_flat += 1
+        assert flat > 1500 and kept_flat > 500
+
 
 class TestProductPower:
     def test_power_bsc_row(self):

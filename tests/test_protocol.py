@@ -26,7 +26,6 @@ from netexp.protocol import (
     build_network_plan,
     block_scores_ml,
     exact_block_distribution,
-    logsumexp,
     make_series_spec,
     reduce_inputs,
     run_series_blocks_batch,
@@ -35,6 +34,7 @@ from netexp.protocol import (
 from channel_oracles import power
 from protocol_oracles import (
     NodeState,
+    logsumexp,
     min_pairwise_composite_db,
     ml_error_probs,
     run_series_block,

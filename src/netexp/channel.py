@@ -164,17 +164,13 @@ def _common_support(P: Dmc, x: int, xp: int):
 def bhattacharyya(P: Dmc, x: int, xp: int) -> float:
     """Bhattacharyya distance between input rows: -log sum_y sqrt(P(y|x)P(y|x')).
 
-    Returns +inf when the rows have disjoint support.  Accumulated via
-    log-sum-exp over the common support.
+    Returns +inf when the rows have disjoint support.  The value is
+    :func:`_half_and_slope`'s d_B, accumulated via log-sum-exp over the
+    common support.
     """
     P.check_input(x)
     P.check_input(xp)
-    rows = _common_support(P, x, xp)
-    if rows is None:
-        return math.inf
-    la, lb = rows
-    val = -_lse(0.5 * (la + lb))
-    return val if val > 1e-12 else 0.0
+    return _half_and_slope(P, x, xp)[0]
 
 
 def chernoff(P: Dmc, x: int, xp: int) -> DivergenceResult:
@@ -221,10 +217,9 @@ def chernoff(P: Dmc, x: int, xp: int) -> DivergenceResult:
 
 
 def _half_and_slope(P: Dmc, x: int, xp: int) -> tuple:
-    """d_C(1/2), bit-identical to :func:`bhattacharyya` and to the value
-    :func:`chernoff` probes there, and the slope d_C'(1/2): minus the mean
-    of log(P_x'/P_x) under weights proportional to sqrt(P_x P_x').
-    Disjoint rows give (+inf, 0)."""
+    """d_C(1/2), bit-identical to the value :func:`chernoff` probes there,
+    and the slope d_C'(1/2): minus the mean of log(P_x'/P_x) under weights
+    proportional to sqrt(P_x P_x').  Disjoint rows give (+inf, 0)."""
     rows = _common_support(P, x, xp)
     if rows is None:
         return math.inf, 0.0
@@ -256,44 +251,34 @@ def pairwise_chernoff(P: Dmc, *, halves: dict | None = None) -> dict:
     ``exponents.exponent_two`` or :func:`is_pairwise_reversible`, keyed
     (x, x') with x < x' in lexicographic order.
 
-    d_C is concave on [0, 1], so d_C(s) <= d_B + |d_C'(1/2)|/2 with
-    d_B = d_C(1/2).  The first pair is always kept; a later one only when
-    - that bound, plus BOUND_SLACK, reaches the best value so far, unless
-      |d_C'(1/2)| <= TIE_TOL and 0 < d_B <= best: the search would then
-      return d_B itself, and a tie does not replace the first maximum; or
-    - no kept pair is off its midpoint yet and |d_C'(1/2)| exceeds
-      REVERSIBLE_TOL, so the pair could be the first non-reversible one.
-    A skipped pair can neither be the first maximum nor the first witness,
-    so both readers return what a search of every pair gives.
-
-    A kept pair is searched with :func:`chernoff` unless it is flat,
-    |d_C'(1/2)| <= TIE_TOL.  Its optimum is then at most d_B + TIE_TOL/2, so
-    no probe beats d_C(1/2) by TIE_TOL, and the search would return
-    (d_B, 1/2, d_B): d_B is bit-identical to the value it probes at 1/2.
+    A flat pair, |d_C'(1/2)| <= TIE_TOL, is stored as (d_B, 1/2, d_B)
+    without a search: d_C is concave on [0, 1], so its optimum is at most
+    d_B + TIE_TOL/2 with d_B = d_C(1/2), no probe beats d_C(1/2) by TIE_TOL,
+    and d_B is bit-identical to the value :func:`chernoff` probes at 1/2.
     Disjoint rows, (+inf, 0), give chernoff's (+inf, 1/2, +inf) this way.
+    Any other pair is searched with :func:`chernoff` when
+    - the concavity bound d_B + |d_C'(1/2)|/2, plus BOUND_SLACK, reaches
+      the best value so far, or
+    - no stored pair is off its midpoint yet and |d_C'(1/2)| exceeds
+      REVERSIBLE_TOL, so the pair could be the first non-reversible one,
+    and left out otherwise: it can neither be the first maximum nor the
+    first witness, so both readers return what a search of every pair gives.
     ``halves``, the channel's :func:`_pair_halves`, saves recomputing them.
     """
     if halves is None:
         halves = _pair_halves(P)
-    n = P.input_size
     pairs = {}
     best, witnessed = -math.inf, False
-    for x in range(n):
-        for xp in range(x + 1, n):
-            d_b, slope = halves[x, xp]
-            flat = abs(slope) <= TIE_TOL
-            if pairs:
-                flat_tie = flat and 0.0 < d_b <= best
-                could_win = d_b + abs(slope) / 2 + BOUND_SLACK >= best and not flat_tie
-                if not could_win and (witnessed or abs(slope) <= REVERSIBLE_TOL):
-                    continue
-            if flat:
-                res = DivergenceResult(value=d_b, argmax_s=0.5, at_half=d_b)
-            else:
-                res = chernoff(P, x, xp)
-            pairs[(x, xp)] = res
-            best = max(best, res.value)
-            witnessed = witnessed or _off_half(res)
+    for pair, (d_b, slope) in halves.items():
+        if abs(slope) <= TIE_TOL:
+            res = DivergenceResult(value=d_b, argmax_s=0.5, at_half=d_b)
+        elif d_b + abs(slope) / 2 + BOUND_SLACK >= best or (not witnessed and abs(slope) > REVERSIBLE_TOL):
+            res = chernoff(P, *pair)
+        else:
+            continue
+        pairs[pair] = res
+        best = max(best, res.value)
+        witnessed = witnessed or _off_half(res)
     return pairs
 
 

@@ -160,16 +160,12 @@ def _support_enumeration(D: np.ndarray):
 
 
 def _solve_stack(A: np.ndarray, rhs: np.ndarray):
-    """Solutions of every system in the stack A against rhs, and which were
-    nonsingular.  One singular system fails the batched call; the stack is
-    then solved one system at a time.
-
-    The batched right-hand side is an explicit (len(A), len(rhs), 1) stack
-    of columns: numpy 1.x does not broadcast a 1-D b over a stack of
-    matrices."""
-    cols = np.broadcast_to(rhs[:, None], (len(A), len(rhs), 1))
+    """Solutions of every system in the stack A against the 1-D rhs, which
+    the batched solve broadcasts over the stack, and which were nonsingular.
+    One singular system fails the batched call; the stack is then solved
+    one system at a time."""
     try:
-        return np.linalg.solve(A, cols)[..., 0], np.ones(len(A), dtype=bool)
+        return np.linalg.solve(A, rhs), np.ones(len(A), dtype=bool)
     except np.linalg.LinAlgError:
         pass
     sols = np.zeros((len(A), len(rhs)))

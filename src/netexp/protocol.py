@@ -185,41 +185,14 @@ def _state_logliks(la: np.ndarray, B: int) -> np.ndarray:
     return ll
 
 
-def _pairwise_sum(t: np.ndarray, lo: int, n: int) -> np.ndarray:
-    """t[lo] + ... + t[lo+n-1] element-wise, added in the order numpy's
-    pairwise summation adds a contiguous last axis of length n: in sequence
-    below 8 terms; up to 128 in 8 interleaved accumulators, combined as
-    ((0+1)+(2+3))+((4+5)+(6+7)), then the remainder in sequence; above 128
-    as the sum of two halves split at a multiple of 8.  numpy starts from
-    0.0, which changes no sum of exp terms (never -0.0), so that is left out."""
-    if n < 8:
-        s = t[lo].copy()
-        for i in range(lo + 1, lo + n):
-            s += t[i]
-        return s
-    if n <= 128:
-        r = t[lo : lo + 8].copy()
-        stop = lo + n - n % 8
-        for i in range(lo + 8, stop, 8):
-            r += t[i : i + 8]
-        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for i in range(stop, lo + n):
-            s += t[i]
-        return s
-    n2 = n // 2
-    n2 -= n2 % 8
-    return _pairwise_sum(t, lo, n2) + _pairwise_sum(t, lo + n2, n - n2)
-
-
 def _logsumexp_leading(a: np.ndarray) -> np.ndarray:
     """log(sum(exp(a))) over the leading axis, as element-wise work on the
     contiguous trailing slices.  It takes ``scipy.special.logsumexp``'s steps
-    (max, tie count, exp-sum, ``log1p``/``log``, non-finite fallback) and sums
-    in :func:`_pairwise_sum`'s order, so it is bit-identical to scipy's
-    log-sum-exp over the last axis of the C-contiguous array with this axis
-    moved last.  The exp terms live in one buffer, and the trailing-shaped
-    steps run in place in the same order: (log1p(s) + log(m)) + max."""
-    K = a.shape[0]
+    (max, tie count, exp-sum, ``log1p``/``log``, non-finite fallback) with
+    the same reductions, so it is bit-identical to scipy's log-sum-exp over
+    axis 0 of the array as given.  The exp terms live in one buffer, and the
+    trailing-shaped steps run in place in the same order:
+    (log1p(s) + log(m)) + max."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a_max = a.max(axis=0)
         is_max = a == a_max
@@ -231,14 +204,14 @@ def _logsumexp_leading(a: np.ndarray) -> np.ndarray:
         terms = np.subtract(a, a_max)
         np.exp(terms, out=terms)
         np.putmask(terms, is_max, 0.0)
-        s = _pairwise_sum(terms, 0, K)
+        s = np.add.reduce(terms, axis=0)
         np.divide(s, m, out=s, where=s != 0)
         out = np.log1p(s, out=s)
         out += np.log(m, out=m)
         out += a_max
         bad = ~np.isfinite(out)
         if bad.any():
-            np.copyto(out, np.log(_pairwise_sum(np.exp(a, out=terms), 0, K)), where=bad)
+            np.copyto(out, np.log(np.add.reduce(np.exp(a, out=terms), axis=0)), where=bad)
     return out
 
 
@@ -277,13 +250,13 @@ def _states_from_loglik(msg_ll: np.ndarray, flow_value: float, half: int):
     Ties break to the lowest message index; an infinite ratio clamps to B/2.
     """
     m_idx, val1, val2 = _first_max_rows(msg_ll)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         llr = val1 - val2
-        raw = np.floor(llr / (4.0 * flow_value))
-    ell = np.where(np.isposinf(raw), half, raw)
-    ell = np.where(np.isnan(ell), np.where(np.isposinf(llr), half, 0), ell)
-    ell = np.clip(ell, 0, half).astype(np.int64)
-    return m_idx, ell
+        ell = np.floor(llr / (4.0 * flow_value))
+    # fmax takes NaN (from 0/0, inf/inf or inf - inf) to 0
+    ell = np.fmin(np.fmax(ell, 0.0), half)
+    ell[np.isposinf(llr)] = half
+    return m_idx, ell.astype(np.int64)
 
 
 def _relay_states(chan, M: int, B: int, flow_value: float, y: np.ndarray):
@@ -617,7 +590,8 @@ def composite_db(cd: CompositeDistribution, m1: int, m2: int) -> float:
     if not mask.any():
         return math.inf
     half_sum = 0.5 * (l1[mask] + l2[mask])
-    return max(-float(_logsumexp_leading(half_sum[:, None])[0]), 0.0)
+    # max keeps the first of equal values, so -lse = -0.0 gives 0.0
+    return max(0.0, -float(_logsumexp_leading(half_sum[:, None])[0]))
 
 
 @dataclass(frozen=True)

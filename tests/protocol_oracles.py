@@ -167,7 +167,7 @@ def states_from_loglik(msg_ll: np.ndarray, flow_value: float, half: int):
     floored log-likelihood ratio over 4*flow_value, an infinite ratio clamped
     to ``half``, NaN ratios (both values infinite) to 0 or ``half``."""
     m_idx, val1, val2 = first_max_rows(msg_ll)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         llr = val1 - val2
         raw = np.floor(llr / (4.0 * flow_value))
     ell = np.where(np.isposinf(raw), half, raw)

@@ -390,6 +390,27 @@ class TestOracleCommand:
     def test_non_series_graph_exit_3(self, capsys):
         assert main(["oracle", str(GRAPHS / "diamond.json"), "--block", "2"]) == 3
 
+    @pytest.mark.parametrize("mode", ["uniform", "exact"])
+    def test_identical_rows_hop_prints_zero(self, tmp_path, mode):
+        # the last hop cannot tell the messages apart: the exact distance
+        # is 0 (not -0), and a zero flow value divides by zero in the relay
+        # update, which must not reach the user's stderr as a numpy warning
+        graph = tmp_path / "identical-rows.json"
+        graph.write_text(json.dumps({
+            "nodes": ["s", "r", "t"], "source": "s", "destination": "t",
+            "edges": [{"from": "s", "to": "r", "channel": {"kind": "bsc", "p": 0.1}},
+                      {"from": "r", "to": "t", "channel": {"kind": "matrix", "rows": [[0.5, 0.5], [0.5, 0.5]]}}],
+        }))
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "netexp.cli", "oracle", str(graph), "--messages", "2",
+             "--block", "2", "--mode", mode],
+            capture_output=True, text=True, cwd=str(ROOT), env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == "m1,m2,db_nats\n1,2,0\n"
+        assert proc.stderr == ""
+
 
 class TestDumpNormalized:
     def test_round_trip_identical_graph(self, capsys, tmp_path):

@@ -234,59 +234,57 @@ class TestLogsumexp:
         assert checked > 2000
 
 
-def _leading_lse_mismatches():
-    """Confidence-axis lengths K = 2..300 at which the leading-axis
-    log-sum-exp differs in any bit from ``logsumexp`` over the last axis of
-    the C-contiguous array with that axis moved last -- the layout the
-    relays' likelihoods had before the levels led.  (On a strided view numpy
-    sums in sequence, so the reference must be contiguous.)"""
+def _leading_lse_mismatches(reference):
+    """Leading-axis lengths K = 2..300 at which the leading-axis log-sum-exp
+    differs in any bit from ``reference`` on an array of shape (K, 3, 40),
+    (K, 1) -- the shape ``composite_db`` passes -- or (K, 5)."""
     rng = np.random.default_rng(77)
-    bad = []
+    bad = set()
     for K in range(2, 301):
-        x = rng.normal(scale=rng.choice([0.5, 3.0, 30.0]), size=(K, 3, 40))
-        x = np.round(x, 1)  # rounding makes ties common
-        x[rng.random(x.shape) < 0.3] = -np.inf
-        x[:, 0, 0] = -np.inf  # an all -inf row
-        x[:, 2, 5] = 1.5  # every entry ties at the maximum
-        top = x[:, 1, 7].max()
-        x[[0, K - 1], 1, 7] = top  # two ties at a row's maximum
-        x[K // 2, 0, 3] = np.inf  # a row whose maximum is +inf
-        x[[0, K - 1], 2, 9] = np.inf  # two +inf ties at a row's maximum
-        x[1:, 1, 11] = np.inf  # +inf at every level but the first
-        with np.errstate(divide="ignore"):
+        for trailing in ((3, 40), (1,), (5,)):
+            x = rng.normal(scale=rng.choice([0.5, 3.0, 30.0]), size=(K, *trailing))
+            x = np.round(x, 1)  # rounding makes ties common
+            x[rng.random(x.shape) < 0.3] = -np.inf
+            if trailing == (3, 40):
+                x[:, 0, 0] = -np.inf  # an all -inf row
+                x[:, 2, 5] = 1.5  # every entry ties at the maximum
+                top = x[:, 1, 7].max()
+                x[[0, K - 1], 1, 7] = top  # two ties at a row's maximum
+                x[K // 2, 0, 3] = np.inf  # a row whose maximum is +inf
+                x[[0, K - 1], 2, 9] = np.inf  # two +inf ties at a row's maximum
+                x[1:, 1, 11] = np.inf  # +inf at every level but the first
             got = protocol._logsumexp_leading(x)
-        want = logsumexp(np.ascontiguousarray(np.moveaxis(x, 0, -1)), axis=-1)
-        assert np.isneginf(got[0, 0]) and got.shape == want.shape
-        assert np.isposinf(got[[0, 2, 1], [3, 9, 11]]).all()
-        if got.tobytes() != want.tobytes():
-            bad.append(K)
-    return bad
+            want = reference(x)
+            assert got.shape == want.shape == trailing
+            if trailing == (3, 40):
+                assert np.isneginf(got[0, 0])
+                assert np.isposinf(got[[0, 2, 1], [3, 9, 11]]).all()
+            if got.tobytes() != want.tobytes():
+                bad.add(K)
+    return sorted(bad)
 
 
 class TestLeadingLogsumexp:
     def test_bit_identical_to_logsumexp(self):
-        assert _leading_lse_mismatches() == []
+        assert _leading_lse_mismatches(lambda x: logsumexp(x, axis=0)) == []
 
-    def test_sequential_sum_is_caught(self, monkeypatch):
-        # numpy adds 8 or more terms pairwise, so summing the levels in
-        # sequence must fail the comparison there, and only there
-        def sequential(t, lo, n):
-            s = t[lo].copy()
-            for i in range(lo + 1, lo + n):
-                s += t[i]
-            return s
+    def test_summation_order_is_seen(self):
+        # numpy adds 8 or more terms pairwise along a contiguous last axis
+        # but in sequence along a leading one, so a reference on the
+        # moved-last contiguous copy must differ there, and only there
+        def moved_last(x):
+            return logsumexp(np.ascontiguousarray(np.moveaxis(x, 0, -1)), axis=-1)
 
-        monkeypatch.setattr(protocol, "_pairwise_sum", sequential)
-        bad = _leading_lse_mismatches()
+        bad = _leading_lse_mismatches(moved_last)
         assert bad and min(bad) >= 8
 
     def test_uniform_message_loglik_layout(self):
         rng = np.random.default_rng(5)
         ll = rng.normal(scale=4.0, size=(9, 3, 50))
         got = protocol._uniform_message_loglik(ll)
-        want = logsumexp(np.ascontiguousarray(ll.transpose(2, 1, 0)), axis=2) - math.log(9)
+        want = logsumexp(ll, axis=0) - math.log(9)
         assert got.shape == (3, 50)
-        assert got.tobytes() == np.ascontiguousarray(want.T).tobytes()
+        assert got.tobytes() == want.tobytes()
 
 
 class TestStateUpdate:
@@ -1213,7 +1211,7 @@ class TestFirstMaxScan:
             assert idx[:7].tolist() == [0, 0, 0, M - 1, M - 1, 0, 0]
             assert second[:7].tolist() == [-np.inf, np.inf, 1.0, -np.inf, 0.5, 0.5, np.inf]
 
-    @pytest.mark.parametrize("flow_value", [0.05, 0.7, np.inf])
+    @pytest.mark.parametrize("flow_value", [0.0, 0.05, 0.7, np.inf])
     def test_states_equal_the_argmax_decision(self, flow_value):
         rng = np.random.default_rng(32)
         for M in (2, 3, 5):

@@ -16,6 +16,8 @@ from .errors import ParameterOutOfRange, SearchSpaceTooLarge
 
 MULTISET_GUARD = 10**6
 ZERO_RATE_INPUT_GUARD = 12
+# the margin by which a certified interior optimum beats every face
+CERTIFICATE_GAP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -95,19 +97,25 @@ def exponent_two(P: Dmc, *, pairs: dict | None = None) -> ExponentReport:
 
 
 def _best_multiset(D: np.ndarray, M: int):
-    """Maximize sum of pairwise D over size-M multisets of row indices."""
+    """Maximize sum of pairwise D over size-M multisets of row indices.
+
+    The sums add Python floats read from ``D.tolist()``: the same additions,
+    in the same order, as indexing the array, without a numpy scalar per
+    term.  The first multiset to reach the maximum wins.
+    """
     n = D.shape[0]
     if math.comb(n + M - 1, M) > MULTISET_GUARD:
         raise SearchSpaceTooLarge(
             f"{math.comb(n + M - 1, M)} multisets of size {M} from {n} inputs exceeds the 1e6 guard"
         )
+    rows = D.tolist()
+    pairs = [(i, j) for i in range(M) for j in range(i + 1, M)]
     best_sum = -1.0
     best = None
     for combo in itertools.combinations_with_replacement(range(n), M):
         s = 0.0
-        for i in range(M):
-            for j in range(i + 1, M):
-                s += D[combo[i], combo[j]]
+        for i, j in pairs:
+            s += rows[combo[i]][combo[j]]
         if best is None or s > best_sum:
             best_sum, best = s, combo
     return best, best_sum
@@ -130,6 +138,18 @@ def tilde_exponent(P: Dmc, M: int, *, db_matrix: np.ndarray | None = None) -> Ex
     return ExponentReport(value=float(value), optimizer=tuple(combo), method="exhaustive")
 
 
+def _bordered_stack(D: np.ndarray, supports: np.ndarray):
+    """The bordered KKT systems [D_SS 1; 1^T 0] of a stack of supports of
+    one size, and their common right-hand side (0, ..., 0, 1)."""
+    k = supports.shape[1]
+    A = np.ones((len(supports), k + 1, k + 1))
+    A[:, :k, :k] = D[supports[:, :, None], supports[:, None, :]]
+    A[:, k, k] = 0.0
+    rhs = np.zeros(k + 1)
+    rhs[k] = 1.0
+    return A, rhs
+
+
 def _support_enumeration(D: np.ndarray):
     """Maximum of q^T D q over the simplex, and a maximizer, by solving the
     bordered KKT system [D_SS 1; 1^T 0] for every support S (Bomze 1998).
@@ -143,12 +163,7 @@ def _support_enumeration(D: np.ndarray):
     best_val, best_q = -math.inf, None
     for k in range(1, n + 1):
         supports = np.array(list(itertools.combinations(range(n), k)))
-        A = np.ones((len(supports), k + 1, k + 1))
-        A[:, :k, :k] = D[supports[:, :, None], supports[:, None, :]]
-        A[:, k, k] = 0.0
-        rhs = np.zeros(k + 1)
-        rhs[k] = 1.0
-        sols, solved = _solve_stack(A, rhs)
+        sols, solved = _solve_stack(*_bordered_stack(D, supports))
         feasible = solved & ~np.any(sols[:, :k] < 0, axis=1)
         for i in np.flatnonzero(feasible):
             q = np.zeros(n)
@@ -157,6 +172,32 @@ def _support_enumeration(D: np.ndarray):
             if val > best_val + 1e-12:
                 best_val, best_q = val, q
     return best_val, best_q
+
+
+def _kkt_certificate(D: np.ndarray):
+    """The maximum of q^T D q over the simplex and its maximizer when a
+    certificate shows that the full support attains it, else None.
+
+    W = V^T D V with V = [e_i - e_n] is the objective's curvature on the
+    simplex.  If its largest eigenvalue lam is negative, every direction v
+    inside the simplex has v^T D v <= -kappa |v|^2 with kappa = -lam / n.
+    At the full-support KKT point q* > 0 (value v*), any q on a face then
+    has q^T D q <= v* - kappa min(q*)^2.  When that gap exceeds
+    ``CERTIFICATE_GAP``, far outside ``_support_enumeration``'s 1e-12 tie
+    band, the enumeration would return q* from its last, full-size stack;
+    this solves that same stack and returns what the enumeration returns,
+    bit for bit.  A D that is not concave costs only the eigenvalues.
+    """
+    n = D.shape[0]
+    W = D[:-1, :-1] - D[:-1, -1:] - D[-1:, :-1] + D[-1, -1]
+    lam = np.linalg.eigvalsh(W)[-1]
+    if not lam < 0:
+        return None
+    sols, solved = _solve_stack(*_bordered_stack(D, np.arange(n)[None]))
+    q = sols[0, :n]
+    if not (solved[0] and q.min() > 0 and -lam / n * q.min() ** 2 > CERTIFICATE_GAP):
+        return None
+    return float(q @ D @ q), q
 
 
 def _solve_stack(A: np.ndarray, rhs: np.ndarray):
@@ -182,10 +223,13 @@ def _solve_stack(A: np.ndarray, rhs: np.ndarray):
 def zero_rate_exponent(P: Dmc, *, db_matrix: np.ndarray | None = None) -> ExponentReport:
     """Zero-rate exponent: max over input distributions q of sum q_x q_x' d_B(x, x').
 
-    Solved exactly by support enumeration for three or more inputs.  Two
-    inputs with disjoint output supports make the exponent +inf, attained by
-    splitting the mass evenly between them.  ``db_matrix``, the channel's
-    pairwise Bhattacharyya distances, saves recomputing them.
+    For three or more inputs the full-support KKT point is taken when
+    ``_kkt_certificate`` proves it optimal (method ``kkt_certificate``);
+    otherwise every support is solved (``support_enumeration``).  Both give
+    the same value and maximizer bit for bit.  Two inputs with disjoint
+    output supports make the exponent +inf, attained by splitting the mass
+    evenly between them.  ``db_matrix``, the channel's pairwise
+    Bhattacharyya distances, saves recomputing them.
     """
     n = P.input_size
     if n > ZERO_RATE_INPUT_GUARD:
@@ -193,10 +237,9 @@ def zero_rate_exponent(P: Dmc, *, db_matrix: np.ndarray | None = None) -> Expone
     if n == 1:
         return ExponentReport(value=0.0, optimizer=(1.0,), method="closed_form")
     D = _db_matrix(P) if db_matrix is None else db_matrix
-    disjoint = np.argwhere(np.isinf(D))
-    if disjoint.size:
+    if np.isinf(D).any():
         q = np.zeros(n)
-        q[disjoint[0]] = 0.5
+        q[np.argwhere(np.isinf(D))[0]] = 0.5
         return ExponentReport(
             value=math.inf, optimizer=tuple(float(v) for v in q), method="closed_form"
         )
@@ -206,10 +249,14 @@ def zero_rate_exponent(P: Dmc, *, db_matrix: np.ndarray | None = None) -> Expone
             value=float(D[0, 1] / 2.0), optimizer=(0.5, 0.5), method="closed_form"
         )
 
-    value, q = _support_enumeration(D)
-    return ExponentReport(
-        value=value, optimizer=tuple(float(v) for v in q), method="support_enumeration"
-    )
+    certified = _kkt_certificate(D)
+    if certified is not None:
+        value, q = certified
+        method = "kkt_certificate"
+    else:
+        value, q = _support_enumeration(D)
+        method = "support_enumeration"
+    return ExponentReport(value=value, optimizer=tuple(float(v) for v in q), method=method)
 
 
 def permutation_codebook(report: ExponentReport, M: int) -> Codebook:

@@ -590,8 +590,9 @@ def composite_db(cd: CompositeDistribution, m1: int, m2: int) -> float:
     if not mask.any():
         return math.inf
     half_sum = 0.5 * (l1[mask] + l2[mask])
-    # max keeps the first of equal values, so -lse = -0.0 gives 0.0
-    return max(0.0, -float(_logsumexp_leading(half_sum[:, None])[0]))
+    val = -float(_logsumexp_leading(half_sum[:, None])[0])
+    # rounding noise (and -0.0) reads 0, as in channel._half_and_slope
+    return val if val > 1e-12 else 0.0
 
 
 @dataclass(frozen=True)

@@ -390,11 +390,10 @@ class TestOracleCommand:
     def test_non_series_graph_exit_3(self, capsys):
         assert main(["oracle", str(GRAPHS / "diamond.json"), "--block", "2"]) == 3
 
-    @pytest.mark.parametrize("mode", ["uniform", "exact"])
-    def test_identical_rows_hop_prints_zero(self, tmp_path, mode):
-        # the last hop cannot tell the messages apart: the exact distance
-        # is 0 (not -0), and a zero flow value divides by zero in the relay
-        # update, which must not reach the user's stderr as a numpy warning
+    @staticmethod
+    def run_identical_rows_hop(tmp_path, mode, messages, block):
+        """Runs ``oracle`` in a subprocess on a bsc(0.1) hop followed by a
+        hop with identical rows."""
         graph = tmp_path / "identical-rows.json"
         graph.write_text(json.dumps({
             "nodes": ["s", "r", "t"], "source": "s", "destination": "t",
@@ -402,13 +401,31 @@ class TestOracleCommand:
                       {"from": "r", "to": "t", "channel": {"kind": "matrix", "rows": [[0.5, 0.5], [0.5, 0.5]]}}],
         }))
         path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "netexp.cli", "oracle", str(graph), "--messages", "2",
-             "--block", "2", "--mode", mode],
+        return subprocess.run(
+            [sys.executable, "-m", "netexp.cli", "oracle", str(graph), "--messages", str(messages),
+             "--block", str(block), "--mode", mode],
             capture_output=True, text=True, cwd=str(ROOT), env={**os.environ, "PYTHONPATH": path},
         )
+
+    @pytest.mark.parametrize("mode", ["uniform", "exact"])
+    def test_identical_rows_hop_prints_zero(self, tmp_path, mode):
+        # the last hop cannot tell the messages apart: the exact distance
+        # is 0 (not -0), and a zero flow value divides by zero in the relay
+        # update, which must not reach the user's stderr as a numpy warning
+        proc = self.run_identical_rows_hop(tmp_path, mode, 2, 2)
         assert proc.returncode == 0
         assert proc.stdout == "m1,m2,db_nats\n1,2,0\n"
+        assert proc.stderr == ""
+
+    @pytest.mark.parametrize("messages,block", [(2, 6), (3, 2)])
+    @pytest.mark.parametrize("mode", ["uniform", "exact"])
+    def test_identical_rows_hop_has_no_rounding_noise(self, tmp_path, mode, messages, block):
+        # longer blocks and more messages leave log-sum-exp rounding of
+        # about 2e-14 where the distance is exactly 0; it must read 0
+        proc = self.run_identical_rows_hop(tmp_path, mode, messages, block)
+        pairs = [(a, b) for a in range(1, messages + 1) for b in range(a + 1, messages + 1)]
+        assert proc.returncode == 0
+        assert proc.stdout == "m1,m2,db_nats\n" + "".join(f"{a},{b},0\n" for a, b in pairs)
         assert proc.stderr == ""
 
 

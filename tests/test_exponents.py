@@ -19,7 +19,9 @@ from netexp.errors import ParameterOutOfRange, SearchSpaceTooLarge
 from netexp.exponents import (
     ZERO_RATE_INPUT_GUARD,
     ChannelExponents,
+    _best_multiset,
     _db_matrix,
+    _kkt_certificate,
     _support_enumeration,
     bsc_feedback_exponent_m3,
     channel_exponents,
@@ -30,7 +32,12 @@ from netexp.exponents import (
 )
 from channel_oracles import power
 from conftest import ROOT, perfbench_inputs, rand_dmc, rand_reversible
-from exponent_oracles import ksym_closed_form, support_enumeration_loop
+from exponent_oracles import (
+    adversarial_d_matrices,
+    best_multiset_loop,
+    ksym_closed_form,
+    support_enumeration_loop,
+)
 
 DB_BSC01 = -math.log(0.6)
 # -log(2 sqrt(p(1-2p)) + p) at p=0.1; the ternary symmetric pairwise distance
@@ -120,6 +127,15 @@ class TestTildeExponent:
     def test_search_guard(self):
         with pytest.raises(SearchSpaceTooLarge):
             tilde_exponent(ksym(100, 0.001), 6)
+
+    def test_multiset_search_matches_array_loop(self, rng):
+        # Python-float sums give the array loop's multiset and sum, bit for bit
+        Ds = [_db_matrix(P) for P in pair_pass_channels(rng)]
+        Ds += [D for _, D in adversarial_d_matrices(rng, 100)]
+        for D in Ds:
+            for M in (2, 3, 4):
+                combo, pair_sum = best_multiset_loop(D, M)
+                assert repr(_best_multiset(D, M)) == repr((combo, float(pair_sum)))
 
 
 def corpus_channels(seeds=(7, 11)) -> list:
@@ -216,10 +232,12 @@ class TestZeroRate:
 
     def test_kkt_certificate(self, rng):
         # a maximizer of q^T D q on the simplex has (Dq)_i <= q^T D q for
-        # every input, with equality on its support
+        # every input, with equality on its support; a certified report is
+        # the enumeration's, bit for bit
         for P in kkt_channels(rng, 200):
             rep = zero_rate_exponent(P)
-            assert rep.method == "support_enumeration"
+            assert rep.method in ("support_enumeration", "kkt_certificate")
+            TestKktCertificate.check_channel(P)
             q = np.array(rep.optimizer)
             assert q.min() >= 0 and abs(q.sum() - 1) < 1e-12
             grad = _db_matrix(P) @ q
@@ -275,6 +293,10 @@ class TestSupportEnumeration:
         mat = rng.random((n, n))
         self.check(_db_matrix(make_dmc(mat / mat.sum(axis=1, keepdims=True))))
 
+    def test_adversarial_matrices(self, rng):
+        for _, D in adversarial_d_matrices(rng, 400):
+            self.check(D)
+
     def test_one_solve_per_support_size(self, monkeypatch):
         calls = []
         real = np.linalg.solve
@@ -286,6 +308,116 @@ class TestSupportEnumeration:
         calls.clear()
         _support_enumeration(_db_matrix(make_dmc([[0.7, 0.2, 0.1], [0.7, 0.2, 0.1], [0.1, 0.3, 0.6]])))
         assert calls == [3, 3, 2, 2, 2, 3, 2]
+
+
+def thin_interior(eps):
+    """Three inputs with a concave D whose full-support KKT point is
+    ((1 - eps) / 2, (1 - eps) / 2, eps); it beats the face eps = 0, value
+    1/2, by eps^2 / (2 (1 - 2 eps))."""
+    b = (1 - eps) / 2 / (1 - 2 * eps)
+    return np.array([[0.0, 1.0, b], [1.0, 0.0, b], [b, b, 0.0]])
+
+
+class TestKktCertificate:
+    """Wherever ``_kkt_certificate`` fires, it returns what
+    ``_support_enumeration`` returns, bit for bit."""
+
+    @staticmethod
+    def check_channel(P):
+        rep = zero_rate_exponent(P)
+        value, q = _support_enumeration(_db_matrix(P))
+        assert repr((rep.value, rep.optimizer)) == repr((value, tuple(float(v) for v in q)))
+        return rep.method == "kkt_certificate"
+
+    @staticmethod
+    def check_matrix(D):
+        got = _kkt_certificate(D)
+        if got is None:
+            return False
+        want = _support_enumeration(D)
+        assert repr((got[0], got[1].tolist())) == repr((want[0], want[1].tolist()))
+        return True
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_analyze_corpus_channels(self, seed):
+        Ps = [P for P in corpus_channels((seed,)) if P.input_size >= 3]
+        Ps = [P for P in Ps if not np.isinf(_db_matrix(P)).any()]
+        certified = sum(self.check_channel(P) for P in Ps)
+        assert (certified, len(Ps)) == (198, 299)
+
+    def test_random_ksym_and_duplicated_rows(self, rng):
+        base = rand_dmc(rng, max_in=4, max_out=4)
+        Ps = zero_channels(rng, 600) + kkt_channels(rng, 200)
+        Ps += [ksym(K, 0.01) for K in range(3, 13)]
+        Ps += [make_dmc(base.probs[rows]) for rows in ([0, 1, 0], [0, 1, 1, 2], [2, 0, 1, 0, 1])]
+        certified = sum(self.check_channel(P) for P in Ps)
+        assert certified >= 50
+        assert all(zero_rate_exponent(ksym(K, 0.01)).method == "kkt_certificate" for K in range(3, 13))
+
+    def test_adversarial_matrices(self, rng):
+        fired = {}
+        for kind, D in adversarial_d_matrices(rng, 400):
+            fired.setdefault(kind, []).append(self.check_matrix(D))
+        # near-ties around the uniform optimum are certified; an input
+        # repeated to 1e-13 leaves no margin
+        assert all(fired["near_tie"]) and not any(fired["near_singular"])
+        assert 0 < sum(fired["thin_interior"]) < len(fired["thin_interior"])
+
+    def test_solve_counts(self, monkeypatch):
+        calls = []
+        real = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda A, b: calls.append(np.ndim(A)) or real(A, b))
+        # certified: one solve of the (1, n+1, n+1) full-support stack
+        for K in (3, 7, 12):
+            calls.clear()
+            assert zero_rate_exponent(ksym(K, 0.01)).method == "kkt_certificate"
+            assert calls == [3]
+        # not concave: the eigenvalues refuse it before any solve, so only
+        # the enumeration's five stacks are solved
+        mat = np.array([[0.9, 0.1, 0.01, 0.01], [0.1, 0.9, 0.01, 0.01], [0.01, 0.01, 0.9, 0.1],
+                        [0.01, 0.01, 0.1, 0.9], [0.5, 0.5, 0.01, 0.01]])
+        P = make_dmc(mat / mat.sum(axis=1, keepdims=True))
+        D = _db_matrix(P)
+        assert np.linalg.eigvalsh(D[:-1, :-1] - D[:-1, -1:] - D[-1:, :-1])[-1] > 0
+        calls.clear()
+        _support_enumeration(D)
+        assert calls == [3] * 5
+        calls.clear()
+        assert zero_rate_exponent(P).method == "support_enumeration"
+        assert calls == [3] * 5
+
+    def test_refuses_an_interior_saddle(self):
+        # two far pairs, close to each other: the uniform point is a
+        # KKT point, but the optimum puts the mass on one pair
+        s = 0.01
+        D = np.array([[0.0, 1.0, s, s], [1.0, 0.0, s, s], [s, s, 0.0, 1.0], [s, s, 1.0, 0.0]])
+        A = np.ones((5, 5))
+        A[:4, :4] = D
+        A[4, 4] = 0.0
+        assert np.linalg.solve(A, np.eye(5)[4])[:4].min() > 0
+        assert _kkt_certificate(D) is None
+        value, q = _support_enumeration(D)
+        assert (value, q.tolist()) == (0.5, [0.5, 0.5, 0.0, 0.0])
+
+    def test_refuses_a_boundary_optimum(self):
+        D = thin_interior(-1e-3)
+        assert np.linalg.eigvalsh(D[:-1, :-1] - D[:-1, -1:] - D[-1:, :-1])[-1] < 0
+        assert _kkt_certificate(D) is None
+        value, q = _support_enumeration(D)
+        assert (value, q.tolist()) == (0.5, [0.5, 0.5, 0.0])
+
+    def test_refuses_an_interior_optimum_inside_the_tie_band(self):
+        # the full support is optimal but beats the face by about 5e-15,
+        # so the enumeration keeps the face it found first
+        D = thin_interior(1e-7)
+        value, q = _support_enumeration(D)
+        assert (value, q.tolist()) == (0.5, [0.5, 0.5, 0.0])
+        assert _kkt_certificate(D) is None
+
+    def test_certifies_an_interior_optimum_past_the_margin(self):
+        D = thin_interior(1e-3)
+        assert self.check_matrix(D)
+        assert np.all(_support_enumeration(D)[1] > 0)
 
 
 class TestChannelExponents:

@@ -282,17 +282,14 @@ def pairwise_chernoff(P: Dmc, *, halves: dict | None = None) -> dict:
     return pairs
 
 
-def is_pairwise_reversible(P: Dmc, *, pairs: dict | None = None):
+def is_pairwise_reversible(pairs: dict):
     """Check whether every input pair's Chernoff optimum is attained at s=1/2,
-    up to REVERSIBLE_TOL.
+    up to REVERSIBLE_TOL, from ``pairs``, a channel's :func:`pairwise_chernoff`.
 
     Returns ``(flag, witness)``; witness is ``(x, x', s*)`` for the first
-    violating pair when the flag is False, else None.  ``pairs``, the
-    channel's :func:`pairwise_chernoff`, saves recomputing it.  Pairs with
-    disjoint rows (value and midpoint both +inf) never violate.
+    violating pair when the flag is False, else None.  Pairs with disjoint
+    rows (value and midpoint both +inf) never violate.
     """
-    if pairs is None:
-        pairs = pairwise_chernoff(P)
     for (x, xp), opt in pairs.items():
         if _off_half(opt):
             return False, (x, xp, opt.argmax_s)

@@ -43,12 +43,9 @@ def cmd_analyze(args) -> int:
     report = analyze(gf.graph, args.messages)
     obj = report.to_json_obj()
     obj["weights"] = args.weights
-    selected = {
-        "tilde": report.maxflow_tilde,
-        "two": report.maxflow_two,
-        "zero": report.maxflow_zero,
-    }[args.weights]
-    obj["maxflow"] = "inf" if math.isinf(selected) else float(f"{selected:.12g}")
+    # the selected bound, as to_json_obj formatted it
+    key = {"tilde": "maxflow_tilde", "two": "maxflow_two", "zero": "maxflow_zero_rate"}[args.weights]
+    obj["maxflow"] = obj[key]
     print(json.dumps(obj, indent=2, sort_keys=True))
     return 0
 

@@ -75,7 +75,7 @@ def channel_exponents(P: Dmc, M: int) -> ChannelExponents:
         two=exponent_two(P, pairs=pairs),
         tilde=tilde_exponent(P, M, db_matrix=D),
         zero_rate=zero_rate_exponent(P, db_matrix=D),
-        reversible=is_pairwise_reversible(P, pairs=pairs)[0],
+        reversible=is_pairwise_reversible(pairs)[0],
     )
 
 

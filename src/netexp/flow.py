@@ -33,7 +33,6 @@ class ChannelGraph:
     source: int
     destination: int
     edges: tuple
-    node_names: tuple | None = None
 
     def __post_init__(self):
         if self.source == self.destination:
@@ -45,11 +44,10 @@ class ChannelGraph:
             raise ParameterOutOfRange("no directed path from source to destination")
 
 
-def make_channel_graph(node_count, source, destination, edges, node_names=None) -> ChannelGraph:
+def make_channel_graph(node_count, source, destination, edges) -> ChannelGraph:
     """Build a ChannelGraph from (tail, head, channel) triples; ids are positional."""
     built = tuple(GraphEdge(t, h, ch, i) for i, (t, h, ch) in enumerate(edges))
-    return ChannelGraph(node_count, source, destination, built,
-                        node_names=tuple(node_names) if node_names else None)
+    return ChannelGraph(node_count, source, destination, built)
 
 
 @dataclass(frozen=True)
@@ -194,10 +192,9 @@ def maxflow(net: Network) -> Flow:
     return Flow(edge_flows=flows, total=total)
 
 
-def mincut(net: Network, flow: Flow | None = None) -> Cut:
-    """Residual-reachability cut for a maximum flow; size matches the flow total."""
-    if flow is None:
-        flow = maxflow(net)
+def mincut(net: Network, flow: Flow) -> Cut:
+    """Residual-reachability cut for ``flow``, a maximum flow of ``net``; size
+    matches the flow total."""
     sentinel = net.sentinel()
     arcs = []
     for e, f in zip(net.edges, flow.edge_flows):
@@ -239,7 +236,7 @@ def brute_force_mincut(net: Network) -> Cut:
     return Cut(side_a=side_a, side_b=side_b, size=size)
 
 
-def mincut_without_backedges(net: Network, flow: Flow | None = None) -> Cut | None:
+def mincut_without_backedges(net: Network, flow: Flow) -> Cut | None:
     """A minimum cut with no positive-capacity back-edge, or None if none exists.
 
     A back-edge runs from the sink side into the source side.  Giving every
@@ -252,10 +249,10 @@ def mincut_without_backedges(net: Network, flow: Flow | None = None) -> Cut | No
 
     When the original maxflow is infinite every cut is minimum, and the
     answer is the set of nodes that reach the source over positive-capacity
-    edges, provided the destination is not among them.  `flow`, a maximum
-    flow of `net`, saves recomputing it.
+    edges, provided the destination is not among them.  ``flow`` is a maximum
+    flow of ``net``.
     """
-    total = (maxflow(net) if flow is None else flow).total
+    total = flow.total
     if math.isinf(total):
         reverse = [(e.head, e.tail) for e in net.edges if e.capacity > 0]
         side_a = _reach(net.node_count, reverse, net.source)

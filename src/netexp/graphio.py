@@ -70,13 +70,7 @@ def parse_graph_obj(obj) -> GraphFile:
                           "channel": channel_to_obj(chan, eo["channel"]), "id": eid})
 
     try:
-        graph = ChannelGraph(
-            node_count=len(nodes),
-            source=source,
-            destination=destination,
-            edges=tuple(edges),
-            node_names=tuple(nodes),
-        )
+        graph = ChannelGraph(len(nodes), source, destination, tuple(edges))
     except NetexpError as exc:
         raise GraphFileError(f"edges: {exc}") from exc
     return GraphFile(

@@ -25,7 +25,7 @@ from .errors import (
     StateSpaceTooLarge,
 )
 from .exponents import bsc_feedback_exponent_m3, channel_exponents, tilde_exponent
-from .flow import ChannelGraph, NetEdge, Network, make_channel_graph, maxflow, mincut_without_backedges, weighted_network
+from .flow import ChannelGraph, Network, make_channel_graph, maxflow, mincut_without_backedges, weighted_network
 from .protocol import (
     NetworkPlan,
     _first_max_rows,
@@ -40,11 +40,12 @@ from .protocol import (
 WILSON_Z = 1.959963984540054  # 95%
 
 
-def wilson_interval(errors: int, trials: int, z: float = WILSON_Z):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(errors: int, trials: int):
+    """Wilson score interval for a binomial proportion at z = WILSON_Z."""
     if trials < 1:
         raise ParameterOutOfRange("trials must be >= 1")
     p = errors / trials
+    z = WILSON_Z
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
@@ -114,8 +115,6 @@ class BoundsReport:
 
     def to_json_obj(self) -> dict:
         def num(v):
-            if v is None:
-                return None
             if math.isinf(v):
                 return "inf"
             return float(f"{v:.12g}")
@@ -245,17 +244,12 @@ class SimResult:
 _TRIAL_CHUNK = 1 << 14
 
 
-def _plan_tables(plan: NetworkPlan, trials: int) -> list:
-    """Each path's :func:`path_tables` for the cell loop's largest batch,
-    min(trials, _TRIAL_CHUNK) rows."""
-    return [path_tables(p.spec, min(trials, _TRIAL_CHUNK)) for p in plan.paths]
-
-
 def _cell_errors(plan: NetworkPlan, tables, dists, decoder: str, n: int, m: int, trials: int,
                  seed: int, h_idx: int) -> int:
     """Error count for one (horizon, message) cell; deterministic in its key.
 
-    ``tables`` are the paths' hop tables from :func:`_plan_tables`.  Each
+    ``tables`` are the paths' :func:`path_tables`, built for the loop's
+    largest batch, min(trials, _TRIAL_CHUNK) rows.  Each
     (path, block) slot gets a substream keyed by (h_idx, m, path, block) and
     samples its trials from it chunk after chunk in a fixed chunk layout, so
     results do not depend on worker scheduling.  Trial chunks are the outer
@@ -311,7 +305,7 @@ def simulate(G: ChannelGraph, config: SimConfig) -> SimResult:
         except StateSpaceTooLarge as exc:
             raise DistributionUnavailable(str(exc)) from exc
 
-    tables = _plan_tables(plan, config.trials)
+    tables = [path_tables(p.spec, min(config.trials, _TRIAL_CHUNK)) for p in plan.paths]
 
     cells = [
         (h_idx, n, m)
@@ -368,7 +362,7 @@ def counterexample_graph(p: float) -> ChannelGraph:
         (1, 3, ident),
         (2, 3, bsc(p)),
     ]
-    return make_channel_graph(4, 0, 3, edges, node_names=("1", "2", "3", "4"))
+    return make_channel_graph(4, 0, 3, edges)
 
 
 @dataclass(frozen=True)
@@ -394,16 +388,14 @@ def counterexample_experiment(p_grid) -> list:
             bhattacharyya(Q, a, b) for a in range(3) for b in range(a + 1, 3)
         )
         G = counterexample_graph(p)
-        net = weighted_network(G, lambda P: tilde_exponent(P, 3).value)
-        bound = maxflow(net).total
+        channels = {id(e.channel): e.channel for e in G.edges}
+        tilde = {key: tilde_exponent(P, 3).value for key, P in channels.items()}
+        bound = maxflow(weighted_network(G, lambda P: tilde[id(P)])).total
 
-        tern_fb = net.edges[0].capacity  # the ternary edge: feedback gains nothing here
+        # feedback raises only the BSC edge's exponent; the ternary edge
+        # keeps its tilde exponent and the noiseless edges stay infinite
         bsc_fb = bsc_feedback_exponent_m3(p)
-        fb_caps = {0: tern_fb, 4: bsc_fb}
-        fb_edges = tuple(
-            NetEdge(e.tail, e.head, fb_caps.get(e.id, math.inf), e.id) for e in net.edges
-        )
-        fb_net = Network(net.node_count, net.source, net.destination, fb_edges)
+        fb_net = weighted_network(G, lambda P: bsc_fb if P is G.edges[4].channel else tilde[id(P)])
         fb_bound = maxflow(fb_net).total
 
         rows.append(

@@ -42,8 +42,6 @@ class ReducedChannel:
 
     base: Dmc
     words: tuple
-    ell: int
-    pair_db: float
 
     @property
     def input_size(self) -> int:
@@ -96,13 +94,10 @@ def _hop_view(chan, M: int):
     """Uniform (base channel, codeword table) view of a hop channel.
 
     words[a] lists the base symbols transmitted for protocol symbol a+1.
+    Every hop of a :class:`SeriesSpec` has at least M inputs.
     """
     if isinstance(chan, ReducedChannel):
-        if chan.input_size < M:
-            raise ParameterOutOfRange("reduced channel has fewer inputs than messages")
         return chan.base, np.asarray(chan.words[:M], dtype=np.int64)
-    if chan.input_size < M:
-        raise ParameterOutOfRange(f"channel has {chan.input_size} inputs, needs {M}")
     return chan, np.arange(M, dtype=np.int64)[:, None]
 
 
@@ -345,10 +340,8 @@ def reduce_inputs(channels, M: int, *, reports=None):
     reduced = []
     flow_value = math.inf
     for P, report in zip(channels, reports):
-        pair_db = ell * report.value
-        words = permutation_codebook(report, M).words
-        reduced.append(ReducedChannel(base=P, words=words, ell=ell, pair_db=pair_db))
-        flow_value = min(flow_value, pair_db)
+        reduced.append(ReducedChannel(base=P, words=permutation_codebook(report, M).words))
+        flow_value = min(flow_value, ell * report.value)
     return tuple(reduced), float(flow_value), ell
 
 
@@ -418,7 +411,7 @@ def path_tables(spec: SeriesSpec, rows: int) -> tuple:
     return tuple(tables)
 
 
-def _hop_blocks(spec: SeriesSpec, m: int, n_blocks: int, rng, tables=None):
+def _hop_blocks(spec: SeriesSpec, m: int, n_blocks: int, rng, tables):
     """The protocol engine: n_blocks independent sequential block runs.
 
     Runs hop after hop, each hop in consecutive row tiles of at most
@@ -432,14 +425,12 @@ def _hop_blocks(spec: SeriesSpec, m: int, n_blocks: int, rng, tables=None):
     keep it.  The destination's tiles are row slices of one (n_blocks, L)
     array; its state is never computed here.
 
-    ``tables`` are the chain's :func:`path_tables`, built for this batch when
-    None.  A relay with a decision table keys each block once and reads its
-    next sender state from the table; the others decide every row directly.
+    ``tables`` are the chain's :func:`path_tables`.  A relay with a decision
+    table keys each block once and reads its next sender state from the
+    table; the others decide every row directly.
     """
     if not 1 <= m <= spec.M:
         raise BoundsViolation(f"message {m} outside 1..{spec.M}")
-    if tables is None:
-        tables = path_tables(spec, n_blocks)
     width = spec.B // 2 + 1
     last = len(spec.channels) - 1
     state = np.array((m - 1) * width + width - 1)  # the source's, for every row
@@ -478,8 +469,7 @@ def _hop_blocks(spec: SeriesSpec, m: int, n_blocks: int, rng, tables=None):
             state = nxt
 
 
-def run_series_blocks_batch(spec: SeriesSpec, m: int, n_blocks: int, rng,
-                            tables=None) -> list:
+def run_series_blocks_batch(spec: SeriesSpec, m: int, n_blocks: int, rng, tables) -> list:
     """Vectorized sequential block transmissions: n_blocks independent runs.
 
     Returns the destination's raw base-symbol blocks as row tiles in row
@@ -512,7 +502,7 @@ def _enumerate_blocks(out_size: int, B: int) -> np.ndarray:
     return blocks
 
 
-def series_forward_trace(spec: SeriesSpec, update_mode: str = "uniform") -> ForwardTrace:
+def series_forward_trace(spec: SeriesSpec, update_mode: str) -> ForwardTrace:
     """Exact forward pass: enumerate every hop's block alphabet, map blocks to
     states deterministically, and propagate state occupancies.
 
@@ -571,9 +561,10 @@ def series_forward_trace(spec: SeriesSpec, update_mode: str = "uniform") -> Forw
     return ForwardTrace(occupancies=tuple(occupancies), block_logdists=tuple(block_logdists))
 
 
-def exact_block_distribution(spec: SeriesSpec, update_mode: str = "uniform") -> CompositeDistribution:
-    """Exact per-message distribution of the destination's block."""
-    trace = series_forward_trace(spec, update_mode=update_mode)
+def exact_block_distribution(spec: SeriesSpec, update_mode: str) -> CompositeDistribution:
+    """Exact per-message distribution of the destination's block under
+    :func:`series_forward_trace`'s ``update_mode``."""
+    trace = series_forward_trace(spec, update_mode)
     base, words = _hop_view(spec.channels[-1], spec.M)
     return CompositeDistribution(
         log_dists=trace.block_logdists[-1],
@@ -597,14 +588,11 @@ def composite_db(cd: CompositeDistribution, m1: int, m2: int) -> float:
 
 @dataclass(frozen=True)
 class PathPlan:
-    """Schedule for one decomposition path: its reduced chain and budgets."""
+    """Schedule for one decomposition path: its edges and reduced chain."""
 
     index: int
-    nodes: tuple
     edge_ids: tuple
-    edge_budgets: tuple
     spec: SeriesSpec
-    ell_factor: int
 
 
 @dataclass(frozen=True)
@@ -671,16 +659,7 @@ def build_network_plan(G: ChannelGraph, M: int, B: int) -> NetworkPlan:
                 f"path {i} gets only {raw_budget} uses per window; needs at least {2 * ell}"
             )
         spec = SeriesSpec(channels=reduced, M=M, B=b_red, flow_value=flow_value)
-        paths.append(
-            PathPlan(
-                index=i,
-                nodes=p.nodes,
-                edge_ids=p.edge_ids,
-                edge_budgets=tuple(budgets[(i, eid)] for eid in p.edge_ids),
-                spec=spec,
-                ell_factor=ell,
-            )
-        )
+        paths.append(PathPlan(index=i, edge_ids=p.edge_ids, spec=spec))
     return NetworkPlan(M=M, B=B, window=window, paths=tuple(paths))
 
 

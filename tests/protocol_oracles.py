@@ -29,6 +29,8 @@ from netexp.protocol import (
     block_scores_heuristic,
     block_scores_ml,
     composite_db,
+    path_tables,
+    run_series_blocks_batch,
     series_forward_trace,
 )
 
@@ -90,6 +92,12 @@ class Transcript:
         return "\n".join(lines)
 
 
+def destination_blocks(spec: SeriesSpec, m: int, n_blocks: int, rng) -> np.ndarray:
+    """The destination's blocks of one ``run_series_blocks_batch`` call, its
+    tiles concatenated, with the chain's tables built for that batch."""
+    return np.concatenate(run_series_blocks_batch(spec, m, n_blocks, rng, path_tables(spec, n_blocks)))
+
+
 def run_series_block(spec: SeriesSpec, m: int, rng) -> Transcript:
     """One sequential block transmission with a full per-hop transcript.
 
@@ -98,7 +106,8 @@ def run_series_block(spec: SeriesSpec, m: int, rng) -> Transcript:
     ``run_series_blocks_batch``.
     """
     width = spec.B // 2 + 1
-    hops = [(int(state[0]), y[0].copy()) for _, state, y in _hop_blocks(spec, m, 1, rng)]
+    hops = [(int(state[0]), y[0].copy())
+            for _, state, y in _hop_blocks(spec, m, 1, rng, path_tables(spec, 1))]
     y_last = hops[-1][1]
     m_idx, ell = _relay_states(spec.channels[-1], spec.M, spec.B, spec.flow_value, y_last[None])
     received = [divmod(state, width) for state, _ in hops[1:]]

@@ -23,12 +23,16 @@ from netexp.protocol import (
     block_scores_ml,
     exact_block_distribution,
     reduce_inputs,
-    run_series_blocks_batch,
 )
 from netexp.protocol import _encode_blocks
 from conftest import rand_dmc, rand_network, rand_channel_graph, rand_reversible
 from channel_oracles import chernoff_at, compose
-from protocol_oracles import min_pairwise_composite_db, ml_error_probs, verify_transition_bound
+from protocol_oracles import (
+    destination_blocks,
+    min_pairwise_composite_db,
+    ml_error_probs,
+    verify_transition_bound,
+)
 from sim_fit import aggregate, fit_exponent
 
 DB_BSC01 = -math.log(0.6)
@@ -162,7 +166,7 @@ def test_criterion_7_exact_vs_monte_carlo():
             rng = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence(entropy=7, spawn_key=(70, m)))
             )
-            blocks = np.concatenate(run_series_blocks_batch(spec, m, trials, rng))
+            blocks = destination_blocks(spec, m, trials, rng)
             idx = _encode_blocks(blocks, cd.base_output_size)
             emp = np.bincount(idx, minlength=cd.log_dists.shape[1]) / trials
             tv = 0.5 * float(np.abs(emp - np.exp(cd.log_dists[m - 1])).sum())
@@ -184,7 +188,7 @@ def test_criterion_8_desk_scale_achievability_surrogates():
         vals = []
         for B in (2, 4, 6):
             spec = SeriesSpec(channels=channels, M=2, B=B, flow_value=flow_value)
-            vals.append(min_pairwise_composite_db(exact_block_distribution(spec)))
+            vals.append(min_pairwise_composite_db(exact_block_distribution(spec, "uniform")))
         assert vals[0] < vals[1] < vals[2]
 
         G = make_channel_graph(3, 0, 2, [(0, 1, bsc(0.05)), (1, 2, bsc(0.05))])

@@ -216,12 +216,12 @@ class TestChernoff:
 
 class TestPairwiseReversible:
     def test_classic_channels(self):
-        assert is_pairwise_reversible(bsc(0.1))[0]
-        assert is_pairwise_reversible(bec(0.3))[0]
-        assert is_pairwise_reversible(ksym(4, 0.05))[0]
+        assert is_pairwise_reversible(pairwise_chernoff(bsc(0.1)))[0]
+        assert is_pairwise_reversible(pairwise_chernoff(bec(0.3)))[0]
+        assert is_pairwise_reversible(pairwise_chernoff(ksym(4, 0.05)))[0]
 
     def test_z_channel_witness(self):
-        flag, witness = is_pairwise_reversible(make_dmc([[1.0, 0.0], [0.5, 0.5]]))
+        flag, witness = is_pairwise_reversible(pairwise_chernoff(make_dmc([[1.0, 0.0], [0.5, 0.5]])))
         assert not flag
         x, xp, s_star = witness
         assert (x, xp) == (0, 1)
@@ -229,7 +229,7 @@ class TestPairwiseReversible:
 
     def test_random_family(self, rng):
         for _ in range(25):
-            assert is_pairwise_reversible(rand_reversible(rng))[0]
+            assert is_pairwise_reversible(pairwise_chernoff(rand_reversible(rng)))[0]
 
     def test_reads_midpoint_from_the_optimizer(self, rng):
         # d_C(1/2) carried by chernoff equals a fresh chernoff_at(.., 0.5), so
@@ -251,7 +251,7 @@ class TestPairwiseReversible:
             for (x, xp), opt in every_pair_chernoff(P).items():
                 mid = chernoff_at(P, x, xp, 0.5)
                 assert opt.at_half == mid or (math.isinf(opt.at_half) and math.isinf(mid))
-            got = is_pairwise_reversible(P)
+            got = is_pairwise_reversible(pairwise_chernoff(P))
             assert got == recomputed(P)
             flags.add(got[0])
         assert flags == {True, False}
@@ -282,7 +282,7 @@ class TestPrunedPairs:
         assert list(pruned) == [pair for pair in full if pair in pruned]
         assert all(repr(res) == repr(full[pair]) for pair, res in pruned.items())
         assert repr(exponent_two(P, pairs=pruned)) == repr(exponent_two(P, pairs=full))
-        assert repr(is_pairwise_reversible(P, pairs=pruned)) == repr(is_pairwise_reversible(P, pairs=full))
+        assert repr(is_pairwise_reversible(pruned)) == repr(is_pairwise_reversible(full))
         return n_searched, len(full)
 
     @pytest.mark.parametrize("seed", [7, 11])
@@ -302,7 +302,7 @@ class TestPrunedPairs:
             P = make_dmc(mat / mat.sum(axis=1, keepdims=True))
             self.check(P, searched)
             value = exponent_two(P).value
-            seen.add(("inf" if math.isinf(value) else "finite", is_pairwise_reversible(P)[0]))
+            seen.add(("inf" if math.isinf(value) else "finite", is_pairwise_reversible(pairwise_chernoff(P))[0]))
         assert seen == {("inf", True), ("inf", False), ("finite", True), ("finite", False)}
 
     def test_ksym_ties_and_perturbations_near_both_tolerances(self, searched):
@@ -355,7 +355,7 @@ class TestPrunedPairs:
         assert TIE_TOL < abs(_half_and_slope(P, 1, 2)[1]) < 1e-6
         assert full[(1, 2)].at_half < max(full[(0, 1)].value, full[(0, 2)].value) < full[(1, 2)].value
         assert exponent_two(P).optimizer == (1, 2)
-        assert is_pairwise_reversible(P)[1][:2] == (0, 1)
+        assert is_pairwise_reversible(pairwise_chernoff(P))[1][:2] == (0, 1)
         self.check(P, searched)
 
 
@@ -450,7 +450,7 @@ class TestRestrict:
                 ell = 1
             n_words = int(rng.integers(2, 5))
             words = [tuple(int(v) for v in rng.integers(0, P.input_size, ell)) for _ in range(n_words)]
-            assert is_pairwise_reversible(restrict(P, words))[0]
+            assert is_pairwise_reversible(pairwise_chernoff(restrict(P, words)))[0]
 
 
 class TestCompose:

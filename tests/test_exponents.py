@@ -13,6 +13,7 @@ from netexp.channel import (
     is_pairwise_reversible,
     ksym,
     make_dmc,
+    pairwise_chernoff,
     product,
 )
 from netexp.errors import ParameterOutOfRange, SearchSpaceTooLarge
@@ -427,7 +428,7 @@ class TestChannelExponents:
             M = int(rng.integers(2, 5))
             alone = ChannelExponents(
                 two=exponent_two(P), tilde=tilde_exponent(P, M), zero_rate=zero_rate_exponent(P),
-                reversible=is_pairwise_reversible(P)[0],
+                reversible=is_pairwise_reversible(pairwise_chernoff(P))[0],
             )
             assert repr(channel_exponents(P, M)) == repr(alone)
 

@@ -34,6 +34,11 @@ def tilde_network(G, M):
     return weighted_network(G, lambda P: tilde_exponent(P, M).value)
 
 
+def backedge_free(net):
+    """mincut_without_backedges given net's own maximum flow."""
+    return mincut_without_backedges(net, maxflow(net))
+
+
 def series_net(*caps):
     edges = tuple(NetEdge(i, i + 1, c, i) for i, c in enumerate(caps))
     return Network(len(caps) + 1, 0, len(caps), edges)
@@ -114,18 +119,19 @@ class TestMaxflow:
 class TestMincut:
     def test_series(self):
         net = series_net(0.5108, 0.2231)
-        cut = mincut(net)
+        cut = mincut(net, maxflow(net))
         assert cut.side_a == frozenset({0, 1})
         assert abs(cut.size - 0.2231) < 1e-12
 
     def test_parallel(self):
-        cut = mincut(parallel_net(0.3, 0.4))
+        net = parallel_net(0.3, 0.4)
+        cut = mincut(net, maxflow(net))
         assert cut.side_a == frozenset({0})
         assert abs(cut.size - 0.7) < 1e-12
 
     def test_counterexample_cut_sides(self):
         net = tilde_network(counterexample_graph(0.01), 3)
-        cut = mincut(net)
+        cut = mincut(net, maxflow(net))
         # nodes are 1..4 at indices 0..3; the only mincut is {1,3} | {2,4}
         assert cut.side_a == frozenset({0, 2})
         assert abs(cut.size - maxflow(net).total) < 1e-9
@@ -217,16 +223,16 @@ class TestDecompose:
 
 class TestMincutWithoutBackedges:
     def test_series_has_one(self):
-        cut = mincut_without_backedges(series_net(0.5, 0.2))
+        cut = backedge_free(series_net(0.5, 0.2))
         assert cut is not None
         assert abs(cut.size - 0.2) < 1e-12
 
     def test_parallel_has_one(self):
-        assert mincut_without_backedges(parallel_net(0.3, 0.4)) is not None
+        assert backedge_free(parallel_net(0.3, 0.4)) is not None
 
     def test_counterexample_has_none(self):
         net = tilde_network(counterexample_graph(0.01), 3)
-        assert mincut_without_backedges(net) is None
+        assert backedge_free(net) is None
 
     def test_forty_nodes_answered(self):
         # a 40-node chain with a back-edge out of every odd node; the unique
@@ -235,7 +241,7 @@ class TestMincutWithoutBackedges:
         forward = [NetEdge(i, i + 1, 1.0 if i != 9 else 0.25, i) for i in range(39)]
         back = [NetEdge(i, i - 1, 0.5, 39 + k) for k, i in enumerate(range(1, 40, 2))]
         net = Network(40, 0, 39, tuple(forward + back))
-        cut = mincut_without_backedges(net)
+        cut = backedge_free(net)
         assert cut is not None
         assert cut.side_a == frozenset(range(10))
         assert cut.size == 0.25
@@ -243,15 +249,15 @@ class TestMincutWithoutBackedges:
         forward[9] = NetEdge(9, 10, 1.0, 9)
         forward[10] = NetEdge(10, 11, 0.25, 10)
         net = Network(40, 0, 39, tuple(forward + back))
-        assert mincut_without_backedges(net) is None
+        assert backedge_free(net) is None
 
     def test_infinite_maxflow(self):
         # every cut is minimum; one exists iff t cannot reach s
-        assert mincut_without_backedges(series_net(math.inf, math.inf)).side_a == frozenset({0})
+        assert backedge_free(series_net(math.inf, math.inf)).side_a == frozenset({0})
         edges = (NetEdge(0, 1, math.inf, 0), NetEdge(1, 0, 0.5, 1))
-        assert mincut_without_backedges(Network(2, 0, 1, edges)) is None
+        assert backedge_free(Network(2, 0, 1, edges)) is None
         edges = (NetEdge(0, 1, math.inf, 0), NetEdge(1, 0, 0.0, 1))
-        assert mincut_without_backedges(Network(2, 0, 1, edges)) is not None
+        assert backedge_free(Network(2, 0, 1, edges)) is not None
 
     def test_matches_enumeration_oracle(self):
         # capacities mix +inf, 0, tied dyadic values and U[0,1] draws
@@ -266,7 +272,7 @@ class TestMincutWithoutBackedges:
                 cap = levels[int(rng.integers(len(levels)))] if rng.random() < 0.7 else float(rng.random())
                 edges.append(NetEdge(t, h, cap, j))
             net = Network(n, 0, n - 1, tuple(edges))
-            cut = mincut_without_backedges(net)
+            cut = backedge_free(net)
             assert (cut is None) == (enumerate_mincut_without_backedges(net) is None)
             if cut is None:
                 continue

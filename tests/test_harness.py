@@ -15,6 +15,7 @@ from netexp import channel, exponents, harness
 from netexp.errors import AlphabetTooLarge, BoundsViolation, ParameterOutOfRange
 from netexp.flow import Flow, make_channel_graph
 from netexp.graphio import load_graph_file
+from netexp.protocol import path_tables
 from netexp.harness import (
     EdgeBounds,
     SimConfig,
@@ -253,7 +254,7 @@ class TestSimulate:
         cfg = SimConfig(seed=11, trials=10**5, horizons=(8,), B=4, M=2, decoder="exact")
         res = simulate(G, cfg)
         plan = build_network_plan(G, 2, 4)
-        exact = oracles.ml_error_probs(exact_block_distribution(plan.paths[0].spec))
+        exact = oracles.ml_error_probs(exact_block_distribution(plan.paths[0].spec, "uniform"))
         for r in res.rows:
             want = exact[r.message - 1]
             sigma = math.sqrt(want * (1 - want) / r.trials)
@@ -287,8 +288,8 @@ class TestSimulate:
         monkeypatch.setattr(harness, "_TRIAL_CHUNK", 64)
         plan = build_network_plan(graph, M, B)
         assert sum(plan.blocks_per_path(n)) >= 2
-        dists = [exact_block_distribution(p.spec) for p in plan.paths] if decoder == "exact" else None
-        tables = harness._plan_tables(plan, 300)
+        dists = [exact_block_distribution(p.spec, "uniform") for p in plan.paths] if decoder == "exact" else None
+        tables = [path_tables(p.spec, harness._TRIAL_CHUNK) for p in plan.paths]
         got = [harness._cell_errors(plan, tables, dists, decoder, n, m, 300, 5, 1)
                for m in range(1, M + 1)]
         want = [oracles.cell_errors(plan, dists, decoder, n, m, 300, 5, 1, chunk_size=64)
@@ -307,9 +308,9 @@ class TestSimulate:
         monkeypatch.setattr(harness, "_TRIAL_CHUNK", 64)
         G = make_channel_graph(3, 0, 2, [(0, 1, bsc(0.1)), (1, 2, bsc(0.1))])
         plan = build_network_plan(G, 2, B)
-        tables = harness._plan_tables(plan, trials)
+        tables = [path_tables(p.spec, harness._TRIAL_CHUNK) for p in plan.paths]
         assert (tables[0][0].next_state is None) == (B == 8)
-        dists = [exact_block_distribution(p.spec) for p in plan.paths]
+        dists = [exact_block_distribution(p.spec, "uniform") for p in plan.paths]
         n = 4 * plan.window
         got = [harness._cell_errors(plan, tables, dists, "exact", n, m, trials, 5, 1)
                for m in (1, 2)]

@@ -15,10 +15,10 @@ from netexp.errors import (
 from netexp import protocol
 import protocol_oracles as oracles
 from netexp.exponents import permutation_codebook, tilde_exponent
-from netexp.flow import make_channel_graph
+from netexp.flow import decompose, make_channel_graph, maxflow, path_edge_budgets, weighted_network
 from netexp.graphio import load_graph_file
 from netexp import harness
-from netexp.harness import _cell_errors, _plan_tables
+from netexp.harness import _cell_errors
 from netexp.protocol import (
     SeriesSpec,
     _codeword_table,
@@ -34,6 +34,7 @@ from netexp.protocol import (
 from channel_oracles import power
 from protocol_oracles import (
     NodeState,
+    destination_blocks,
     logsumexp,
     min_pairwise_composite_db,
     ml_error_probs,
@@ -54,7 +55,10 @@ def codeword(m, ell, B, M):
 
 def engine_hops(spec, m, n_blocks, rng, tables=None):
     """Each hop's (sender states, blocks) from the engine, tiles concatenated
-    (copied as they come, since a relay hop's next tile reuses the array)."""
+    (copied as they come, since a relay hop's next tile reuses the array).
+    Without ``tables`` the chain's tables are built for this batch."""
+    if tables is None:
+        tables = protocol.path_tables(spec, n_blocks)
     hops = {}
     for hop, state, y in protocol._hop_blocks(spec, m, n_blocks, rng, tables):
         hops.setdefault(hop, []).append((state.copy(), y.copy()))
@@ -171,8 +175,9 @@ class TestReduceInputs:
         # the reduced pairwise distance is exactly M! times the tilde exponent
         P = ksym(2, 0.1)
         channels, flow_value, ell = reduce_inputs([P], 2)
-        assert abs(channels[0].pair_db - ell * DB_BSC01) < 1e-9
-        assert abs(flow_value - 2 * DB_BSC01) < 1e-9
+        assert ell == 2
+        assert abs(flow_value - ell * DB_BSC01) < 1e-9
+        assert abs(bhattacharyya(channels[0].to_dmc(), 0, 1) - ell * DB_BSC01) < 1e-9
 
     def test_m_guard(self):
         with pytest.raises(MTooLarge):
@@ -345,7 +350,7 @@ class TestRunSeriesBlock:
         for seed in range(5):
             for m in (1, 2):
                 t = run_series_block(spec, m, np.random.default_rng(seed))
-                (batch,) = run_series_blocks_batch(spec, m, 1, np.random.default_rng(seed))
+                batch = destination_blocks(spec, m, 1, np.random.default_rng(seed))
                 assert t.final_block == tuple(batch[0])
 
     def test_transcript_of_a_three_hop_chain(self):
@@ -372,7 +377,7 @@ class TestRunSeriesBlock:
         trials = 10**5
         rng = np.random.default_rng(123)
         for m in (1, 2):
-            blocks = np.concatenate(run_series_blocks_batch(spec, m, trials, rng))
+            blocks = destination_blocks(spec, m, trials, rng)
             decisions = np.argmax(block_scores_ml(blocks, cd), axis=0) + 1
             p_hat = float(np.mean(decisions != m))
             sigma = math.sqrt(exact[m - 1] * (1 - exact[m - 1]) / trials)
@@ -388,7 +393,7 @@ class TestExactBlockDistribution:
     def test_single_hop_is_power_rows(self):
         channels = (bsc(0.1),)
         spec = SeriesSpec(channels=channels, M=2, B=2, flow_value=2 * DB_BSC01)
-        cd = exact_block_distribution(spec)
+        cd = exact_block_distribution(spec, "uniform")
         P2 = power(bsc(0.1), 2)
         assert np.allclose(np.exp(cd.log_dists[0]), P2.probs[0])  # codeword (1,1)
         assert np.allclose(np.exp(cd.log_dists[1]), P2.probs[3])  # codeword (2,2)
@@ -414,7 +419,7 @@ class TestExactBlockDistribution:
         channels, flow_value, _ = reduce_inputs([bsc(0.1)], 3)  # 2^6 = 64 outputs
         spec = SeriesSpec(channels=channels, M=3, B=4, flow_value=flow_value)
         with pytest.raises(StateSpaceTooLarge):
-            exact_block_distribution(spec)
+            exact_block_distribution(spec, "uniform")
 
     def test_guard_fires_before_the_power_is_built(self):
         # 12 outputs at M=3: a reduced use has 12^6 outputs, and building
@@ -424,7 +429,7 @@ class TestExactBlockDistribution:
 
         def run():
             with pytest.raises(StateSpaceTooLarge):
-                exact_block_distribution(spec)
+                exact_block_distribution(spec, "uniform")
 
         assert peak_traced(run) < 4 * 2**20
 
@@ -433,7 +438,7 @@ class TestExactBlockDistribution:
         # blocks and likelihoods built in place peak at 35.6 MiB; int64
         # blocks and fresh prefix, suffix and exp arrays peaked at 53.5 MiB
         spec = make_series_spec([bsc(0.05), bsc(0.05)], 2, 8)
-        assert peak_traced(lambda: series_forward_trace(spec)) < 44 * 2**20
+        assert peak_traced(lambda: series_forward_trace(spec, "uniform")) < 44 * 2**20
 
     @pytest.mark.parametrize(
         "P, M, B",
@@ -450,7 +455,7 @@ class TestExactBlockDistribution:
         # The occupancies the sampler's relay decisions give on every block
         # are the law's, float for float.
         spec = make_series_spec([P, P], M, B)
-        trace = series_forward_trace(spec)
+        trace = series_forward_trace(spec, "uniform")
         n_states = spec.M * (B // 2 + 1)
         for j, chan in enumerate(spec.channels):
             base, words = protocol._hop_view(chan, spec.M)
@@ -471,7 +476,7 @@ class TestExactBlockDistribution:
 
         rng = np.random.default_rng(9)
         for m in (1, 2):
-            blocks = np.concatenate(run_series_blocks_batch(spec, m, trials, rng))
+            blocks = destination_blocks(spec, m, trials, rng)
             idx = _encode_blocks(blocks, cd.base_output_size)
             emp = np.bincount(idx, minlength=cd.log_dists.shape[1]) / trials
             tv = 0.5 * np.abs(emp - np.exp(cd.log_dists[m - 1])).sum()
@@ -516,7 +521,7 @@ class TestNetworkProtocol:
         p = plan.paths[0]
         assert p.spec.B == 4  # floor(8 / 2!) kept even
         assert plan.blocks_per_path(40) == [40 // 8 - 2]
-        blocks = np.concatenate(run_series_blocks_batch(p.spec, 1, 3, np.random.default_rng(0)))
+        blocks = destination_blocks(p.spec, 1, 3, np.random.default_rng(0))
         assert blocks.shape == (3, 8)
 
     def test_diamond_two_independent_paths(self):
@@ -528,8 +533,8 @@ class TestNetworkProtocol:
         assert len(plan.paths) == 2
         assert len(plan.blocks_per_path(16)) == 2
         # both decoders aggregate the two paths' blocks
-        dists = [exact_block_distribution(p.spec) for p in plan.paths]
-        tables = _plan_tables(plan, 50)
+        dists = [exact_block_distribution(p.spec, "uniform") for p in plan.paths]
+        tables = [protocol.path_tables(p.spec, 50) for p in plan.paths]
         for decoder in ("exact", "heuristic"):
             assert 0 <= _cell_errors(plan, tables, dists, decoder, 16, 2, 50, 5, 0) <= 50
 
@@ -540,7 +545,9 @@ class TestNetworkProtocol:
             plan.blocks_per_path(8)
 
     def test_pipelining_audit(self):
-        # per-edge raw channel uses over the horizon never exceed n
+        # per-edge raw channel uses over the horizon never exceed n; path i
+        # is the tilde flow's decomposition path i, and each reduced use
+        # spends M! raw uses
         from netexp.harness import counterexample_graph
 
         cases = [
@@ -551,32 +558,38 @@ class TestNetworkProtocol:
             (counterexample_graph(0.01), 3, (12, 24)),
         ]
         for G, M, blocks in cases:
+            net = weighted_network(G, lambda P: tilde_exponent(P, M).value)
+            dec = decompose(net, maxflow(net))
             for B in blocks:
                 plan = build_network_plan(G, M, B)
+                assert [p.edge_ids for p in plan.paths] == [p.edge_ids for p in dec.paths]
+                budgets, _ = path_edge_budgets(dec, B)
+                raw = [p.spec.B * math.factorial(M) for p in plan.paths]
                 n = 6 * plan.window
                 counts = plan.blocks_per_path(n)
                 usage = {}
-                for p, t in zip(plan.paths, counts):
+                for p, t, r in zip(plan.paths, counts, raw):
                     for eid in p.edge_ids:
-                        usage[eid] = usage.get(eid, 0) + t * p.spec.B * p.ell_factor
+                        usage[eid] = usage.get(eid, 0) + t * r
                 assert all(v <= n for v in usage.values())
                 # per-window budgets respected too
-                for p in plan.paths:
-                    for eid, budget in zip(p.edge_ids, p.edge_budgets):
-                        assert p.spec.B * p.ell_factor <= budget
+                for i, (p, r) in enumerate(zip(plan.paths, raw)):
+                    for eid in p.edge_ids:
+                        assert r <= budgets[(i, eid)]
 
     def test_counterexample_topology_schedule(self):
-        # the four-node graph decomposes into its two finite-capacity routes;
-        # every split budget is honored inside each window
+        # the four-node graph decomposes into its two finite-capacity routes,
+        # 1->2->4 (edges 0, 3) and 1->3->4 (edges 1, 4); every split budget
+        # is honored inside each window
         from netexp.harness import counterexample_graph
 
         plan = build_network_plan(counterexample_graph(0.01), 3, 12)
-        assert sorted(p.nodes for p in plan.paths) == [(0, 1, 3), (0, 2, 3)]
+        assert sorted(p.edge_ids for p in plan.paths) == [(0, 3), (1, 4)]
         counts = plan.blocks_per_path(5 * plan.window)
         rng = np.random.default_rng(2)
         for p, t in zip(plan.paths, counts):
             assert t == 5 - len(p.edge_ids)
-            assert np.concatenate(run_series_blocks_batch(p.spec, 3, t, rng)).shape[0] == t
+            assert destination_blocks(p.spec, 3, t, rng).shape[0] == t
 
     def test_block_budget_too_small(self):
         from netexp.errors import BTooSmall
@@ -605,16 +618,16 @@ class TestNetworkProtocol:
             ss = np.random.SeedSequence(entropy=3, spawn_key=(0, 1, 0, b))
             return np.random.Generator(np.random.PCG64(ss))
 
-        a = np.concatenate(run_series_blocks_batch(spec, 1, 500, stream(0)))
-        b = np.concatenate(run_series_blocks_batch(spec, 1, 500, stream(0)))
-        c = np.concatenate(run_series_blocks_batch(spec, 1, 500, stream(1)))
+        a = destination_blocks(spec, 1, 500, stream(0))
+        b = destination_blocks(spec, 1, 500, stream(0))
+        c = destination_blocks(spec, 1, 500, stream(1))
         assert (a == b).all()
         assert (a != c).any()
 
     def test_same_rng_reproducible(self):
         G = make_channel_graph(3, 0, 2, [(0, 1, bsc(0.1)), (1, 2, bsc(0.1))])
         plan = build_network_plan(G, 2, 4)
-        tables = _plan_tables(plan, 2000)
+        tables = [protocol.path_tables(p.spec, 2000) for p in plan.paths]
         counts = [_cell_errors(plan, tables, None, "heuristic", 20, 1, 2000, 77, 0)
                   for _ in range(2)]
         assert counts[0] == counts[1]
@@ -626,8 +639,8 @@ class TestDecoders:
             3, 0, 2, [(0, 1, identity_channel(2)), (1, 2, identity_channel(2))]
         )
         plan = build_network_plan(G, 2, 4)
-        dists = [exact_block_distribution(p.spec) for p in plan.paths]
-        tables = _plan_tables(plan, 5)
+        dists = [exact_block_distribution(p.spec, "uniform") for p in plan.paths]
+        tables = [protocol.path_tables(p.spec, 5) for p in plan.paths]
         for m in (1, 2):
             for decoder in ("exact", "heuristic"):
                 assert _cell_errors(plan, tables, dists, decoder, 24, m, 5, 1, 0) == 0
@@ -636,7 +649,7 @@ class TestDecoders:
         # exhaustive over all B=2 blocks of the reduced single-hop channel
         channels, flow_value, _ = reduce_inputs([bsc(0.1)], 2)
         spec = SeriesSpec(channels=channels, M=2, B=2, flow_value=flow_value)
-        cd = exact_block_distribution(spec)
+        cd = exact_block_distribution(spec, "uniform")
         Q = channels[0].to_dmc()
         w1 = [s - 1 for s in codeword(1, 1, 2, 2)]
         w2 = [s - 1 for s in codeword(2, 1, 2, 2)]
@@ -655,12 +668,12 @@ class TestDecoders:
         # paired trials on the tiny instance: heuristic error >= exact-ML error
         channels, flow_value, _ = reduce_inputs([bsc(0.1), bsc(0.1)], 2)
         spec = SeriesSpec(channels=channels, M=2, B=2, flow_value=flow_value)
-        cd = exact_block_distribution(spec)
+        cd = exact_block_distribution(spec, "uniform")
         trials = 10**5
         err_ml = err_h = 0
         for m in (1, 2):
             rng = np.random.default_rng(40 + m)
-            blocks = np.concatenate(run_series_blocks_batch(spec, m, trials, rng))
+            blocks = destination_blocks(spec, m, trials, rng)
             s_ml = block_scores_ml(blocks, cd)
             from netexp.protocol import block_scores_heuristic
 
@@ -677,7 +690,7 @@ class TestDecoders:
         trials = 2 * 10**5
         for m in (1, 2):
             rng = np.random.default_rng(800 + m)
-            blocks = np.concatenate(run_series_blocks_batch(spec, m, trials, rng))
+            blocks = destination_blocks(spec, m, trials, rng)
             decisions = np.argmax(block_scores_ml(blocks, cd), axis=0) + 1
             p_hat = float(np.mean(decisions != m))
             sigma = math.sqrt(exact[m - 1] * (1 - exact[m - 1]) / trials)
@@ -848,7 +861,7 @@ class TestTableKernels:
         la = protocol._symbol_logliks(Q.log_probs, ident, blocks, 4)
         assert np.array_equal(la, oracles.symbol_logliks(Q.log_probs, ident, blocks, 4))
         base, words = protocol._hop_view(spec.channels[1], 2)
-        y = np.concatenate(run_series_blocks_batch(spec, 2, 300, np.random.default_rng(4)))
+        y = destination_blocks(spec, 2, 300, np.random.default_rng(4))
         want = oracles.state_logliks(oracles.symbol_logliks(base.log_probs, words, y, 4), 4)
         assert np.array_equal(
             protocol.block_scores_heuristic(y, spec.channels[1], 2, 4), want.max(axis=2).T
@@ -924,7 +937,7 @@ class TestTableKernels:
         hops = engine_hops(spec, 2, 5, np.random.default_rng(0))
         assert hops[1][1].shape == (5, 70) and not hops[1][1].any()
         assert not hops[1][0].any()  # no evidence: state 0 is (1, 0)
-        trace = series_forward_trace(spec)
+        trace = series_forward_trace(spec, "uniform")
         assert trace.occupancies[-1][:, 0].tolist() == [1.0, 1.0]
 
 
@@ -996,8 +1009,8 @@ class TestRowTiles:
         monkeypatch.setattr(harness, "_TRIAL_CHUNK", 64)
         monkeypatch.setattr(protocol, "_TILE_ELEMS", tile_elems)
         plan = build_network_plan(graph, M, B)
-        dists = [exact_block_distribution(p.spec) for p in plan.paths] if decoder == "exact" else None
-        tables = _plan_tables(plan, 150)
+        dists = [exact_block_distribution(p.spec, "uniform") for p in plan.paths] if decoder == "exact" else None
+        tables = [protocol.path_tables(p.spec, harness._TRIAL_CHUNK) for p in plan.paths]
         n = 4 * plan.window
         got = [_cell_errors(plan, tables, dists, decoder, n, m, 150, 5, 1) for m in range(1, M + 1)]
         want = [oracles.cell_errors(plan, dists, decoder, n, m, 150, 5, 1, chunk_size=64)
@@ -1088,8 +1101,7 @@ class TestSymbolDtype:
         # 289**2 blocks, inside the exact-law guard
         P = self.WIDE
         spec = SeriesSpec(channels=(P, P), M=2, B=2, flow_value=bhattacharyya(P, 0, 1))
-        path = protocol.PathPlan(index=0, nodes=(0, 1, 2), edge_ids=(0, 1), edge_budgets=(2, 2),
-                                 spec=spec, ell_factor=1)
+        path = protocol.PathPlan(index=0, edge_ids=(0, 1), spec=spec)
         return protocol.NetworkPlan(M=2, B=2, window=2, paths=(path,))
 
     def test_bsc_blocks_are_bytes(self):
@@ -1112,7 +1124,8 @@ class TestSymbolDtype:
 
     def test_wide_channel_blocks_are_uint16(self):
         spec = self.wide_plan().paths[0].spec
-        hops = list(protocol._hop_blocks(spec, 2, 30, np.random.default_rng(1)))
+        tables = protocol.path_tables(spec, 30)
+        hops = list(protocol._hop_blocks(spec, 2, 30, np.random.default_rng(1), tables))
         assert {y.dtype for _, _, y in hops} == {np.dtype(np.uint16)}
         blocks = protocol._enumerate_blocks(289, 2)
         assert blocks.dtype == np.uint16
@@ -1125,8 +1138,8 @@ class TestSymbolDtype:
         monkeypatch.setattr(harness, "_TRIAL_CHUNK", 64)
         monkeypatch.setattr(protocol, "_TILE_ELEMS", tile_elems)
         plan = self.wide_plan()
-        dists = [exact_block_distribution(plan.paths[0].spec)] if decoder == "exact" else None
-        tables = _plan_tables(plan, 150)
+        dists = [exact_block_distribution(plan.paths[0].spec, "uniform")] if decoder == "exact" else None
+        tables = [protocol.path_tables(p.spec, harness._TRIAL_CHUNK) for p in plan.paths]
         n = 6 * plan.window
         got = [_cell_errors(plan, tables, dists, decoder, n, m, 150, 5, 1) for m in (1, 2)]
         want = [oracles.cell_errors(plan, dists, decoder, n, m, 150, 5, 1, chunk_size=64)

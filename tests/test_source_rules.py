@@ -195,3 +195,91 @@ def test_reachability_rule_reports_an_export_nothing_calls():
     # the benchmark names what its tracer wraps as strings
     assert _unreached(modules, ["STAGES = (('stage', 'core', ('Traced',)),)\n"]) == [
         "core.py:exported", "errors.py:Unraised"]
+
+
+def _function_defaults(tree) -> list:
+    """(function name, parameter, position) of every parameter default in
+    ``tree``, nested functions and methods included.  ``position`` is the
+    parameter's index among the positional arguments a call passes (a
+    method's ``self`` or ``cls`` is not passed), None for keyword-only."""
+    found = []
+
+    def visit(node, in_class):
+        for sub in ast.iter_child_nodes(node):
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = sub.args
+                positional = args.posonlyargs + args.args
+                bound = in_class and not any(getattr(d, "id", None) == "staticmethod"
+                                             for d in sub.decorator_list)
+                first = len(positional) - len(args.defaults)
+                found.extend((sub.name, a.arg, i - bound)
+                             for i, a in enumerate(positional) if i >= first)
+                found.extend((sub.name, a.arg, None)
+                             for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+            visit(sub, isinstance(sub, ast.ClassDef))
+
+    visit(tree, False)
+    return found
+
+
+def _unsplit_defaults(modules: dict, roots_code: list) -> list:
+    """``file:function.parameter`` of every parameter default in ``modules``
+    (file name -> source) that the calls in ``modules`` and ``roots_code``
+    never omit, so it can be a required argument, or never pass, so it is
+    dead.  Calls are matched by name, as the reachability rule matches
+    uses; a call with ``*`` or ``**`` arguments is left out, since it
+    cannot tell which parameters it fills."""
+    calls = [node for text in list(modules.values()) + roots_code
+             for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Call)
+             and not any(isinstance(a, ast.Starred) for a in node.args)
+             and all(k.arg is not None for k in node.keywords)]
+    missed = []
+    for fname, text in modules.items():
+        for func, param, pos in _function_defaults(ast.parse(text, filename=fname)):
+            passed = omitted = False
+            for call in calls:
+                f = call.func
+                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) != func:
+                    continue
+                given = (pos is not None and len(call.args) > pos) or any(
+                    k.arg == param for k in call.keywords)
+                passed, omitted = passed or given, omitted or not given
+            if not (passed and omitted):
+                missed.append(f"{fname}:{func}.{param}")
+    return sorted(missed)
+
+
+def test_every_src_default_is_both_omitted_and_passed():
+    # Same roots as the reachability rule.  A default that every call
+    # passes is a recompute fork that only tests take; one that no call
+    # passes is a knob nothing turns.
+    modules = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    bench = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert "cli.py" in modules and bench
+    missed = _unsplit_defaults(modules, bench)
+    assert missed == [], f"src/netexp defaults that calls never omit or never pass: {', '.join(missed)}"
+
+
+def test_default_rule_reports_forks_and_unused_knobs():
+    modules = {
+        "core.py": (
+            "def solve(net, flow=None):\n    return flow\n\n"
+            "def scale(x, factor=2.0, *, clip=None, mode='a'):\n    return x\n\n"
+            "class Plan:\n"
+            "    def blocks(self, n, window=1):\n        return n\n\n"
+            "    @staticmethod\n    def make(n, rows=4):\n        return n\n\n"
+            "def run(p):\n"
+            "    solve(1, 2)\n    solve(1, flow=2)\n    solve(1, **p)\n"
+            "    scale(1)\n    scale(1, 3.0, mode='b')\n    scale(*p, clip=1)\n"
+            "    p.blocks(5)\n    p.blocks(5, 2)\n"
+            "    Plan.make(1)\n    Plan.make(1, 2)\n"
+            "    def inner(k=0):\n        return k\n"
+            "    return inner()\n"
+        ),
+    }
+    # solve always gets flow but from a ** call; clip is only passed by a
+    # starred call; inner is never passed k.  A method's self is not a passed position, a
+    # static method has none.
+    assert _unsplit_defaults(modules, []) == ["core.py:inner.k", "core.py:scale.clip", "core.py:solve.flow"]
+    # a root outside the package passes what the package never does
+    assert _unsplit_defaults(modules, ["scale(2, clip=0)\ninner(1)\n"]) == ["core.py:solve.flow"]

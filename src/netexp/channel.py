@@ -37,17 +37,6 @@ REVERSIBLE_TOL = 1e-7
 BOUND_SLACK = 1e-9
 
 
-def _lse(v: np.ndarray) -> float:
-    """log(sum(exp(v))) of a small 1-d array, shifted by its maximum; a
-    non-finite maximum is returned as it is.  Calls the ufunc reductions
-    directly: ``v.max()`` and ``.sum()`` are the same reductions behind a
-    Python wrapper."""
-    mx = np.maximum.reduce(v)
-    if not math.isfinite(mx):
-        return float(mx)
-    return float(mx + math.log(np.add.reduce(np.exp(v - mx))))
-
-
 @dataclass(frozen=True)
 class Dmc:
     """Finite channel: ``probs[x, y] = P(y | x)``, rows sum to one.
@@ -59,7 +48,7 @@ class Dmc:
 
     probs: np.ndarray
     log_probs: np.ndarray
-    label: str | None = None
+    label: str | None
 
     @property
     def input_size(self) -> int:
@@ -84,7 +73,7 @@ class DivergenceResult:
     the value at s=1/2 (the Bhattacharyya distance)."""
 
     value: float
-    argmax_s: float = 0.5
+    argmax_s: float
     at_half: float = field(kw_only=True)
 
 
@@ -152,13 +141,31 @@ def identity_channel(K: int) -> Dmc:
 
 
 def _common_support(P: Dmc, x: int, xp: int):
-    """The log rows of inputs x and x' on the outputs both can produce, as
-    (log P(.|x), log P(.|x')), or None when their supports are disjoint."""
-    lx, ly = P.log_probs[x], P.log_probs[xp]
-    mask = np.isfinite(lx) & np.isfinite(ly)
-    if not mask.any():
-        return None
-    return lx[mask], ly[mask]
+    """The log rows of inputs x and x' on the outputs both can produce, as a
+    list of (log P(y|x), log P(y|x')) Python float pairs, or None when their
+    supports are disjoint.  ``log_probs`` is -inf exactly where P is 0."""
+    lx, ly = P.log_probs[x].tolist(), P.log_probs[xp].tolist()
+    rows = [(a, b) for a, b in zip(lx, ly) if a != -math.inf and b != -math.inf]
+    return rows or None
+
+
+def _probe(rows: list, s: float) -> tuple:
+    """d_C(s) over ``rows``, a :func:`_common_support` list, with rounding
+    noise (values <= 1e-12) read as 0, and the weights w = exp(v - max v)
+    of v = (1-s) log P(.|x) + s log P(.|x') and their sum.
+
+    v, its maximum and the shift are one IEEE multiply, add or compare per
+    term in Python floats, bit-identical to numpy's element-wise ufuncs.
+    ``exp`` and the sum stay numpy's: ``math.exp`` rounds differently, and
+    ``np.add.reduce`` sums 8 or more terms in 8-way blocks, not left to
+    right."""
+    t = 1.0 - s
+    v = [t * a + s * b for a, b in rows]
+    mx = max(v)
+    w = np.exp([u - mx for u in v])
+    total = np.add.reduce(w)
+    val = -(mx + math.log(total))
+    return (val if val > 1e-12 else 0.0), w, total
 
 
 def bhattacharyya(P: Dmc, x: int, xp: int) -> float:
@@ -185,11 +192,9 @@ def chernoff(P: Dmc, x: int, xp: int) -> DivergenceResult:
     rows = _common_support(P, x, xp)
     if rows is None:
         return DivergenceResult(value=math.inf, argmax_s=0.5, at_half=math.inf)
-    la, lb = rows
 
     def f(s: float) -> float:
-        val = -_lse((1.0 - s) * la + s * lb)
-        return val if val > 1e-12 else 0.0
+        return _probe(rows, s)[0]
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = 0.0, 1.0
@@ -223,14 +228,9 @@ def _half_and_slope(P: Dmc, x: int, xp: int) -> tuple:
     rows = _common_support(P, x, xp)
     if rows is None:
         return math.inf, 0.0
-    la, lb = rows
-    v = 0.5 * la + 0.5 * lb
-    mx = np.maximum.reduce(v)
-    w = np.exp(v - mx)
-    total = np.add.reduce(w)
-    val = -float(mx + math.log(total))
-    slope = -float(w @ (lb - la)) / float(total)
-    return (val if val > 1e-12 else 0.0), slope
+    val, w, total = _probe(rows, 0.5)
+    slope = -float(w @ np.array([b - a for a, b in rows])) / float(total)
+    return val, slope
 
 
 def _pair_halves(P: Dmc) -> dict:

@@ -206,7 +206,7 @@ class SimConfig:
     horizons: tuple
     B: int
     M: int
-    decoder: str = "exact"
+    decoder: str
 
     def __post_init__(self):
         if self.seed < 0:

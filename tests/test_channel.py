@@ -35,7 +35,14 @@ from netexp.errors import (
     ParameterOutOfRange,
 )
 from netexp.exponents import exponent_two
-from channel_oracles import chernoff_at, compose, every_pair_chernoff, power
+from channel_oracles import (
+    chernoff_array,
+    chernoff_at,
+    compose,
+    every_pair_chernoff,
+    half_and_slope_array,
+    power,
+)
 from conftest import ROOT, perfbench_inputs, rand_dmc, rand_reversible
 
 DB_BSC01 = -math.log(0.6)  # 2*sqrt(0.1*0.9) = 0.6
@@ -384,6 +391,84 @@ class TestFlatPairs:
                 assert repr(kept[pair]) == repr(shortcut)
                 flat += 1
         assert flat > 1500
+
+
+def _one_ulp_tilts():
+    """Rows 0 and 1 one ulp apart in two outputs, then ksym(3, 0.1) with
+    row 0 tilted by eps between outputs 1 and 2: one ulp, and the tilts that
+    put pair (0, 1)'s slope just under and over TIE_TOL."""
+    def tilted(eps):
+        mat = ksym(3, 0.1).probs.copy()
+        mat[0, 1] += eps
+        mat[0, 2] -= eps
+        return make_dmc(mat)
+
+    twin = make_dmc([[0.2, 0.3, 0.5], [0.2, np.nextafter(0.3, 1), np.nextafter(0.5, 0)], [0.3, 0.3, 0.4]])
+    unit = abs(_half_and_slope(tilted(1e-9), 0, 1)[1]) / 1e-9
+    return [twin, tilted(np.spacing(0.1))] + [tilted(TIE_TOL / unit * f) for f in (0.99, 0.999, 1.001, 1.01)]
+
+
+def _wide_rows(rng):
+    """Channels whose rows share 8 to 130 outputs: numpy's add.reduce sums 8
+    or more terms in 8-way blocks, not left to right."""
+    out = []
+    for n_out in (8, 9, 12, 15, 16, 17, 24, 40, 130):
+        for _ in range(4):
+            mat = np.exp(3.0 * rng.normal(size=(3, n_out)))
+            out.append(make_dmc(mat / mat.sum(axis=1, keepdims=True)))
+    return out
+
+
+class TestFloatProbe:
+    """``chernoff`` and ``_half_and_slope`` evaluate d_C(s) over Python
+    floats, with numpy's exp and sum; they return the bits of the array-form
+    references ``chernoff_array`` and ``half_and_slope_array``."""
+
+    @staticmethod
+    def check(P, both_orders=False) -> int:
+        n = P.input_size
+        pairs = [(x, xp) for x in range(n) for xp in range(n) if x != xp and (both_orders or x < xp)]
+        for x, xp in pairs:
+            assert repr(chernoff(P, x, xp)) == repr(chernoff_array(P, x, xp)), (P.probs, x, xp)
+            assert repr(_half_and_slope(P, x, xp)) == repr(half_and_slope_array(P, x, xp)), (P.probs, x, xp)
+        return len(pairs)
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_benchmark_channels(self, seed):
+        inputs = perfbench_inputs()
+        cases = inputs.corpus_cases(ROOT, seed) + inputs.wide_cases(seed)
+        channels = {id(e.channel): e.channel for case in cases for e in case.graph.edges}
+        assert sum(self.check(P) for P in channels.values()) > 1500
+
+    def test_eight_or_more_common_outputs(self, rng):
+        for P in _wide_rows(rng):
+            self.check(P)
+
+    def test_entries_near_the_underflow_limit(self):
+        for tiny in (1e-300, 3e-305, 2.5e-308):
+            self.check(make_dmc([[tiny, 0.5, 0.5 - tiny, 0.0],
+                                 [7 * tiny, 0.0, 0.25, 0.75 - 7 * tiny],
+                                 [tiny, 1.0 - 2 * tiny, 0.0, tiny]]), both_orders=True)
+            # the one common output carries ~1e-300 in both rows
+            self.check(make_dmc([[tiny, 1.0 - tiny, 0.0], [13 * tiny, 0.0, 1.0 - 13 * tiny]]), both_orders=True)
+
+    def test_probability_one_outputs_and_single_common_outputs(self):
+        for rows in (
+            [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]],
+            [[1.0, 0.0], [0.3, 0.7], [0.0, 1.0]],
+            [[0.3, 0.7, 0.0], [0.0, 0.4, 0.6], [0.0, 0.0, 1.0]],
+            np.eye(3),
+        ):
+            self.check(make_dmc(rows), both_orders=True)
+
+    def test_rows_one_ulp_apart_and_slopes_at_the_tie_tolerance(self):
+        channels = _one_ulp_tilts()
+        assert np.count_nonzero(channels[0].probs[0] != channels[0].probs[1]) == 2
+        slopes = [abs(_half_and_slope(P, 0, 1)[1]) for P in channels[2:]]
+        assert any(TIE_TOL / 1.1 < s <= TIE_TOL for s in slopes)
+        assert any(TIE_TOL < s < TIE_TOL * 1.1 for s in slopes)
+        for P in channels:
+            self.check(P, both_orders=True)
 
 
 class TestProductPower:

@@ -42,7 +42,7 @@ def synthetic_result(points, trials=10**6):
                p_hat=p, ci_lo=0.0, ci_hi=1.0)
         for n, p in points
     )
-    cfg = SimConfig(seed=0, trials=trials, horizons=tuple(n for n, _ in points), B=2, M=2)
+    cfg = SimConfig(seed=0, trials=trials, horizons=tuple(n for n, _ in points), B=2, M=2, decoder="exact")
     return SimResult(config=cfg, rows=rows)
 
 
@@ -336,15 +336,15 @@ class TestSimulate:
 
     def test_config_validation(self):
         with pytest.raises(ParameterOutOfRange, match="block size must be even"):
-            SimConfig(seed=0, trials=10, horizons=(10,), B=3, M=2)
+            SimConfig(seed=0, trials=10, horizons=(10,), B=3, M=2, decoder="exact")
         with pytest.raises(ParameterOutOfRange):
-            SimConfig(seed=0, trials=10, horizons=(10, 10), B=2, M=2)
+            SimConfig(seed=0, trials=10, horizons=(10, 10), B=2, M=2, decoder="exact")
         with pytest.raises(ParameterOutOfRange):
             SimConfig(seed=0, trials=10, horizons=(10,), B=2, M=2, decoder="magic")
 
     def test_empty_horizons_rejected(self):
         with pytest.raises(ParameterOutOfRange, match="at least one horizon"):
-            SimConfig(seed=0, trials=10, horizons=(), B=2, M=2)
+            SimConfig(seed=0, trials=10, horizons=(), B=2, M=2, decoder="exact")
 
     def test_exact_decoder_guard_translated(self):
         from netexp.errors import DistributionUnavailable

@@ -37,6 +37,46 @@ def test_no_scipy_import_in_src():
     assert found == [], f"scipy import in src/netexp: {', '.join(found)}"
 
 
+def _math_exp_uses(tree) -> list:
+    """Lines that call for ``math.exp``: ``from math import exp`` and
+    ``math.exp`` (also under an ``import math as m`` alias)."""
+    modules = {"math"} | {alias.asname for node in ast.walk(tree) if isinstance(node, ast.Import)
+                          for alias in node.names if alias.name == "math" and alias.asname}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "math" and node.level == 0:
+            if any(alias.name == "exp" for alias in node.names):
+                found.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr == "exp"
+              and isinstance(node.value, ast.Name) and node.value.id in modules):
+            found.append(node.lineno)
+    return found
+
+
+def test_no_math_exp_in_src():
+    # Every exp in src/netexp is numpy's: math.exp rounds differently in
+    # the last bit for some arguments, so mixing the two would change
+    # reported divergences.
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    found = [
+        f"{path.name}:{line}"
+        for path in files
+        for line in _math_exp_uses(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    ]
+    assert found == [], f"math.exp in src/netexp: {', '.join(found)}"
+
+
+def test_math_exp_rule_catches_each_form():
+    src = (
+        "import math\nimport math as m\nimport numpy as np\nfrom math import exp\n"
+        "from math import log, exp as e\n"
+        "a = math.exp(1.0)\nb = m.exp(1.0)\nc = np.exp(1.0)\nd = math.expm1(1.0)\n"
+        "f = math.exp\n"
+    )
+    assert sorted(_math_exp_uses(ast.parse(src))) == [4, 5, 6, 7, 10]
+
+
 CACHE_DECORATORS = ("cache", "lru_cache", "cached_property")
 MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
 
@@ -197,10 +237,45 @@ def test_reachability_rule_reports_an_export_nothing_calls():
         "core.py:exported", "errors.py:Unraised"]
 
 
+def _constant(node, name, default=None):
+    """The constant that keyword ``name`` of call ``node`` passes."""
+    kw = {k.arg: k.value for k in node.keywords} if isinstance(node, ast.Call) else {}
+    return kw[name].value if isinstance(kw.get(name), ast.Constant) else default
+
+
+def _dataclass_defaults(node) -> list:
+    """(class name, field, position) of every field default of ``node``,
+    a class, when a ``dataclass`` decorator makes them ``__init__``
+    parameter defaults.  ``position`` counts the fields before it that
+    ``__init__`` takes positionally, None for a keyword-only field; a
+    ``field(init=False)`` is no parameter."""
+    if not any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in node.decorator_list):
+        return []
+    found, pos = [], 0
+    for stmt in node.body:
+        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+            continue
+        value = stmt.value
+        spec = value if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field" else None
+        if not _constant(spec, "init", True):
+            continue
+        if spec is None:
+            has_default = value is not None
+        else:
+            has_default = any(k.arg in ("default", "default_factory") for k in spec.keywords)
+        kw_only = _constant(spec, "kw_only", False)
+        if has_default:
+            found.append((node.name, stmt.target.id, None if kw_only else pos))
+        pos += not kw_only
+    return found
+
+
 def _function_defaults(tree) -> list:
     """(function name, parameter, position) of every parameter default in
-    ``tree``, nested functions and methods included.  ``position`` is the
-    parameter's index among the positional arguments a call passes (a
+    ``tree``, nested functions and methods included, and (class name,
+    field, position) of every dataclass field default.  ``position`` is
+    the parameter's index among the positional arguments a call passes (a
     method's ``self`` or ``cls`` is not passed), None for keyword-only."""
     found = []
 
@@ -216,6 +291,8 @@ def _function_defaults(tree) -> list:
                              for i, a in enumerate(positional) if i >= first)
                 found.extend((sub.name, a.arg, None)
                              for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+            elif isinstance(sub, ast.ClassDef):
+                found.extend(_dataclass_defaults(sub))
             visit(sub, isinstance(sub, ast.ClassDef))
 
     visit(tree, False)
@@ -224,9 +301,9 @@ def _function_defaults(tree) -> list:
 
 def _unsplit_defaults(modules: dict, roots_code: list) -> list:
     """``file:function.parameter`` of every parameter default in ``modules``
-    (file name -> source) that the calls in ``modules`` and ``roots_code``
-    never omit, so it can be a required argument, or never pass, so it is
-    dead.  Calls are matched by name, as the reachability rule matches
+    (file name -> source), dataclass fields included, that the calls in
+    ``modules`` and ``roots_code`` never omit, so it can be a required
+    argument, or never pass, so it is dead.  Calls are matched by name, as the reachability rule matches
     uses; a call with ``*`` or ``**`` arguments is left out, since it
     cannot tell which parameters it fills."""
     calls = [node for text in list(modules.values()) + roots_code
@@ -283,3 +360,27 @@ def test_default_rule_reports_forks_and_unused_knobs():
     assert _unsplit_defaults(modules, []) == ["core.py:inner.k", "core.py:scale.clip", "core.py:solve.flow"]
     # a root outside the package passes what the package never does
     assert _unsplit_defaults(modules, ["scale(2, clip=0)\ninner(1)\n"]) == ["core.py:solve.flow"]
+
+
+def test_default_rule_reads_dataclass_fields():
+    modules = {
+        "core.py": (
+            "from dataclasses import dataclass, field\n\n"
+            "@dataclass(frozen=True)\nclass Result:\n"
+            "    value: float\n    s: float = 0.5\n    tag: str = 'x'\n"
+            "    half: float = field(kw_only=True)\n    note: str = field(default='', kw_only=True)\n"
+            "    rows: list = field(default_factory=list)\n    cache: dict = field(init=False, default=None)\n\n"
+            "@dataclass\nclass Config:\n    seed: int\n    mode: str = 'exact'\n\n"
+            "class Plain:\n    size: int = 3\n\n"
+            "def run():\n"
+            "    Result(1.0, 0.2, half=0.0)\n    Result(1.0, s=0.3, tag='y', half=0.0, note='n')\n"
+            "    Config(seed=1, mode='a')\n    Config(seed=2, mode='b')\n"
+            "    return Plain()\n"
+        ),
+    }
+    # every call passes s and mode, none passes rows; init=False fields and
+    # classes that are no dataclass have no parameters
+    assert _unsplit_defaults(modules, []) == ["core.py:Config.mode", "core.py:Result.rows", "core.py:Result.s"]
+    # the fourth positional argument is rows: the keyword-only half and
+    # note take no position
+    assert _unsplit_defaults(modules, ["Result(2.0)\nResult(2.0, 0.1, 'z', [], half=1.0)\nConfig(seed=3)\n"]) == []

@@ -157,11 +157,13 @@ def _support_enumeration(D: np.ndarray):
     The systems of one support size are solved as one stack.  A singular
     system is skipped: the objective is then constant along a direction that
     reaches a smaller support.  Supports run by size, then lexicographically;
-    a later one must win by more than 1e-12.
+    a later one must win by more than 1e-12.  D is a :func:`_db_matrix`, whose
+    diagonal is 0, so every one-point support scores 0.0 and the first, e_0,
+    is kept without a solve.
     """
     n = D.shape[0]
-    best_val, best_q = -math.inf, None
-    for k in range(1, n + 1):
+    best_val, best_q = 0.0, np.eye(n)[0]
+    for k in range(2, n + 1):
         supports = np.array(list(itertools.combinations(range(n), k)))
         sols, solved = _solve_stack(*_bordered_stack(D, supports))
         feasible = solved & ~np.any(sols[:, :k] < 0, axis=1)

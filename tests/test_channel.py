@@ -419,10 +419,64 @@ def _wide_rows(rng):
     return out
 
 
+def _left_to_right(a) -> float:
+    total = 0.0
+    for u in a.tolist():
+        total += u
+    return total
+
+
+class TestNumpySummationRule:
+    """``channel._probe`` sums fewer than ``PAIRWISE_BLOCK`` terms with a
+    left-to-right loop because ``np.add.reduce`` adds them that way; from 8
+    terms on numpy sums in 8-way blocks.  A numpy release that moves the
+    rule fails here before any output moves."""
+
+    @staticmethod
+    def arrays(rng, n, count):
+        # uniform in (0, 1), spread down to 1e-300, and spread over 1e+-300
+        out = []
+        for i in range(count):
+            if i % 3 == 0:
+                out.append(rng.random(n))
+            else:
+                out.append(10.0 ** rng.uniform(-300.0, 0.0 if i % 3 == 1 else 300.0, n))
+        return out
+
+    def test_fewer_than_eight_terms_add_left_to_right(self, rng):
+        assert channel.PAIRWISE_BLOCK == 8
+        for n in range(1, channel.PAIRWISE_BLOCK):
+            for a in self.arrays(rng, n, 3000):
+                assert repr(_left_to_right(a)) == repr(float(np.add.reduce(a))), a
+
+    def test_eight_terms_do_not(self, rng):
+        arrays = self.arrays(rng, channel.PAIRWISE_BLOCK, 3000)
+        differ = sum(_left_to_right(a) != np.add.reduce(a) for a in arrays)
+        assert differ > 0
+
+
+def _split_channels(rng):
+    """Both sides of ``PAIRWISE_BLOCK``: rows with exactly 7 and exactly 8
+    outputs, and 16-output rows whose zeros mask the pairs down to 8, 7, 3
+    and 11 common outputs."""
+    out = []
+    for n_out in (7, 8):
+        mat = np.exp(3.0 * rng.normal(size=(3, n_out)))
+        out.append(make_dmc(mat / mat.sum(axis=1, keepdims=True)))
+    supports = [range(0, 12), range(4, 16), range(5, 16), [0, 10, 11, 12, 13, 14, 15]]
+    mat = np.zeros((4, 16))
+    for r, cols in enumerate(supports):
+        mat[r, list(cols)] = np.exp(3.0 * rng.normal(size=len(cols)))
+    out.append(make_dmc(mat / mat.sum(axis=1, keepdims=True)))
+    return out
+
+
 class TestFloatProbe:
     """``chernoff`` and ``_half_and_slope`` evaluate d_C(s) over Python
-    floats, with numpy's exp and sum; they return the bits of the array-form
-    references ``chernoff_array`` and ``half_and_slope_array``."""
+    floats, with numpy's exp and sum, below ``PAIRWISE_BLOCK`` common
+    outputs and over numpy arrays from it on; either way they return the
+    bits of the array-form references ``chernoff_array`` and
+    ``half_and_slope_array``."""
 
     @staticmethod
     def check(P, both_orders=False) -> int:
@@ -443,6 +497,24 @@ class TestFloatProbe:
     def test_eight_or_more_common_outputs(self, rng):
         for P in _wide_rows(rng):
             self.check(P)
+
+    def test_both_sides_of_the_pairwise_block(self, rng):
+        def forms(P):
+            n = P.input_size
+            rows = {(x, xp): channel._common_support(P, x, xp) for x in range(n) for xp in range(x + 1, n)}
+            return {pair: (type(r).__name__, len(r[0]) if isinstance(r, tuple) else len(r)) for pair, r in rows.items()}
+
+        seven, eight, masked = _split_channels(rng)
+        assert set(forms(seven).values()) == {("list", 7)}
+        assert set(forms(eight).values()) == {("tuple", 8)}
+        assert forms(masked) == {(0, 1): ("tuple", 8), (0, 2): ("list", 7), (0, 3): ("list", 3),
+                                 (1, 2): ("tuple", 11), (1, 3): ("list", 6), (2, 3): ("list", 6)}
+        for P in (seven, eight, masked):
+            self.check(P, both_orders=True)
+
+    def test_a_wide_channel(self, rng):
+        mat = np.exp(3.0 * rng.normal(size=(12, 2048)))
+        self.check(make_dmc(mat / mat.sum(axis=1, keepdims=True)))
 
     def test_entries_near_the_underflow_limit(self):
         for tiny in (1e-300, 3e-305, 2.5e-308):

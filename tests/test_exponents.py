@@ -302,13 +302,22 @@ class TestSupportEnumeration:
         calls = []
         real = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda A, b: calls.append(np.ndim(A)) or real(A, b))
+        # one-point supports score 0.0 on a zero diagonal and need no solve
         _support_enumeration(_db_matrix(ksym(12, 0.01)))
-        assert calls == [3] * 12
+        assert calls == [3] * 11
         # rows 0 and 1 are equal, so every support holding both is a
         # singular system: sizes 2 and 3 are re-solved one system at a time
         calls.clear()
         _support_enumeration(_db_matrix(make_dmc([[0.7, 0.2, 0.1], [0.7, 0.2, 0.1], [0.1, 0.3, 0.6]])))
-        assert calls == [3, 3, 2, 2, 2, 3, 2]
+        assert calls == [3, 2, 2, 2, 3, 2]
+
+    def test_zero_and_unit_distance_matrices(self):
+        # D is a _db_matrix, so its diagonal is 0.  All zeros: every system
+        # from size 2 on is singular and e_0 stands.  Ones off the diagonal:
+        # the uniform full support wins.
+        for n in range(3, 7):
+            self.check(np.zeros((n, n)))
+            self.check(np.ones((n, n)) - np.eye(n))
 
 
 def thin_interior(eps):
@@ -374,7 +383,7 @@ class TestKktCertificate:
             assert zero_rate_exponent(ksym(K, 0.01)).method == "kkt_certificate"
             assert calls == [3]
         # not concave: the eigenvalues refuse it before any solve, so only
-        # the enumeration's five stacks are solved
+        # the enumeration's stacks of sizes 2 to 5 are solved
         mat = np.array([[0.9, 0.1, 0.01, 0.01], [0.1, 0.9, 0.01, 0.01], [0.01, 0.01, 0.9, 0.1],
                         [0.01, 0.01, 0.1, 0.9], [0.5, 0.5, 0.01, 0.01]])
         P = make_dmc(mat / mat.sum(axis=1, keepdims=True))
@@ -382,10 +391,10 @@ class TestKktCertificate:
         assert np.linalg.eigvalsh(D[:-1, :-1] - D[:-1, -1:] - D[-1:, :-1])[-1] > 0
         calls.clear()
         _support_enumeration(D)
-        assert calls == [3] * 5
+        assert calls == [3] * 4
         calls.clear()
         assert zero_rate_exponent(P).method == "support_enumeration"
-        assert calls == [3] * 5
+        assert calls == [3] * 4
 
     def test_refuses_an_interior_saddle(self):
         # two far pairs, close to each other: the uniform point is a

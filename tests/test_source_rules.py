@@ -77,6 +77,41 @@ def test_math_exp_rule_catches_each_form():
     assert sorted(_math_exp_uses(ast.parse(src))) == [4, 5, 6, 7, 10]
 
 
+def _builtin_sum_uses(tree) -> list:
+    """Lines that reach the builtin ``sum``: the bare name (called or
+    passed on), ``builtins.sum`` and ``from builtins import sum``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "sum" and isinstance(node.ctx, ast.Load):
+            found.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr == "sum"
+              and isinstance(node.value, ast.Name) and node.value.id == "builtins"):
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "builtins":
+            if any(alias.name == "sum" for alias in node.names):
+                found.append(node.lineno)
+    return found
+
+
+def test_no_builtin_sum_in_channel():
+    # channel._probe sums fewer than 8 floats left to right, the order in
+    # which np.add.reduce adds them.  Since Python 3.12 the builtin sum of
+    # floats is compensated, so a sum(w) there would pass on 3.11 and
+    # change reported divergences on newer interpreters.
+    path = SRC / "channel.py"
+    found = _builtin_sum_uses(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    assert found == [], f"builtin sum in channel.py: lines {found}"
+
+
+def test_builtin_sum_rule_catches_each_form():
+    src = (
+        "import builtins\nimport numpy as np\nfrom builtins import sum\n"
+        "a = sum([1.0, 2.0])\nb = builtins.sum([1.0])\nc = np.sum([1.0])\nd = x.sum()\n"
+        "e = list(map(sum, [[1.0]]))\nf = np.add.reduce([1.0])\nsum = 0.0\n"
+    )
+    assert sorted(_builtin_sum_uses(ast.parse(src))) == [3, 4, 5, 8]
+
+
 CACHE_DECORATORS = ("cache", "lru_cache", "cached_property")
 MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
 

@@ -144,49 +144,36 @@ def identity_channel(K: int) -> Dmc:
 
 
 def _common_support(P: Dmc, x: int, xp: int):
-    """The log rows of inputs x and x' on the outputs both can produce, or
-    None when their supports are disjoint (``log_probs`` is -inf exactly
-    where P is 0).  Below PAIRWISE_BLOCK common outputs they are a list of
-    (log P(y|x), log P(y|x')) Python float pairs, from it on a tuple of two
-    numpy arrays; a channel with fewer outputs is filtered in Python, a
-    wider one masked once in numpy."""
-    lx, ly = P.log_probs[x], P.log_probs[xp]
-    if P.output_size >= PAIRWISE_BLOCK:
-        mask = np.isfinite(lx) & np.isfinite(ly)
-        lx, ly = lx[mask], ly[mask]
-        if lx.size >= PAIRWISE_BLOCK:
-            return lx, ly
-    rows = [(a, b) for a, b in zip(lx.tolist(), ly.tolist()) if a != -math.inf and b != -math.inf]
+    """The log rows of inputs x and x' on the outputs both can produce, as a
+    list of (log P(y|x), log P(y|x')) Python float pairs, or None when their
+    supports are disjoint.  ``log_probs`` is -inf exactly where P is 0."""
+    lx, ly = P.log_probs[x].tolist(), P.log_probs[xp].tolist()
+    rows = [(a, b) for a, b in zip(lx, ly) if a != -math.inf and b != -math.inf]
     return rows or None
 
 
-def _probe(rows, s: float) -> tuple:
-    """d_C(s) over ``rows``, a :func:`_common_support` form, with rounding
+def _probe(rows: list, s: float) -> tuple:
+    """d_C(s) over ``rows``, a :func:`_common_support` list, with rounding
     noise (values <= 1e-12) read as 0, and the weights w = exp(v - max v)
     of v = (1-s) log P(.|x) + s log P(.|x') and their sum.
 
-    A tuple is probed in array form: v, max and shift as numpy ufuncs, then
-    ``np.exp`` and ``np.add.reduce``.  A list gives the same bits in Python
-    floats: each product, sum, compare and shift is one IEEE operation, and
-    the loop adds the weights left to right, as ``np.add.reduce`` does below
-    PAIRWISE_BLOCK terms (builtin ``sum`` compensates since Python 3.12).
-    ``exp`` is numpy's on both sides: ``math.exp`` rounds differently."""
-    if isinstance(rows, tuple):
-        la, lb = rows
-        v = (1.0 - s) * la + s * lb
-        mx = np.maximum.reduce(v)
-        w = np.exp(v - mx)
-        total = np.add.reduce(w)
-        val = -float(mx + math.log(total))
-    else:
-        t = 1.0 - s
-        v = [t * a + s * b for a, b in rows]
-        mx = max(v)
-        w = np.exp([u - mx for u in v])
+    v, its maximum and the shift are one IEEE multiply, add or compare per
+    term in Python floats, bit-identical to numpy's element-wise ufuncs.
+    ``exp`` stays numpy's: ``math.exp`` rounds differently.  Below
+    PAIRWISE_BLOCK terms the loop adds the weights left to right, as
+    ``np.add.reduce`` does (builtin ``sum`` compensates since Python 3.12);
+    from it on the sum is ``np.add.reduce``'s blocked one."""
+    t = 1.0 - s
+    v = [t * a + s * b for a, b in rows]
+    mx = max(v)
+    w = np.exp([u - mx for u in v])
+    if len(v) < PAIRWISE_BLOCK:
         total = 0.0
         for u in w.tolist():
             total += u
-        val = -(mx + math.log(total))
+    else:
+        total = np.add.reduce(w)
+    val = -(mx + math.log(total))
     return (val if val > 1e-12 else 0.0), w, total
 
 
@@ -251,8 +238,7 @@ def _half_and_slope(P: Dmc, x: int, xp: int) -> tuple:
     if rows is None:
         return math.inf, 0.0
     val, w, total = _probe(rows, 0.5)
-    diff = rows[1] - rows[0] if isinstance(rows, tuple) else np.array([b - a for a, b in rows])
-    slope = -float(w @ diff) / float(total)
+    slope = -float(w @ np.array([b - a for a, b in rows])) / float(total)
     return val, slope
 
 

@@ -231,7 +231,9 @@ def zero_rate_exponent(P: Dmc, *, db_matrix: np.ndarray | None = None) -> Expone
     the same value and maximizer bit for bit.  Two inputs with disjoint
     output supports make the exponent +inf, attained by splitting the mass
     evenly between them.  ``db_matrix``, the channel's pairwise
-    Bhattacharyya distances, saves recomputing them.
+    Bhattacharyya distances, saves recomputing them; it must be the
+    channel's :func:`_db_matrix`, whose diagonal is 0, which the support
+    enumeration relies on.
     """
     n = P.input_size
     if n > ZERO_RATE_INPUT_GUARD:

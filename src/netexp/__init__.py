@@ -37,6 +37,7 @@ from .flow import (
     maxflow,
     mincut,
     mincut_without_backedges,
+    per_channel,
     weighted_network,
 )
 from .protocol import (

@@ -152,6 +152,16 @@ def _common_support(P: Dmc, x: int, xp: int):
     return rows or None
 
 
+def _sum_left_to_right(values) -> float:
+    """0.0 plus each value in turn, the order in which ``np.add.reduce``
+    adds fewer than PAIRWISE_BLOCK terms.  The builtin ``sum`` adds floats
+    this way only up to Python 3.11; from 3.12 on it compensates."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _probe(rows: list, s: float) -> tuple:
     """d_C(s) over ``rows``, a :func:`_common_support` list, with rounding
     noise (values <= 1e-12) read as 0, and the weights w = exp(v - max v)
@@ -160,17 +170,15 @@ def _probe(rows: list, s: float) -> tuple:
     v, its maximum and the shift are one IEEE multiply, add or compare per
     term in Python floats, bit-identical to numpy's element-wise ufuncs.
     ``exp`` stays numpy's: ``math.exp`` rounds differently.  Below
-    PAIRWISE_BLOCK terms the loop adds the weights left to right, as
-    ``np.add.reduce`` does (builtin ``sum`` compensates since Python 3.12);
-    from it on the sum is ``np.add.reduce``'s blocked one."""
+    PAIRWISE_BLOCK terms the weights are added left to right, as
+    ``np.add.reduce`` does; from it on the sum is ``np.add.reduce``'s
+    blocked one."""
     t = 1.0 - s
     v = [t * a + s * b for a, b in rows]
     mx = max(v)
     w = np.exp([u - mx for u in v])
     if len(v) < PAIRWISE_BLOCK:
-        total = 0.0
-        for u in w.tolist():
-            total += u
+        total = _sum_left_to_right(w.tolist())
     else:
         total = np.add.reduce(w)
     val = -(mx + math.log(total))

@@ -13,7 +13,7 @@ import sys
 
 from .errors import GraphFileError, NetexpError
 from .exponents import exponent_two, tilde_exponent, zero_rate_exponent
-from .flow import decompose, maxflow, weighted_network
+from .flow import decompose, maxflow, per_channel, weighted_network
 from .graphio import dump_normalized, load_graph_file
 from .harness import SimConfig, analyze, counterexample_experiment, simulate
 from .protocol import exact_block_distribution, composite_db, make_series_spec
@@ -85,15 +85,14 @@ def cmd_decompose(args) -> int:
         "tilde": lambda P: tilde_exponent(P, args.messages).value,
         "zero": lambda P: zero_rate_exponent(P).value,
     }[args.weights]
-    net = weighted_network(gf.graph, capacity)
+    net = weighted_network(gf.graph, per_channel(gf.graph, capacity))
     dec = decompose(net, maxflow(net))
     names = gf.nodes
-    caps = {e.id: e.capacity for e in net.edges}
     for p in dec.paths:
         route = "->".join(names[v] for v in p.nodes)
         # maxflow carries +inf capacities as a finite sentinel; a path of
         # infinite edges has infinite value whatever share of it it got
-        value = math.inf if all(math.isinf(caps[eid]) for eid in p.edge_ids) else p.value
+        value = math.inf if all(math.isinf(net.edges[eid].capacity) for eid in p.edge_ids) else p.value
         print(f"{route} value={_fmt(value)}")
     return 0
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Dmc
+from .channel import Dmc, _sum_left_to_right
 from .errors import GraphTooLarge, ParameterOutOfRange
 
 FLOW_TOL = 1e-12
@@ -27,7 +27,8 @@ class GraphEdge:
 
 @dataclass(frozen=True)
 class ChannelGraph:
-    """Directed multigraph of channels with one source and one destination."""
+    """Directed multigraph of channels with one source and one destination.
+    Each edge's id is its position in ``edges``: flows are indexed by it."""
 
     node_count: int
     source: int
@@ -37,7 +38,9 @@ class ChannelGraph:
     def __post_init__(self):
         if self.source == self.destination:
             raise ParameterOutOfRange("source and destination must differ")
-        for e in self.edges:
+        for i, e in enumerate(self.edges):
+            if e.id != i:
+                raise ParameterOutOfRange(f"edge {e.id} sits at position {i}; ids must be positions")
             if not (0 <= e.tail < self.node_count and 0 <= e.head < self.node_count):
                 raise ParameterOutOfRange(f"edge {e.id} has endpoints outside the node range")
         if self.destination not in _reach(self.node_count, [(e.tail, e.head) for e in self.edges], self.source):
@@ -69,7 +72,7 @@ class Network:
 
     def sentinel(self) -> float:
         """Stand-in for +inf: strictly larger than any finite maxflow."""
-        return 1.0 + sum(e.capacity for e in self.edges if math.isfinite(e.capacity))
+        return 1.0 + _sum_left_to_right(e.capacity for e in self.edges if math.isfinite(e.capacity))
 
 
 @dataclass(frozen=True)
@@ -99,10 +102,6 @@ class PathFlow:
 class PathDecomposition:
     paths: tuple
 
-    @property
-    def total(self) -> float:
-        return sum(p.value for p in self.paths)
-
 
 def _reach(node_count, arcs, src) -> frozenset:
     """Nodes reachable from src over the (tail, head) arcs."""
@@ -121,18 +120,21 @@ def _reach(node_count, arcs, src) -> frozenset:
     return frozenset(v for v in range(node_count) if seen[v])
 
 
-def weighted_network(G: ChannelGraph, capacity) -> Network:
-    """Network on G's edges with capacity(channel), a 1-hop exponent of the
-    channel, as each edge's capacity; evaluated once per distinct channel
-    object."""
-    cache: dict[int, float] = {}
-    edges = []
+def per_channel(G: ChannelGraph, f) -> list:
+    """f(edge.channel) for each of G's edges in edge order, calling f once
+    per distinct channel object."""
+    memo = {}
     for e in G.edges:
-        key = id(e.channel)
-        if key not in cache:
-            cache[key] = capacity(e.channel)
-        edges.append(NetEdge(e.tail, e.head, cache[key], e.id))
-    return Network(G.node_count, G.source, G.destination, tuple(edges))
+        if id(e.channel) not in memo:
+            memo[id(e.channel)] = f(e.channel)
+    return [memo[id(e.channel)] for e in G.edges]
+
+
+def weighted_network(G: ChannelGraph, capacities) -> Network:
+    """Network on G's edges with capacities[i], a 1-hop exponent of edge i's
+    channel (see :func:`per_channel`), as edge i's capacity."""
+    edges = tuple(NetEdge(e.tail, e.head, c, e.id) for e, c in zip(G.edges, capacities, strict=True))
+    return Network(G.node_count, G.source, G.destination, edges)
 
 
 def maxflow(net: Network) -> Flow:
@@ -209,7 +211,7 @@ def mincut(net: Network, flow: Flow) -> Cut:
 
 
 def _cut_size(net: Network, side_a) -> float:
-    return sum(e.capacity for e in net.edges if e.tail in side_a and e.head not in side_a)
+    return _sum_left_to_right(e.capacity for e in net.edges if e.tail in side_a and e.head not in side_a)
 
 
 def _all_partitions(net: Network):
@@ -271,59 +273,35 @@ def mincut_without_backedges(net: Network, flow: Flow) -> Cut | None:
     return Cut(side_a=side_a, side_b=side_b, size=_cut_size(net, side_a))
 
 
-def _sink_reachable(adj, remaining, start, sink, blocked) -> bool:
-    seen = set(blocked)
-    seen.discard(start)
-    seen.add(start)
-    q = deque([start])
-    while q:
-        u = q.popleft()
-        if u == sink:
-            return True
-        for eid, head in adj[u]:
-            if remaining[eid] > FLOW_TOL and head not in seen:
-                seen.add(head)
-                q.append(head)
-    return False
-
-
 def decompose(net: Network, flow: Flow) -> PathDecomposition:
     """Decompose a flow into simple source->sink paths.
 
-    Repeatedly extracts the path whose edge-id sequence is lexicographically
+    Repeatedly extracts the path whose edge sequence is lexicographically
     smallest among positive-flow paths, pushes the bottleneck value along it,
     and subtracts.  Each round zeroes at least one edge, so at most |E| paths
     result.  Flow left on cycles disjoint from every source-sink path is
-    discarded with a warning.
+    discarded with a warning.  Paths name edges by their position in
+    ``net.edges``, which in a :func:`weighted_network` is the edge's id.
     """
     n = net.node_count
     adj = [[] for _ in range(n)]
-    for e in sorted(net.edges, key=lambda e: e.id):
-        adj[e.tail].append((e.id, e.head))
+    for i, e in enumerate(net.edges):
+        adj[e.tail].append((i, e.head))
     remaining = flow.edge_flows.copy().astype(float)
     paths = []
     while True:
-        nodes = [net.source]
-        eids = []
-        blocked = {net.source}
-        node = net.source
-        dead = False
-        while node != net.destination:
-            step = None
-            for eid, head in adj[node]:
-                if remaining[eid] > FLOW_TOL and head not in blocked and _sink_reachable(
-                    adj, remaining, head, net.destination, blocked
-                ):
-                    step = (eid, head)
-                    break
+        nodes, eids = [net.source], []
+        while nodes[-1] != net.destination:
+            live = [(e.tail, e.head) for e, r in zip(net.edges, remaining)
+                    if r > FLOW_TOL and e.head not in nodes]
+            step = next(((eid, head) for eid, head in adj[nodes[-1]]
+                         if remaining[eid] > FLOW_TOL and head not in nodes
+                         and net.destination in _reach(n, live, head)), None)
             if step is None:
-                dead = True
                 break
             eids.append(step[0])
             nodes.append(step[1])
-            blocked.add(step[1])
-            node = step[1]
-        if dead:
+        if nodes[-1] != net.destination:
             # only possible at the source: once a step is taken, the
             # reachability probe guarantees the path can be completed
             break
@@ -352,7 +330,7 @@ def path_edge_budgets(dec: PathDecomposition, B: int):
             users.setdefault(eid, []).append(i)
     budgets = {}
     for eid, idxs in users.items():
-        fsum = sum(dec.paths[i].value for i in idxs)
+        fsum = _sum_left_to_right(dec.paths[i].value for i in idxs)
         for i in idxs:
             ratio = dec.paths[i].value / fsum
             budgets[(i, eid)] = math.ceil(ratio * B - 1e-9)

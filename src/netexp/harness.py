@@ -25,7 +25,10 @@ from .errors import (
     StateSpaceTooLarge,
 )
 from .exponents import bsc_feedback_exponent_m3, channel_exponents, tilde_exponent
-from .flow import ChannelGraph, Network, make_channel_graph, maxflow, mincut_without_backedges, weighted_network
+from .flow import (
+    ChannelGraph, Network, make_channel_graph, maxflow, mincut_without_backedges, per_channel,
+    weighted_network,
+)
 from .protocol import (
     NetworkPlan,
     _first_max_rows,
@@ -156,12 +159,10 @@ def analyze(G: ChannelGraph, M: int) -> BoundsReport:
     all-reversible) approximation are checked before returning; a breach
     raises BoundsViolation.
     """
-    channels = {id(e.channel): e.channel for e in G.edges}
-    records = {key: channel_exponents(P, M) for key, P in channels.items()}
-    per_edge = [records[id(e.channel)] for e in G.edges]
-    net_tilde = weighted_network(G, lambda P: records[id(P)].tilde.value)
-    net_two = weighted_network(G, lambda P: records[id(P)].two.value)
-    net_zero = weighted_network(G, lambda P: records[id(P)].zero_rate.value)
+    per_edge = per_channel(G, lambda P: channel_exponents(P, M))
+    net_tilde = weighted_network(G, [rec.tilde.value for rec in per_edge])
+    net_two = weighted_network(G, [rec.two.value for rec in per_edge])
+    net_zero = weighted_network(G, [rec.zero_rate.value for rec in per_edge])
     flow_tilde = maxflow(net_tilde)
     f_tilde = flow_tilde.total
     f_two = maxflow(net_two).total
@@ -388,15 +389,13 @@ def counterexample_experiment(p_grid) -> list:
             bhattacharyya(Q, a, b) for a in range(3) for b in range(a + 1, 3)
         )
         G = counterexample_graph(p)
-        channels = {id(e.channel): e.channel for e in G.edges}
-        tilde = {key: tilde_exponent(P, 3).value for key, P in channels.items()}
-        bound = maxflow(weighted_network(G, lambda P: tilde[id(P)])).total
+        tilde = per_channel(G, lambda P: tilde_exponent(P, 3).value)
+        bound = maxflow(weighted_network(G, tilde)).total
 
         # feedback raises only the BSC edge's exponent; the ternary edge
         # keeps its tilde exponent and the noiseless edges stay infinite
-        bsc_fb = bsc_feedback_exponent_m3(p)
-        fb_net = weighted_network(G, lambda P: bsc_fb if P is G.edges[4].channel else tilde[id(P)])
-        fb_bound = maxflow(fb_net).total
+        feedback = tilde[:4] + [bsc_feedback_exponent_m3(p)] + tilde[5:]
+        fb_bound = maxflow(weighted_network(G, feedback)).total
 
         rows.append(
             CounterexampleRow(

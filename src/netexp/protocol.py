@@ -25,7 +25,7 @@ from .errors import (
     StateSpaceTooLarge,
 )
 from .exponents import permutation_codebook, tilde_exponent
-from .flow import ChannelGraph, decompose, maxflow, path_edge_budgets, weighted_network
+from .flow import ChannelGraph, decompose, maxflow, path_edge_budgets, per_channel, weighted_network
 
 EXACT_BLOCK_GUARD = 10**6
 TABLE_BYTES_GUARD = 1 << 28  # one hop's sampling tables, see path_tables
@@ -604,7 +604,6 @@ class NetworkPlan:
     """
 
     M: int
-    B: int
     window: int
     paths: tuple
 
@@ -631,9 +630,8 @@ def build_network_plan(G: ChannelGraph, M: int, B: int) -> NetworkPlan:
     """
     if B % 2 != 0 or B < 2:
         raise ParameterOutOfRange("block size must be even and at least 2")
-    channels = {id(e.channel): e.channel for e in G.edges}
-    tilde = {key: tilde_exponent(P, M) for key, P in channels.items()}
-    net = weighted_network(G, lambda P: tilde[id(P)].value)
+    tilde = per_channel(G, lambda P: tilde_exponent(P, M))
+    net = weighted_network(G, [rep.value for rep in tilde])
     fl = maxflow(net)
     if fl.total <= 0:
         raise ParameterOutOfRange("graph maxflow is zero; no information can cross")
@@ -646,13 +644,11 @@ def build_network_plan(G: ChannelGraph, M: int, B: int) -> NetworkPlan:
     for eid, idxs in users.items():
         window = max(window, sum(budgets[(i, eid)] for i in idxs))
 
-    chan_by_id = {g_edge.id: g_edge.channel for g_edge in G.edges}
-
     paths = []
     for i, p in enumerate(dec.paths):
         raw_budget = min(budgets[(i, eid)] for eid in p.edge_ids)
-        hops = [chan_by_id[eid] for eid in p.edge_ids]
-        reduced, flow_value, ell = reduce_inputs(hops, M, reports=[tilde[id(P)] for P in hops])
+        hops = [G.edges[eid].channel for eid in p.edge_ids]
+        reduced, flow_value, ell = reduce_inputs(hops, M, reports=[tilde[eid] for eid in p.edge_ids])
         b_red = (raw_budget // ell) // 2 * 2
         if b_red < 2:
             raise BTooSmall(
@@ -660,7 +656,7 @@ def build_network_plan(G: ChannelGraph, M: int, B: int) -> NetworkPlan:
             )
         spec = SeriesSpec(channels=reduced, M=M, B=b_red, flow_value=flow_value)
         paths.append(PathPlan(index=i, edge_ids=p.edge_ids, spec=spec))
-    return NetworkPlan(M=M, B=B, window=window, paths=tuple(paths))
+    return NetworkPlan(M=M, window=window, paths=tuple(paths))
 
 
 def _encode_blocks(blocks: np.ndarray, base_out: int) -> np.ndarray:

@@ -24,7 +24,7 @@ CLI_GOLDEN_CASES = (
     [(f"analyze-{g}-m{M}", ["analyze", str(GRAPHS / f"{g}.json"), "--messages", M])
      for g in SAMPLE_GRAPHS for M in ("2", "3")]
     + [(f"decompose-{g}-{w}", ["decompose", str(GRAPHS / f"{g}.json"), "--weights", w])
-       for g in SAMPLE_GRAPHS for w in ("two", "tilde")]
+       for g in SAMPLE_GRAPHS for w in ("two", "tilde", "zero")]
     + [("counterexample-default", ["counterexample"])]
     + [(f"oracle-{g}-{mode}", ["oracle", str(GRAPHS / f"{g}.json"), "--messages", "2",
                                "--block", "4", "--mode", mode])

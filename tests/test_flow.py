@@ -4,12 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from netexp.channel import bsc, identity_channel, ksym
+from netexp.channel import _sum_left_to_right, bsc, identity_channel, ksym
 from netexp.errors import GraphTooLarge, ParameterOutOfRange
 from netexp.exponents import exponent_two, tilde_exponent
 from netexp.flow import (
     ChannelGraph,
     Flow,
+    GraphEdge,
     NetEdge,
     Network,
     brute_force_mincut,
@@ -19,6 +20,7 @@ from netexp.flow import (
     mincut,
     mincut_without_backedges,
     path_edge_budgets,
+    per_channel,
     weighted_network,
 )
 from netexp.harness import counterexample_graph
@@ -27,11 +29,11 @@ from flow_oracles import enumerate_mincut_without_backedges
 
 
 def two_network(G):
-    return weighted_network(G, lambda P: exponent_two(P).value)
+    return weighted_network(G, per_channel(G, lambda P: exponent_two(P).value))
 
 
 def tilde_network(G, M):
-    return weighted_network(G, lambda P: tilde_exponent(P, M).value)
+    return weighted_network(G, per_channel(G, lambda P: tilde_exponent(P, M).value))
 
 
 def backedge_free(net):
@@ -75,11 +77,17 @@ class TestWeightedNetwork:
 
         def capacity(P):
             seen.append(P)
-            return 0.5
+            return 0.5 * len(seen)
 
-        net = weighted_network(G, capacity)
+        caps = per_channel(G, capacity)
         assert [id(P) for P in seen] == [id(shared), id(other)]
-        assert [e.capacity for e in net.edges] == [0.5, 0.5, 0.5]
+        assert caps == [0.5, 0.5, 1.0]
+        assert [e.capacity for e in weighted_network(G, caps).edges] == caps
+
+    def test_one_capacity_per_edge(self):
+        G = make_channel_graph(3, 0, 2, [(0, 1, bsc(0.1)), (1, 2, bsc(0.2))])
+        with pytest.raises(ValueError):
+            weighted_network(G, [0.5])
 
 
 class TestMaxflow:
@@ -210,6 +218,19 @@ class TestDecompose:
         assert len(dec.paths) == 1
         assert abs(dec.paths[0].value - 0.5) < 1e-12
 
+    def test_step_into_a_cycle_off_to_the_sink_is_skipped(self):
+        # edge 1 leads from a to b, whose only flow returns to a: the path
+        # s->a must leave a by edge 3, and the a-b cycle is stripped
+        edges = (
+            NetEdge(0, 1, 1.0, 0), NetEdge(1, 2, 1.0, 1),
+            NetEdge(2, 1, 1.0, 2), NetEdge(1, 3, 1.0, 3),
+        )
+        net = Network(4, 0, 3, edges)
+        fl = Flow(edge_flows=np.ones(4), total=1.0)
+        with pytest.warns(UserWarning, match="circulation"):
+            dec = decompose(net, fl)
+        assert [(p.nodes, p.edge_ids, p.value) for p in dec.paths] == [((0, 1, 3), (0, 3), 1.0)]
+
     def test_deterministic_lexicographic(self):
         # two equal-value routes: the smaller edge-id sequence must win first
         edges = (
@@ -338,6 +359,25 @@ class TestPathEdgeBudgets:
                 assert sub * caps[eid] >= B * dec.paths[i].value - 1e-6
 
 
+class TestLeftToRightSums:
+    # 1e16 + 1.0 rounds back to 1e16, so a left-to-right sum drops both ones,
+    # while a compensated one (math.fsum; builtin sum from Python 3.12) keeps
+    # them: these values pin the first on every interpreter
+    CAPS = (1e16, 1.0, 1.0)
+
+    def test_the_case_tells_the_two_apart(self):
+        assert _sum_left_to_right(self.CAPS) == 1e16
+        assert math.fsum(self.CAPS) == 1e16 + 2.0
+
+    def test_sentinel(self):
+        assert parallel_net(*self.CAPS).sentinel() == 1.0 + 1e16
+
+    def test_cut_size(self):
+        net = parallel_net(*self.CAPS)
+        assert brute_force_mincut(net).size == 1e16
+        assert mincut(net, maxflow(net)).size == 1e16
+
+
 class TestMonotonicity:
     def test_adding_edge_never_decreases(self, rng):
         for _ in range(100):
@@ -364,7 +404,13 @@ class TestChannelGraphValidation:
             make_channel_graph(3, 0, 2, [(1, 0, bsc(0.1)), (2, 1, bsc(0.1))])
 
     def test_bad_endpoint(self):
-        from netexp.flow import GraphEdge
-
         with pytest.raises(ParameterOutOfRange):
             ChannelGraph(2, 0, 1, (GraphEdge(0, 5, bsc(0.1), 0),))
+
+    def test_ids_that_are_not_positions(self):
+        # decompose and the network plan index flows by edge id; with these
+        # ids the strong path's value was reported on the weak path (0, 2, 3)
+        ends = [(0, 1, 0.1), (1, 3, 0.1), (0, 2, 0.2), (2, 3, 0.2)]
+        edges = tuple(GraphEdge(t, h, bsc(p), i) for (t, h, p), i in zip(ends, [3, 2, 1, 0]))
+        with pytest.raises(ParameterOutOfRange, match="position"):
+            ChannelGraph(4, 0, 3, edges)

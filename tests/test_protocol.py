@@ -15,7 +15,7 @@ from netexp.errors import (
 from netexp import protocol
 import protocol_oracles as oracles
 from netexp.exponents import permutation_codebook, tilde_exponent
-from netexp.flow import decompose, make_channel_graph, maxflow, path_edge_budgets, weighted_network
+from netexp.flow import decompose, make_channel_graph, maxflow, path_edge_budgets, per_channel, weighted_network
 from netexp.graphio import load_graph_file
 from netexp import harness
 from netexp.harness import _cell_errors
@@ -558,7 +558,7 @@ class TestNetworkProtocol:
             (counterexample_graph(0.01), 3, (12, 24)),
         ]
         for G, M, blocks in cases:
-            net = weighted_network(G, lambda P: tilde_exponent(P, M).value)
+            net = weighted_network(G, per_channel(G, lambda P: tilde_exponent(P, M).value))
             dec = decompose(net, maxflow(net))
             for B in blocks:
                 plan = build_network_plan(G, M, B)
@@ -1102,7 +1102,7 @@ class TestSymbolDtype:
         P = self.WIDE
         spec = SeriesSpec(channels=(P, P), M=2, B=2, flow_value=bhattacharyya(P, 0, 1))
         path = protocol.PathPlan(index=0, edge_ids=(0, 1), spec=spec)
-        return protocol.NetworkPlan(M=2, B=2, window=2, paths=(path,))
+        return protocol.NetworkPlan(M=2, window=2, paths=(path,))
 
     def test_bsc_blocks_are_bytes(self):
         spec = make_series_spec([bsc(0.1)] * 3, 2, 2)

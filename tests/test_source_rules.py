@@ -95,12 +95,16 @@ def _builtin_sum_uses(tree) -> list:
 
 def test_no_builtin_sum_in_channel():
     # channel._probe sums fewer than 8 floats left to right, the order in
-    # which np.add.reduce adds them.  Since Python 3.12 the builtin sum of
-    # floats is compensated, so a sum(w) there would pass on 3.11 and
-    # change reported divergences on newer interpreters.
-    path = SRC / "channel.py"
-    found = _builtin_sum_uses(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
-    assert found == [], f"builtin sum in channel.py: lines {found}"
+    # which np.add.reduce adds them, and flow's sentinel, cut sizes and
+    # path budgets add capacities left to right.  Since Python 3.12 the
+    # builtin sum of floats is compensated, so a sum(...) there would pass
+    # on 3.11 and change reported numbers on newer interpreters.
+    found = [
+        f"{name}:{line}"
+        for name in ("channel.py", "flow.py")
+        for line in _builtin_sum_uses(ast.parse((SRC / name).read_text(encoding="utf-8"), filename=name))
+    ]
+    assert found == [], f"builtin sum in src/netexp: {', '.join(found)}"
 
 
 def test_builtin_sum_rule_catches_each_form():

@@ -256,7 +256,8 @@ def _cell_errors(plan: NetworkPlan, tables, dists, decoder: str, n: int, m: int,
     results do not depend on worker scheduling.  Trial chunks are the outer
     loop, so memory holds one chunk's scores, not every trial's; scores are
     message-major, (M, chunk), and each of a batch's row tiles is decoded
-    into its own columns.
+    into its own columns; the heuristic decoder reads the final hop's
+    codewords and chunk table from ``tables``.
     """
     counts = plan.blocks_per_path(n)
     slots = [
@@ -277,7 +278,7 @@ def _cell_errors(plan: NetworkPlan, tables, dists, decoder: str, n: int, m: int,
                 if decoder == "exact":
                     cols += block_scores_ml(blocks, dists[p.index])
                 else:
-                    cols += block_scores_heuristic(blocks, spec.channels[-1], spec.M, spec.B)
+                    cols += block_scores_heuristic(blocks, tab[-1], spec.B)
                 lo += len(blocks)
             del blocks, cols  # free this batch's blocks before the next batch allocates
         errors += int(np.count_nonzero(_first_max_rows(scores)[0] != m - 1))

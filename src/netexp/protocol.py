@@ -121,26 +121,39 @@ def _codeword_table(M: int, B: int) -> np.ndarray:
     return tab
 
 
-def _symbol_logliks(base_logp: np.ndarray, words: np.ndarray, y: np.ndarray, B: int) -> np.ndarray:
-    """Per-use log-likelihoods la[a, n, r] = log P(chunk r of y_n | symbol a+1).
-
-    A chunk's first g raw digits key one row of a table that holds their
-    summed log-likelihoods; the remaining digits are added one at a time.
-    Every sum runs over the digits in order from 0.0, so the floats do not
-    depend on g.  g is the largest with out**g no larger than the chunk
-    count, so the table is never bigger than the data it replaces.  The
-    result is a view whose memory runs use-major, la[a, :, r] contiguous.
-    """
+def _chunk_table(base_logp: np.ndarray, words: np.ndarray, chunks: int):
+    """(table, g) for :func:`_symbol_logliks` on up to ``chunks`` chunks:
+    table[a, k] sums log P(digit j | words[a, j]) over a chunk's first g
+    raw digits, whose row-major key is k, in order from 0.0.  g is the
+    largest with out**g no larger than ``chunks``, so the table is never
+    bigger than the data it replaces."""
     M, ell = words.shape
-    N = y.shape[0]
     out = base_logp.shape[1]
-    digits = y.reshape(N * B, ell)
     g = 0
-    while g < ell and out ** (g + 1) <= N * B:
+    while g < ell and out ** (g + 1) <= chunks:
         g += 1
     table = np.zeros((M, 1))
     for j in range(g):
         table = (table[:, :, None] + base_logp[words[:, j]][:, None, :]).reshape(M, -1)
+    return table, g
+
+
+def _symbol_logliks(base_logp: np.ndarray, words: np.ndarray, y: np.ndarray, B: int,
+                    chunk=None) -> np.ndarray:
+    """Per-use log-likelihoods la[a, n, r] = log P(chunk r of y_n | symbol a+1).
+
+    A chunk's first g raw digits key one row of ``chunk``'s table
+    (:func:`_chunk_table`, by default built for y's N*B chunks); the
+    remaining digits are added one at a time.  Every sum runs over the
+    digits in order from 0.0, so the floats do not depend on g, and a table
+    built once for a hop's largest tile serves every tile.  The result is a
+    view whose memory runs use-major, la[a, :, r] contiguous.
+    """
+    ell = words.shape[1]
+    N = y.shape[0]
+    out = base_logp.shape[1]
+    digits = y.reshape(N * B, ell)
+    table, g = _chunk_table(base_logp, words, N * B) if chunk is None else chunk
     la = np.take(table, _encode_blocks(digits[:, :g], out).reshape(N, B).T, axis=1)
     for j in range(g, ell):
         la += np.take(base_logp[words[:, j]], digits[:, j].reshape(N, B).T, axis=1)
@@ -190,15 +203,17 @@ def _logsumexp_leading(a: np.ndarray) -> np.ndarray:
     (log1p(s) + log(m)) + max."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a_max = a.max(axis=0)
-        is_max = a == a_max
-        m = is_max.sum(axis=0, dtype=a.dtype)
-        # exp(a - max) with the maxima's terms then zeroed, as exp(-inf) is:
-        # numpy's exp takes a slow path on -inf arguments.  A maximum's own
-        # term may be NaN (an all -inf column, or a +inf maximum) before
-        # the zeroing
+        # 1.0 at the maxima, +0.0 elsewhere: summed, the tie count m
+        is_max = (a == a_max).astype(a.dtype)
+        m = np.add.reduce(is_max, axis=0)
+        # exp(a - max) less the mask zeroes the maxima's terms, as exp(-inf)
+        # would (numpy's exp takes a slow path on -inf arguments): a finite
+        # maximum's term is exp(+0.0) = 1.0, and 1.0 - 1.0 = +0.0, while
+        # every other term loses exactly 0.0.  A column whose maximum is not
+        # finite takes the fallback below
         terms = np.subtract(a, a_max)
         np.exp(terms, out=terms)
-        np.putmask(terms, is_max, 0.0)
+        terms -= is_max
         s = np.add.reduce(terms, axis=0)
         np.divide(s, m, out=s, where=s != 0)
         out = np.log1p(s, out=s)
@@ -250,18 +265,20 @@ def _states_from_loglik(msg_ll: np.ndarray, flow_value: float, half: int):
         ell = np.floor(llr / (4.0 * flow_value))
     # fmax takes NaN (from 0/0, inf/inf or inf - inf) to 0
     ell = np.fmin(np.fmax(ell, 0.0), half)
-    ell[np.isposinf(llr)] = half
+    np.copyto(ell, half, where=llr == np.inf)
     return m_idx, ell.astype(np.int64)
 
 
-def _relay_states(chan, M: int, B: int, flow_value: float, y: np.ndarray):
-    """Receiving relay's (m_idx, ell) for each row of raw base-symbol blocks.
+def _relay_states(base_logp: np.ndarray, words: np.ndarray, B: int, flow_value: float,
+                  y: np.ndarray, chunk=None):
+    """Receiving relay's (m_idx, ell) for each row of raw base-symbol blocks
+    y, from the hop's base log-likelihoods and :func:`_hop_view` codewords.
 
     Hypothesis likelihoods marginalize the sender's confidence uniformly:
-    P(y|m) = mean over ell of P(y|codeword(m, ell)).
+    P(y|m) = mean over ell of P(y|codeword(m, ell)).  ``chunk`` is the
+    hop's :func:`_chunk_table`, by default built for y.
     """
-    base, words = _hop_view(chan, M)
-    ll = _state_logliks(_symbol_logliks(base.log_probs, words, y, B), B)
+    ll = _state_logliks(_symbol_logliks(base_logp, words, y, B, chunk), B)
     return _states_from_loglik(_uniform_message_loglik(ll), flow_value, B // 2)
 
 
@@ -359,30 +376,50 @@ def make_series_spec(channels, M: int, B: int) -> SeriesSpec:
 class HopTables:
     """Read-only tables of one hop, built by :func:`path_tables`.
 
-    ``thresholds`` is the hop's :func:`_sampling_thresholds` and ``out`` its
-    base output size.  On a relay hop whose out**L possible raw blocks are
-    no more than the rows the tables were built for, ``next_state[key]`` is
+    ``thresholds`` is the hop's :func:`_sampling_thresholds`, ``log_probs``
+    its base channel's log-likelihoods and ``words`` its :func:`_hop_view`
+    codeword array.  On a relay hop whose out**L possible raw blocks are no
+    more than the rows the tables were built for, ``next_state[key]`` is
     the receiving relay's sender-state index m_idx * (B/2+1) + ell for the
-    block whose :func:`_encode_blocks` key is ``key``; elsewhere it is None
-    and the relay decides each row itself.
+    block whose :func:`_encode_blocks` key is ``key``, and ``chunk`` is
+    None.  Elsewhere ``next_state`` is None, and ``chunk`` is the
+    :func:`_chunk_table` sized for the hop's largest tile, which a relay
+    that decides each row itself and the heuristic decoder of the final
+    hop read.
     """
 
     thresholds: np.ndarray
-    out: int
+    log_probs: np.ndarray
+    words: np.ndarray
     next_state: np.ndarray | None
+    chunk: tuple | None
 
     def __post_init__(self):
         # shared by every batch and worker thread of a call
-        for arr in (self.thresholds, self.next_state):
+        table = self.chunk[0] if self.chunk else None
+        for arr in (self.thresholds, self.words, self.next_state, table):
             if arr is not None:
                 arr.flags.writeable = False
+
+    @property
+    def out(self) -> int:
+        """The base output size."""
+        return self.log_probs.shape[1]
+
+
+def _tile_rows(n_blocks: int, L: int) -> int:
+    """Rows of a hop's tiles: at most ``_TILE_ELEMS`` raw symbols, and at
+    least one row."""
+    return max(1, min(n_blocks, _TILE_ELEMS // L))
 
 
 def path_tables(spec: SeriesSpec, rows: int) -> tuple:
     """Every hop's :class:`HopTables` for batches of up to ``rows`` blocks.
 
     A relay table is decided once from every possible block, so it is never
-    bigger than the largest batch that reads it.  A hop's sampling tables
+    bigger than the largest batch that reads it.  Every other hop's chunk
+    table is built here once, for the hop's largest tile, and not per tile.
+    A hop's sampling tables
     grow with B**2: before any is built, each hop's size is checked against
     ``TABLE_BYTES_GUARD``, and :class:`StateSpaceTooLarge` is raised above it.
     """
@@ -399,15 +436,18 @@ def path_tables(spec: SeriesSpec, rows: int) -> tuple:
                 f"per hop, above the {TABLE_BYTES_GUARD}-byte table guard"
             )
     tables = []
-    for hop, (chan, (base, words)) in enumerate(zip(spec.channels, views)):
+    for hop, (base, words) in enumerate(views):
         out, L = base.output_size, spec.B * words.shape[1]
-        next_state = None
+        next_state = chunk = None
         if hop < len(spec.channels) - 1 and out**L <= rows:  # Python ints: no int64 wrap-around
             m_tab, ell_tab = _relay_states(
-                chan, spec.M, spec.B, spec.flow_value, _enumerate_blocks(out, L)
+                base.log_probs, words, spec.B, spec.flow_value, _enumerate_blocks(out, L)
             )
             next_state = m_tab * width + ell_tab
-        tables.append(HopTables(_sampling_thresholds(base.probs, words, spec.B), out, next_state))
+        else:
+            chunk = _chunk_table(base.log_probs, words, _tile_rows(rows, L) * spec.B)
+        tables.append(HopTables(_sampling_thresholds(base.probs, words, spec.B), base.log_probs,
+                                words, next_state, chunk))
     return tuple(tables)
 
 
@@ -427,7 +467,8 @@ def _hop_blocks(spec: SeriesSpec, m: int, n_blocks: int, rng, tables):
 
     ``tables`` are the chain's :func:`path_tables`.  A relay with a decision
     table keys each block once and reads its next sender state from the
-    table; the others decide every row directly.
+    table; the others decide every row directly from their hop's codewords
+    and chunk table.
     """
     if not 1 <= m <= spec.M:
         raise BoundsViolation(f"message {m} outside 1..{spec.M}")
@@ -435,10 +476,10 @@ def _hop_blocks(spec: SeriesSpec, m: int, n_blocks: int, rng, tables):
     last = len(spec.channels) - 1
     state = np.array((m - 1) * width + width - 1)  # the source's, for every row
     buf = None
-    for hop, (chan, tab) in enumerate(zip(spec.channels, tables)):
+    for hop, tab in enumerate(tables):
         L = tab.thresholds.shape[2]
         dtype = _symbol_dtype(tab.out)
-        rows = max(1, min(n_blocks, _TILE_ELEMS // L))
+        rows = _tile_rows(n_blocks, L)
         size = rows * L
         if buf is None or buf.size < (16 + dtype.itemsize) * size:
             # a tile's float64 draws and gathered thresholds and a relay
@@ -463,7 +504,8 @@ def _hop_blocks(spec: SeriesSpec, m: int, n_blocks: int, rng, tables):
             if tab.next_state is not None:
                 nxt[lo : lo + n] = np.take(tab.next_state, _encode_blocks(y, tab.out))
             else:
-                m_idx, ell = _relay_states(chan, spec.M, spec.B, spec.flow_value, y)
+                m_idx, ell = _relay_states(tab.log_probs, tab.words, spec.B, spec.flow_value, y,
+                                           tab.chunk)
                 nxt[lo : lo + n] = m_idx * width + ell
         if hop < last:
             state = nxt
@@ -547,7 +589,7 @@ def series_forward_trace(spec: SeriesSpec, update_mode: str) -> ForwardTrace:
             # the sampled relays' own decision; restrict's outputs run
             # row-major over the base digits, so these rows are the law's
             midx, ell = _relay_states(
-                chan, M, B, spec.flow_value, _enumerate_blocks(base.output_size, symbols)
+                base.log_probs, words, B, spec.flow_value, _enumerate_blocks(base.output_size, symbols)
             )
         else:
             midx, ell = _states_from_loglik(ld, spec.flow_value, half)
@@ -688,11 +730,11 @@ def block_scores_ml(blocks: np.ndarray, cd: CompositeDistribution) -> np.ndarray
     return np.take(cd.log_dists, _encode_blocks(blocks, cd.base_output_size), axis=1)
 
 
-def block_scores_heuristic(blocks: np.ndarray, final_channel, M: int, B: int) -> np.ndarray:
+def block_scores_heuristic(blocks: np.ndarray, tab: HopTables, B: int) -> np.ndarray:
     """Per-block scores, message-major: shape (M, n_blocks), under the final
     hop's codeword family: for each message, the best log-likelihood over the
     sender's confidence levels, an element-wise maximum over the leading
-    level axis."""
-    base, words = _hop_view(final_channel, M)
-    la = _symbol_logliks(base.log_probs, words, blocks, B)
+    level axis.  ``tab`` is the final hop's :class:`HopTables`, whose
+    codewords and chunk table are built once per call."""
+    la = _symbol_logliks(tab.log_probs, tab.words, blocks, B, tab.chunk)
     return np.maximum.reduce(_state_logliks(la, B))

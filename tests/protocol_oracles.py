@@ -26,7 +26,8 @@ from netexp.protocol import (
     _hop_blocks,
     _hop_view,
     _relay_states,
-    block_scores_heuristic,
+    _state_logliks,
+    _symbol_logliks,
     block_scores_ml,
     composite_db,
     path_tables,
@@ -109,7 +110,8 @@ def run_series_block(spec: SeriesSpec, m: int, rng) -> Transcript:
     hops = [(int(state[0]), y[0].copy())
             for _, state, y in _hop_blocks(spec, m, 1, rng, path_tables(spec, 1))]
     y_last = hops[-1][1]
-    m_idx, ell = _relay_states(spec.channels[-1], spec.M, spec.B, spec.flow_value, y_last[None])
+    base, words = _hop_view(spec.channels[-1], spec.M)
+    m_idx, ell = _relay_states(base.log_probs, words, spec.B, spec.flow_value, y_last[None])
     received = [divmod(state, width) for state, _ in hops[1:]]
     received.append((int(m_idx[0]), int(ell[0])))
     table = _codeword_table(spec.M, spec.B).reshape(-1, spec.B)
@@ -148,7 +150,7 @@ def hop_blocks(spec: SeriesSpec, m: int, n_blocks: int, rng):
         y = sample_symbols(base.probs, words[table[m_idx, ell]].reshape(n_blocks, -1), rng)
         yield m_idx, ell, y
         if hop < len(spec.channels) - 1:
-            m_idx, ell = _relay_states(chan, spec.M, spec.B, spec.flow_value, y)
+            m_idx, ell = _relay_states(base.log_probs, words, spec.B, spec.flow_value, y)
 
 
 def encode_blocks(blocks: np.ndarray, base_out: int) -> np.ndarray:
@@ -216,6 +218,13 @@ def state_logliks(la: np.ndarray, B: int) -> np.ndarray:
     return ll
 
 
+def heuristic_scores(blocks: np.ndarray, final_channel, M: int, B: int) -> np.ndarray:
+    """``block_scores_heuristic``'s (M, n_blocks) scores with the final
+    hop's codewords and chunk table built afresh for these blocks."""
+    base, words = _hop_view(final_channel, M)
+    return np.maximum.reduce(_state_logliks(_symbol_logliks(base.log_probs, words, blocks, B), B))
+
+
 def cell_errors(plan, dists, decoder: str, n: int, m: int, trials: int, seed: int,
                 h_idx: int, chunk_size: int) -> int:
     """Error count for one simulate cell with the slot loop outside: every
@@ -236,7 +245,7 @@ def cell_errors(plan, dists, decoder: str, n: int, m: int, trials: int, seed: in
                 if decoder == "exact":
                     scores[done : done + chunk] += block_scores_ml(blocks, dists[p.index]).T
                 else:
-                    scores[done : done + chunk] += block_scores_heuristic(
+                    scores[done : done + chunk] += heuristic_scores(
                         blocks, spec.channels[-1], spec.M, spec.B
                     ).T
                 done += chunk

@@ -2,7 +2,6 @@ import dataclasses
 import gc
 import json
 import math
-import os
 import pickle
 import tracemalloc
 from array import array
@@ -11,7 +10,7 @@ import numpy as np
 import pytest
 
 from netexp.channel import bsc, identity_channel, ksym, make_dmc
-from netexp import channel, exponents, harness
+from netexp import channel, exponents, harness, protocol
 from netexp.errors import AlphabetTooLarge, BoundsViolation, ParameterOutOfRange
 from netexp.flow import Flow, make_channel_graph
 from netexp.graphio import load_graph_file
@@ -260,21 +259,43 @@ class TestSimulate:
             sigma = math.sqrt(want * (1 - want) / r.trials)
             assert abs(r.p_hat - want) <= 3 * sigma + 1e-12
 
-    def test_thread_count_reproducibility(self):
-        G = make_channel_graph(3, 0, 2, [(0, 1, bsc(0.1)), (1, 2, bsc(0.1))])
-        cfg = SimConfig(seed=3, trials=5000, horizons=(12, 16), B=4, M=2, decoder="heuristic")
-        old = os.environ.get("NETEXP_THREADS")
-        try:
-            os.environ["NETEXP_THREADS"] = "1"
+    def test_thread_count_reproducibility(self, monkeypatch):
+        # the diamond case's relays decide every row directly and its
+        # decoder is heuristic, so four workers share each hop's read-only
+        # codewords and chunk table
+        cases = [
+            (make_channel_graph(3, 0, 2, [(0, 1, bsc(0.1)), (1, 2, bsc(0.1))]),
+             SimConfig(seed=3, trials=5000, horizons=(12, 16), B=4, M=2, decoder="heuristic")),
+            (load_graph_file(str(ROOT / "graphs" / "diamond.json")).graph,
+             SimConfig(seed=3, trials=300, horizons=(144, 192), B=48, M=3, decoder="heuristic")),
+        ]
+        for G, cfg in cases:
+            monkeypatch.setenv("NETEXP_THREADS", "1")
             r1 = simulate(G, cfg)
-            os.environ["NETEXP_THREADS"] = "4"
+            monkeypatch.setenv("NETEXP_THREADS", "4")
             r2 = simulate(G, cfg)
-        finally:
-            if old is None:
-                os.environ.pop("NETEXP_THREADS", None)
-            else:
-                os.environ["NETEXP_THREADS"] = old
-        assert r1.rows == r2.rows
+            assert r1.rows == r2.rows
+
+    def test_hop_constants_built_once_per_call(self, monkeypatch):
+        # diamond.json at M=3, B=48 has 2**48 blocks per hop, so both
+        # relays decide their rows directly and the heuristic decoder reads
+        # both final hops.  3000 trials make two tiles per hop and slot; the
+        # chunk tables are built once per hop for the whole call all the same
+        G = load_graph_file(str(ROOT / "graphs" / "diamond.json")).graph
+        cfg = SimConfig(seed=7, trials=3000, horizons=(144, 192), B=48, M=3, decoder="heuristic")
+        plan = protocol.build_network_plan(G, cfg.M, cfg.B)
+        raw = math.factorial(cfg.M)  # raw symbols per reduced use
+        assert all(protocol._tile_rows(cfg.trials, p.spec.B * raw) < cfg.trials for p in plan.paths)
+        builds = []
+        chunk_table = protocol._chunk_table
+
+        def spy(base_logp, words, chunks):
+            builds.append(chunks)
+            return chunk_table(base_logp, words, chunks)
+
+        monkeypatch.setattr(protocol, "_chunk_table", spy)
+        simulate(G, cfg)
+        assert len(builds) == sum(len(p.spec.channels) for p in plan.paths) == 4
 
     @pytest.mark.parametrize("graph, M, B, n, decoder", [
         (make_channel_graph(4, 0, 3, [(0, 1, bsc(0.1)), (1, 3, bsc(0.1)),

@@ -75,7 +75,8 @@ def assert_hops_equal(got, want, width):
 
 
 def relay_state(chan, M, B, flow_value, y):
-    m_idx, ell = _relay_states(chan, M, B, flow_value, np.asarray([y]))
+    base, words = protocol._hop_view(chan, M)
+    m_idx, ell = _relay_states(base.log_probs, words, B, flow_value, np.asarray([y]))
     return NodeState(m=int(m_idx[0]) + 1, ell=int(ell[0]))
 
 
@@ -461,7 +462,7 @@ class TestExactBlockDistribution:
             base, words = protocol._hop_view(chan, spec.M)
             # raw blocks in the law's block order (row-major digits)
             y = protocol._enumerate_blocks(base.output_size, B * words.shape[1])
-            m_idx, ell = _relay_states(chan, spec.M, B, spec.flow_value, y)
+            m_idx, ell = _relay_states(base.log_probs, words, B, spec.flow_value, y)
             ld = trace.block_logdists[j]
             occ = np.stack([np.bincount(m_idx * (B // 2 + 1) + ell, weights=np.exp(ld[m]),
                                         minlength=n_states) for m in range(spec.M)])
@@ -677,7 +678,7 @@ class TestDecoders:
             s_ml = block_scores_ml(blocks, cd)
             from netexp.protocol import block_scores_heuristic
 
-            s_h = block_scores_heuristic(blocks, spec.channels[-1], 2, 2)
+            s_h = block_scores_heuristic(blocks, protocol.path_tables(spec, trials)[-1], 2)
             err_ml += int(np.count_nonzero(np.argmax(s_ml, axis=0) + 1 != m))
             err_h += int(np.count_nonzero(np.argmax(s_h, axis=0) + 1 != m))
         assert err_h >= err_ml
@@ -864,7 +865,7 @@ class TestTableKernels:
         y = destination_blocks(spec, 2, 300, np.random.default_rng(4))
         want = oracles.state_logliks(oracles.symbol_logliks(base.log_probs, words, y, 4), 4)
         assert np.array_equal(
-            protocol.block_scores_heuristic(y, spec.channels[1], 2, 4), want.max(axis=2).T
+            protocol.block_scores_heuristic(y, protocol.path_tables(spec, 300)[1], 4), want.max(axis=2).T
         )
 
     @pytest.mark.parametrize(
@@ -887,9 +888,9 @@ class TestTableKernels:
         decided = []  # rows each relay decision decides: a batch or a table
         relay_states = protocol._relay_states
 
-        def spy(chan, M, B, flow_value, y):
+        def spy(base_logp, words, B, flow_value, y, chunk=None):
             decided.append(len(y))
-            return relay_states(chan, M, B, flow_value, y)
+            return relay_states(base_logp, words, B, flow_value, y, chunk)
 
         monkeypatch.setattr(protocol, "_relay_states", spy)
         for n in (K - 1, K, 4 * K):
@@ -967,9 +968,9 @@ class TestRowTiles:
         decided = []  # rows of each direct relay decision
         relay_states = protocol._relay_states
 
-        def spy(chan, M, B, flow_value, y):
+        def spy(base_logp, words, B, flow_value, y, chunk=None):
             decided.append(len(y))
-            return relay_states(chan, M, B, flow_value, y)
+            return relay_states(base_logp, words, B, flow_value, y, chunk)
 
         monkeypatch.setattr(protocol, "_relay_states", spy)
         for m in range(1, spec.M + 1):
@@ -1046,6 +1047,27 @@ class TestRowTiles:
                 seen |= set(got[0][1].ravel().tolist())
         assert seen == set(np.flatnonzero(probs.any(axis=0)).tolist())
 
+    def test_decoder_reads_the_stored_chunk_table(self):
+        # the final hop's chunk table is built once for 2730-row tiles
+        # (g = 6 digits of a 6-digit chunk); a fresh build for the ragged
+        # 3-row last tile tables only g = 4 digits.  The scores are the same
+        # bits either way
+        plan = build_network_plan(load_graph_file(str(GRAPHS / "diamond.json")).graph, 3, 48)
+        spec = plan.paths[0].spec
+        n = 2 * 2730 + 3
+        tables = protocol.path_tables(spec, n)
+        base, words = protocol._hop_view(spec.channels[-1], spec.M)
+        assert tables[-1].chunk[1] == 6
+        assert protocol._chunk_table(base.log_probs, words, 3 * spec.B)[1] == 4
+        sizes = []
+        for blocks in run_series_blocks_batch(spec, 2, n, np.random.default_rng(3), tables):
+            got = protocol.block_scores_heuristic(blocks, tables[-1], spec.B)
+            want = oracles.heuristic_scores(blocks, spec.channels[-1], spec.M, spec.B)
+            assert got.dtype == want.dtype and got.shape == want.shape == (3, len(blocks))
+            assert got.tobytes() == want.tobytes()
+            sizes.append(len(blocks))
+        assert sizes == [2730, 2730, 3]
+
     def test_batch_memory_stays_in_tiles(self):
         # one diamond.json path at 10**4 rows, 48 raw symbols a block: the
         # batch and its heuristic decode, tile by tile, peak at 4.1 MiB, of
@@ -1065,7 +1087,7 @@ class TestRowTiles:
             nonlocal lo
             for blocks in run_series_blocks_batch(spec, 1, 10**4, np.random.default_rng(0), tables):
                 scores[:, lo : lo + len(blocks)] += protocol.block_scores_heuristic(
-                    blocks, spec.channels[-1], spec.M, spec.B)
+                    blocks, tables[-1], spec.B)
                 lo += len(blocks)
 
         assert peak_traced(run) < 6 * 2**20

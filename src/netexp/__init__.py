@@ -17,7 +17,6 @@ from .channel import (
     restrict,
 )
 from .exponents import (
-    Codebook,
     ExponentReport,
     bsc_feedback_exponent_m3,
     exponent_two,
@@ -30,7 +29,6 @@ from .flow import (
     Flow,
     Network,
     NetEdge,
-    PathDecomposition,
     brute_force_mincut,
     decompose,
     make_channel_graph,
@@ -41,7 +39,6 @@ from .flow import (
     weighted_network,
 )
 from .protocol import (
-    CompositeDistribution,
     SeriesSpec,
     composite_db,
     exact_block_distribution,

@@ -86,9 +86,8 @@ def cmd_decompose(args) -> int:
         "zero": lambda P: zero_rate_exponent(P).value,
     }[args.weights]
     net = weighted_network(gf.graph, per_channel(gf.graph, capacity))
-    dec = decompose(net, maxflow(net))
     names = gf.nodes
-    for p in dec.paths:
+    for p in decompose(net, maxflow(net)):
         route = "->".join(names[v] for v in p.nodes)
         # maxflow carries +inf capacities as a finite sentinel; a path of
         # infinite edges has infinite value whatever share of it it got
@@ -123,11 +122,11 @@ def cmd_oracle(args) -> int:
     gf = load_graph_file(args.path)
     channels = _series_channels(gf)
     spec = make_series_spec(channels, args.messages, args.block)
-    cd = exact_block_distribution(spec, update_mode=args.mode)
+    log_dists = exact_block_distribution(spec, update_mode=args.mode)
     print("m1,m2,db_nats")
     for a in range(1, args.messages + 1):
         for b in range(a + 1, args.messages + 1):
-            print(f"{a},{b},{_fmt(composite_db(cd, a, b))}")
+            print(f"{a},{b},{_fmt(composite_db(log_dists, a, b))}")
     return 0
 
 
@@ -178,9 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def main() -> int:
+    """The ``netexp`` console script: arguments come from ``sys.argv``."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args()
     try:
         return args.func(args)
     except GraphFileError as exc:

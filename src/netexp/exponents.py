@@ -43,15 +43,6 @@ class ChannelExponents:
     reversible: bool
 
 
-@dataclass(frozen=True)
-class Codebook:
-    """M codewords of length ell with equal pairwise Bhattacharyya distance."""
-
-    M: int
-    ell: int
-    words: tuple
-
-
 def _db_matrix(P: Dmc, halves: dict | None = None) -> np.ndarray:
     """Pairwise Bhattacharyya distances of P's inputs.  ``halves``, the
     channel's ``_pair_halves``, saves recomputing them."""
@@ -263,17 +254,17 @@ def zero_rate_exponent(P: Dmc, *, db_matrix: np.ndarray | None = None) -> Expone
     return ExponentReport(value=value, optimizer=tuple(float(v) for v in q), method=method)
 
 
-def permutation_codebook(report: ExponentReport, M: int) -> Codebook:
-    """Permutation codebook of length M! built on a tilde-exponent report;
-    its pairwise distances all equal M! times the report's value.
+def permutation_codebook(report: ExponentReport, M: int) -> tuple:
+    """The M words of length M! of the permutation codebook built on a
+    tilde-exponent report; its pairwise distances all equal M! times the
+    report's value.
 
     Column sigma (permutations in lexicographic order) assigns word m the
     symbol x_{sigma(m)}, where (x_1..x_M) is the report's optimal tuple.
     """
     tup = report.optimizer if report.optimizer is not None else (0,) * M
     perms = list(itertools.permutations(range(M)))
-    words = tuple(tuple(tup[sigma[m]] for sigma in perms) for m in range(M))
-    return Codebook(M=M, ell=math.factorial(M), words=words)
+    return tuple(tuple(tup[sigma[m]] for sigma in perms) for m in range(M))
 
 
 def bsc_feedback_exponent_m3(p: float) -> float:

@@ -78,7 +78,7 @@ class Network:
 @dataclass(frozen=True)
 class Flow:
     """Per-edge flow values (indexed like net.edges) and the total s->t value,
-    +inf when the maxflow is unbounded."""
+    a built-in float, +inf when the maxflow is unbounded."""
 
     edge_flows: np.ndarray
     total: float
@@ -96,11 +96,6 @@ class PathFlow:
     nodes: tuple
     value: float
     edge_ids: tuple
-
-
-@dataclass(frozen=True)
-class PathDecomposition:
-    paths: tuple
 
 
 def _reach(node_count, arcs, src) -> frozenset:
@@ -143,13 +138,14 @@ def maxflow(net: Network) -> Flow:
     Infinite capacities are replaced internally by a sentinel exceeding the
     sum of all finite capacities, which keeps the arithmetic finite; a total
     that reaches the sentinel (within 1e-9) is returned as +inf.  Edge flows
-    keep the sentinel-based values.
+    keep the sentinel-based values.  Residual capacities and arc heads are
+    Python lists, since every access reads or writes one scalar.
     """
     n = net.node_count
     m = len(net.edges)
     sentinel = net.sentinel()
-    res = np.zeros(2 * m)
-    to = np.zeros(2 * m, dtype=int)
+    res = [0.0] * (2 * m)
+    to = [0] * (2 * m)
     adj = [[] for _ in range(n)]
     for i, e in enumerate(net.edges):
         cap = e.capacity if math.isfinite(e.capacity) else sentinel
@@ -273,8 +269,9 @@ def mincut_without_backedges(net: Network, flow: Flow) -> Cut | None:
     return Cut(side_a=side_a, side_b=side_b, size=_cut_size(net, side_a))
 
 
-def decompose(net: Network, flow: Flow) -> PathDecomposition:
-    """Decompose a flow into simple source->sink paths.
+def decompose(net: Network, flow: Flow) -> tuple:
+    """Decompose a flow into simple source->sink paths, a tuple of
+    :class:`PathFlow`.
 
     Repeatedly extracts the path whose edge sequence is lexicographically
     smallest among positive-flow paths, pushes the bottleneck value along it,
@@ -314,24 +311,25 @@ def decompose(net: Network, flow: Flow) -> PathDecomposition:
     leftover = float(remaining.sum())
     if leftover > 1e-9:
         warnings.warn(f"discarding {leftover:.3g} units of circulation flow not on any source-sink path")
-    return PathDecomposition(paths=tuple(paths))
+    return tuple(paths)
 
 
-def path_edge_budgets(dec: PathDecomposition, B: int):
-    """Per-(path, edge) sub-block sizes: B_i = ceil(f_i / sum_{j in S_e} f_j * B).
+def path_edge_budgets(paths, B: int):
+    """Per-(path, edge) sub-block sizes: B_i = ceil(f_i / sum_{j in S_e} f_j * B),
+    for the :func:`decompose` paths ``paths``.
 
     Returns (budgets, share_count) where budgets[(path_index, edge_id)] is the
     number of channel uses granted to that path on that edge per block window,
     and share_count[edge_id] lists the paths using the edge.
     """
     users: dict[int, list[int]] = {}
-    for i, p in enumerate(dec.paths):
+    for i, p in enumerate(paths):
         for eid in p.edge_ids:
             users.setdefault(eid, []).append(i)
     budgets = {}
     for eid, idxs in users.items():
-        fsum = _sum_left_to_right(dec.paths[i].value for i in idxs)
+        fsum = _sum_left_to_right(paths[i].value for i in idxs)
         for i in idxs:
-            ratio = dec.paths[i].value / fsum
+            ratio = paths[i].value / fsum
             budgets[(i, eid)] = math.ceil(ratio * B - 1e-9)
     return budgets, users

@@ -257,7 +257,8 @@ def _cell_errors(plan: NetworkPlan, tables, dists, decoder: str, n: int, m: int,
     loop, so memory holds one chunk's scores, not every trial's; scores are
     message-major, (M, chunk), and each of a batch's row tiles is decoded
     into its own columns; the heuristic decoder reads the final hop's
-    codewords and chunk table from ``tables``.
+    codewords and chunk table from ``tables``, the exact decoder its base
+    output size.
     """
     counts = plan.blocks_per_path(n)
     slots = [
@@ -276,7 +277,7 @@ def _cell_errors(plan: NetworkPlan, tables, dists, decoder: str, n: int, m: int,
             for blocks in run_series_blocks_batch(spec, m, chunk, rng, tab):
                 cols = scores[:, lo : lo + len(blocks)]
                 if decoder == "exact":
-                    cols += block_scores_ml(blocks, dists[p.index])
+                    cols += block_scores_ml(blocks, dists[p.index], tab[-1])
                 else:
                     cols += block_scores_heuristic(blocks, tab[-1], spec.B)
                 lo += len(blocks)

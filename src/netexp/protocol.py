@@ -18,7 +18,6 @@ from .channel import Dmc, restrict
 from .errors import (
     BoundsViolation,
     BTooSmall,
-    DistributionUnavailable,
     HorizonTooShort,
     MTooLarge,
     ParameterOutOfRange,
@@ -75,19 +74,6 @@ class SeriesSpec:
                 raise ParameterOutOfRange(
                     f"hop channel has {ch.input_size} inputs, needs at least M={self.M}"
                 )
-
-
-@dataclass(frozen=True)
-class CompositeDistribution:
-    """Exact per-message log distributions over the destination block alphabet.
-
-    Blocks are indexed in row-major base-output digit order, so a received
-    base block maps to its index by Horner evaluation.
-    """
-
-    log_dists: np.ndarray
-    base_output_size: int
-    block_symbols: int
 
 
 def _hop_view(chan, M: int):
@@ -300,9 +286,9 @@ def _sample_symbols(thresholds: np.ndarray, state: np.ndarray, rng, out: np.ndar
     the rows of ``out``, which it returns.  ``out`` has an unsigned dtype
     that holds out-1 (:func:`_symbol_dtype`), or any wider integer dtype.
 
-    ``state`` holds each row's sender state, or one state for every row.
-    One row of ``thresholds`` (see :func:`_sampling_thresholds`) per sender
-    state; counting the thresholds at or below a uniform draw is
+    ``state`` holds each row's sender state, or is 0-d: one state for every
+    row.  One row of ``thresholds`` (see :func:`_sampling_thresholds`) per
+    sender state; counting the thresholds at or below a uniform draw is
     ``searchsorted(side="right")`` clamped to the last output.  ``work`` is
     float64 scratch of shape (2,) + out.shape for the draws and the gathered
     thresholds.  The first threshold's comparison starts the count, written
@@ -314,25 +300,26 @@ def _sample_symbols(thresholds: np.ndarray, state: np.ndarray, rng, out: np.ndar
         out[...] = 0
         return out
     first = out.view(bool) if out.itemsize == 1 else out
-    if state.ndim:
-        pieces = [(state, u, out, first)]
-    else:
-        # one state for every row.  Broadcast against the (n, L) draws, its
-        # threshold row would make numpy's inner loop run over only L
-        # elements per row, so it is gathered for a run of k rows (about
-        # 1024 thresholds) and compared with the draws k rows at a time,
-        # then with the last n % k rows
-        n, L = out.shape
-        k = min(n, max(1, 1024 // L))
-        m = n - n % k
-        pieces = [(np.broadcast_to(state, k), *(a[:m].reshape(-1, k, L) for a in (u, out, first)))]
-        if m < n:
-            pieces.append((np.broadcast_to(state, n - m), u[m:], out[m:], first[m:]))
+    n, L = out.shape
+    # one state for every row.  Broadcast against the (n, L) draws, its
+    # threshold row would make numpy's inner loop run over only L elements
+    # per row, so it is filled into a run of k rows (about 1024 thresholds)
+    # and compared with the draws k rows at a time, then with the last
+    # n % k rows.  A state per row gathers one run of all n rows
+    k = n if state.ndim else min(n, max(1, 1024 // L))
+    m = n - n % k
+    run = work[1][:k]
+    parts = [(run, *(a[:m].reshape(-1, k, L) for a in (u, out, first)))]
+    if m < n:
+        parts.append((run[: n - m], u[m:], out[m:], first[m:]))
     for i, thr in enumerate(thresholds):
-        for rows, draws, count, count_bool in pieces:
+        if state.ndim:
             # states are rows of the table, so "clip" moves no index; with
             # "raise" np.take would gather into a temporary copy first
-            gathered = np.take(thr, rows, axis=0, out=work[1][: len(rows)], mode="clip")
+            np.take(thr, state, axis=0, out=run, mode="clip")
+        else:
+            run[...] = thr[state]
+        for gathered, draws, count, count_bool in parts:
             if i:
                 count += gathered <= draws
             else:
@@ -357,7 +344,7 @@ def reduce_inputs(channels, M: int, *, reports=None):
     reduced = []
     flow_value = math.inf
     for P, report in zip(channels, reports):
-        reduced.append(ReducedChannel(base=P, words=permutation_codebook(report, M).words))
+        reduced.append(ReducedChannel(base=P, words=permutation_codebook(report, M)))
         flow_value = min(flow_value, ell * report.value)
     return tuple(reduced), float(flow_value), ell
 
@@ -456,9 +443,10 @@ def _hop_blocks(spec: SeriesSpec, m: int, n_blocks: int, rng, tables):
 
     Runs hop after hop, each hop in consecutive row tiles of at most
     ``_TILE_ELEMS`` raw symbols, and yields (hop, state, y) per tile: the
-    sending node's state index m_idx * (B/2+1) + ell for each of the tile's
-    rows and the raw base-symbol blocks the receiving node gets, in the
-    hop's :func:`_symbol_dtype`.  A hop's tiles draw their uniforms in row
+    sending node's state index m_idx * (B/2+1) + ell as stored, the source's
+    one 0-d state for every row or a relay's slice of the tile's rows, and
+    the raw base-symbol blocks the receiving node gets, in the hop's
+    :func:`_symbol_dtype`.  A hop's tiles draw their uniforms in row
     order, so together they take the draws of one (n_blocks, L) call.  A
     relay decides each tile into the next hop's states once the next tile is
     requested, and that tile reuses the array, so copy a relay hop's tile to
@@ -498,15 +486,18 @@ def _hop_blocks(spec: SeriesSpec, m: int, n_blocks: int, rng, tables):
             n = min(rows, n_blocks - lo)
             y = dest[lo : lo + n] if hop == last else tile[:n]
             _sample_symbols(tab.thresholds, sender, rng, y, work[:, :n])
-            yield hop, np.broadcast_to(sender, n), y
+            yield hop, sender, y
             if hop == last:
                 continue
+            decided = nxt[lo : lo + n]
             if tab.next_state is not None:
-                nxt[lo : lo + n] = np.take(tab.next_state, _encode_blocks(y, tab.out))
+                # keys index the table's rows, so "clip" moves none
+                np.take(tab.next_state, _encode_blocks(y, tab.out), out=decided, mode="clip")
             else:
                 m_idx, ell = _relay_states(tab.log_probs, tab.words, spec.B, spec.flow_value, y,
                                            tab.chunk)
-                nxt[lo : lo + n] = m_idx * width + ell
+                np.multiply(m_idx, width, out=decided)
+                decided += ell
         if hop < last:
             state = nxt
 
@@ -603,22 +594,20 @@ def series_forward_trace(spec: SeriesSpec, update_mode: str) -> ForwardTrace:
     return ForwardTrace(occupancies=tuple(occupancies), block_logdists=tuple(block_logdists))
 
 
-def exact_block_distribution(spec: SeriesSpec, update_mode: str) -> CompositeDistribution:
-    """Exact per-message distribution of the destination's block under
-    :func:`series_forward_trace`'s ``update_mode``."""
-    trace = series_forward_trace(spec, update_mode)
-    base, words = _hop_view(spec.channels[-1], spec.M)
-    return CompositeDistribution(
-        log_dists=trace.block_logdists[-1],
-        base_output_size=base.output_size,
-        block_symbols=spec.B * words.shape[1],
-    )
+def exact_block_distribution(spec: SeriesSpec, update_mode: str) -> np.ndarray:
+    """Exact per-message log distributions of the destination's block under
+    :func:`series_forward_trace`'s ``update_mode``: shape (M, out**L) for the
+    final hop's out base outputs and L raw symbols a block.  Blocks are
+    indexed in row-major base-output digit order, so a received block maps
+    to its column by :func:`_encode_blocks`."""
+    return series_forward_trace(spec, update_mode).block_logdists[-1]
 
 
-def composite_db(cd: CompositeDistribution, m1: int, m2: int) -> float:
-    """Bhattacharyya distance between two messages' exact block distributions."""
-    l1 = cd.log_dists[m1 - 1]
-    l2 = cd.log_dists[m2 - 1]
+def composite_db(log_dists: np.ndarray, m1: int, m2: int) -> float:
+    """Bhattacharyya distance between two messages' exact block
+    distributions, the rows of :func:`exact_block_distribution`'s array."""
+    l1 = log_dists[m1 - 1]
+    l2 = log_dists[m2 - 1]
     mask = np.isfinite(l1) & np.isfinite(l2)
     if not mask.any():
         return math.inf
@@ -677,17 +666,17 @@ def build_network_plan(G: ChannelGraph, M: int, B: int) -> NetworkPlan:
     fl = maxflow(net)
     if fl.total <= 0:
         raise ParameterOutOfRange("graph maxflow is zero; no information can cross")
-    dec = decompose(net, fl)
-    k = len(dec.paths)
+    flow_paths = decompose(net, fl)
+    k = len(flow_paths)
     if B < k:
         raise BTooSmall(f"need B >= number of paths ({k}), got {B}")
-    budgets, users = path_edge_budgets(dec, B)
+    budgets, users = path_edge_budgets(flow_paths, B)
     window = B
     for eid, idxs in users.items():
         window = max(window, sum(budgets[(i, eid)] for i in idxs))
 
     paths = []
-    for i, p in enumerate(dec.paths):
+    for i, p in enumerate(flow_paths):
         raw_budget = min(budgets[(i, eid)] for eid in p.edge_ids)
         hops = [G.edges[eid].channel for eid in p.edge_ids]
         reduced, flow_value, ell = reduce_inputs(hops, M, reports=[tilde[eid] for eid in p.edge_ids])
@@ -721,13 +710,12 @@ def _encode_blocks(blocks: np.ndarray, base_out: int) -> np.ndarray:
     return idx.astype(np.intp)
 
 
-def block_scores_ml(blocks: np.ndarray, cd: CompositeDistribution) -> np.ndarray:
-    """Per-block exact log-likelihood scores, message-major: shape (M, n_blocks)."""
-    if blocks.shape[1] != cd.block_symbols:
-        raise DistributionUnavailable(
-            f"block length {blocks.shape[1]} does not match the distribution ({cd.block_symbols})"
-        )
-    return np.take(cd.log_dists, _encode_blocks(blocks, cd.base_output_size), axis=1)
+def block_scores_ml(blocks: np.ndarray, log_dists: np.ndarray, tab: HopTables) -> np.ndarray:
+    """Per-block exact log-likelihood scores, message-major: shape (M, n_blocks),
+    read from the chain's :func:`exact_block_distribution` ``log_dists``.
+    ``tab`` is the final hop's :class:`HopTables`, which gives the base
+    output size the blocks are keyed in."""
+    return np.take(log_dists, _encode_blocks(blocks, tab.out), axis=1)
 
 
 def block_scores_heuristic(blocks: np.ndarray, tab: HopTables, B: int) -> np.ndarray:

@@ -19,7 +19,7 @@ def oracle_exponent_1hop(P: Dmc, M: int, n: int) -> float:
     if P.output_size**n > 10**7:
         raise AlphabetTooLarge(f"{P.output_size}^{n} outputs exceed the 1e7 guard")
     cb = permutation_codebook(tilde_exponent(P, M), M)
-    words = [[cb.words[m][j % cb.ell] for j in range(n)] for m in range(M)]
+    words = [[cb[m][j % len(cb[0])] for j in range(n)] for m in range(M)]
     L = np.zeros((M, 1))
     for j in range(n):
         cols = np.array([words[m][j] for m in range(M)])

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from netexp.protocol import (
-    CompositeDistribution,
     SeriesSpec,
     _codeword_table,
     _hop_blocks,
@@ -107,7 +106,7 @@ def run_series_block(spec: SeriesSpec, m: int, rng) -> Transcript:
     ``run_series_blocks_batch``.
     """
     width = spec.B // 2 + 1
-    hops = [(int(state[0]), y[0].copy())
+    hops = [(int(state.flat[0]), y[0].copy())
             for _, state, y in _hop_blocks(spec, m, 1, rng, path_tables(spec, 1))]
     y_last = hops[-1][1]
     base, words = _hop_view(spec.channels[-1], spec.M)
@@ -235,6 +234,7 @@ def cell_errors(plan, dists, decoder: str, n: int, m: int, trials: int, seed: in
     scores = np.zeros((trials, plan.M))
     for p, t in zip(plan.paths, counts):
         spec = p.spec
+        final = path_tables(spec, 1)[-1]
         for b_idx in range(t):
             ss = np.random.SeedSequence(entropy=seed, spawn_key=(h_idx, m, p.index, b_idx))
             rng = np.random.Generator(np.random.PCG64(ss))
@@ -243,7 +243,7 @@ def cell_errors(plan, dists, decoder: str, n: int, m: int, trials: int, seed: in
                 chunk = min(chunk_size, trials - done)
                 *_, (_, _, blocks) = hop_blocks(spec, m, chunk, rng)
                 if decoder == "exact":
-                    scores[done : done + chunk] += block_scores_ml(blocks, dists[p.index]).T
+                    scores[done : done + chunk] += block_scores_ml(blocks, dists[p.index], final).T
                 else:
                     scores[done : done + chunk] += heuristic_scores(
                         blocks, spec.channels[-1], spec.M, spec.B
@@ -261,15 +261,14 @@ def state_pseudometric(a: NodeState, b: NodeState, flow_value: float) -> float:
     return flow_value * steps
 
 
-def min_pairwise_composite_db(cd: CompositeDistribution) -> float:
-    M = cd.log_dists.shape[0]
-    return min(composite_db(cd, a + 1, b + 1) for a in range(M) for b in range(a + 1, M))
+def min_pairwise_composite_db(ld: np.ndarray) -> float:
+    M = ld.shape[0]
+    return min(composite_db(ld, a + 1, b + 1) for a in range(M) for b in range(a + 1, M))
 
 
-def ml_error_probs(cd: CompositeDistribution) -> np.ndarray:
+def ml_error_probs(ld: np.ndarray) -> np.ndarray:
     """Exact maximum-likelihood error probability per message (ties to the
-    lowest index), decoding a single block."""
-    ld = cd.log_dists
+    lowest index), decoding a single block of the law ``ld``."""
     M = ld.shape[0]
     decisions = np.argmax(ld, axis=0)
     errs = np.empty(M)

@@ -22,6 +22,7 @@ from netexp.protocol import (
     SeriesSpec,
     block_scores_ml,
     exact_block_distribution,
+    path_tables,
     reduce_inputs,
 )
 from netexp.protocol import _encode_blocks
@@ -94,10 +95,10 @@ def test_criterion_3_maxflow_mincut_duality():
             assert abs(fl.total - brute_force_mincut(net).size) <= 1e-9
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                dec = decompose(net, fl)
-            assert len(dec.paths) <= len(net.edges)
+                paths = decompose(net, fl)
+            assert len(paths) <= len(net.edges)
             recon = np.zeros(len(net.edges))
-            for p in dec.paths:
+            for p in paths:
                 assert len(set(p.nodes)) == len(p.nodes)
                 for eid in p.edge_ids:
                     recon[eid] += p.value
@@ -159,19 +160,19 @@ def test_criterion_7_exact_vs_monte_carlo():
     with criterion(7, "exact vs Monte Carlo (1e6 trials)", 300.0):
         channels, flow_value, _ = reduce_inputs([bsc(0.1), bsc(0.1)], 2)
         spec = SeriesSpec(channels=channels, M=2, B=2, flow_value=flow_value)
-        cd = exact_block_distribution(spec, update_mode="uniform")
-        exact_err = ml_error_probs(cd)
+        ld = exact_block_distribution(spec, update_mode="uniform")
+        exact_err = ml_error_probs(ld)
         trials = 10**6
         for m in (1, 2):
             rng = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence(entropy=7, spawn_key=(70, m)))
             )
             blocks = destination_blocks(spec, m, trials, rng)
-            idx = _encode_blocks(blocks, cd.base_output_size)
-            emp = np.bincount(idx, minlength=cd.log_dists.shape[1]) / trials
-            tv = 0.5 * float(np.abs(emp - np.exp(cd.log_dists[m - 1])).sum())
+            idx = _encode_blocks(blocks, path_tables(spec, 1)[-1].out)
+            emp = np.bincount(idx, minlength=ld.shape[1]) / trials
+            tv = 0.5 * float(np.abs(emp - np.exp(ld[m - 1])).sum())
             assert tv <= 5e-3
-            decisions = np.argmax(block_scores_ml(blocks, cd), axis=0) + 1
+            decisions = np.argmax(block_scores_ml(blocks, ld, path_tables(spec, 1)[-1]), axis=0) + 1
             p_hat = float(np.mean(decisions != m))
             want = exact_err[m - 1]
             sigma = math.sqrt(want * (1 - want) / trials)

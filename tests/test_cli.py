@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import peak_traced
-from netexp.cli import main
+from netexp import cli
 from netexp.graphio import dump_normalized, load_graph_file, parse_graph_obj
 from netexp.errors import GraphFileError
 
@@ -55,6 +55,14 @@ SIMULATE_GOLDEN_CASES = (
      [str(TEST_GRAPHS / "noisy-series.json"), "--messages", "2", "--block", "16",
       "--horizons", "48,64", "--trials", "2000", "--decoder", "exact"]),
 )
+
+
+def main(argv):
+    """Run the CLI as the ``netexp`` console script does: ``cli.main`` reads
+    its arguments from ``sys.argv``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "argv", ["netexp", *argv])
+        return cli.main()
 
 
 def run_cli(capsys, *argv):

@@ -482,22 +482,22 @@ def berlekamp_codebook(P, M):
 class TestBerlekampCodebook:
     def test_bsc_m2(self):
         cb = berlekamp_codebook(bsc(0.1), 2)
-        assert cb.ell == 2 and cb.M == 2
-        assert cb.words == ((0, 1), (1, 0))
+        assert len(cb[0]) == 2 and len(cb) == 2
+        assert cb == ((0, 1), (1, 0))
         P2 = power(bsc(0.1), 2)
-        x = cb.words[0][0] * 2 + cb.words[0][1]
-        xp = cb.words[1][0] * 2 + cb.words[1][1]
+        x = cb[0][0] * 2 + cb[0][1]
+        xp = cb[1][0] * 2 + cb[1][1]
         assert abs(bhattacharyya(P2, x, xp) - 2 * tilde_exponent(bsc(0.1), 2).value) < 1e-9
 
     def test_ksym3_m3_equalized(self):
         P = ksym(3, 0.1)
         cb = berlekamp_codebook(P, 3)
-        assert cb.ell == 6
+        assert len(cb[0]) == 6
         target = 6 * tilde_exponent(P, 3).value
         for m1 in range(3):
             for m2 in range(m1 + 1, 3):
                 d = sum(
-                    bhattacharyya(P, cb.words[m1][j], cb.words[m2][j]) for j in range(6)
+                    bhattacharyya(P, cb[m1][j], cb[m2][j]) for j in range(6)
                 )
                 assert abs(d - target) < 1e-9
 
@@ -510,14 +510,14 @@ class TestBerlekampCodebook:
             for m1 in range(M):
                 for m2 in range(m1 + 1, M):
                     d = sum(
-                        bhattacharyya(P, cb.words[m1][j], cb.words[m2][j])
-                        for j in range(cb.ell)
+                        bhattacharyya(P, cb[m1][j], cb[m2][j])
+                        for j in range(len(cb[0]))
                     )
                     assert abs(d - target) < 1e-9
 
     def test_single_input(self):
         cb = berlekamp_codebook(make_dmc([[0.4, 0.6]]), 3)
-        assert cb.words[0] == cb.words[1] == cb.words[2]
+        assert cb[0] == cb[1] == cb[2]
 
 
 class TestClosedForms:

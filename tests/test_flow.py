@@ -166,10 +166,10 @@ class TestBruteForceMincut:
 class TestDecompose:
     def test_series_single_path(self):
         net = series_net(0.5108, 0.2231)
-        dec = decompose(net, maxflow(net))
-        assert len(dec.paths) == 1
-        assert dec.paths[0].nodes == (0, 1, 2)
-        assert abs(dec.paths[0].value - 0.2231) < 1e-12
+        paths = decompose(net, maxflow(net))
+        assert len(paths) == 1
+        assert paths[0].nodes == (0, 1, 2)
+        assert abs(paths[0].value - 0.2231) < 1e-12
 
     def test_diamond_two_paths(self):
         edges = (
@@ -177,14 +177,14 @@ class TestDecompose:
             NetEdge(0, 2, 0.4, 2), NetEdge(2, 3, 0.4, 3),
         )
         net = Network(4, 0, 3, edges)
-        dec = decompose(net, maxflow(net))
-        got = sorted((p.nodes, round(p.value, 9)) for p in dec.paths)
+        paths = decompose(net, maxflow(net))
+        got = sorted((p.nodes, round(p.value, 9)) for p in paths)
         assert got == [((0, 1, 3), 0.3), ((0, 2, 3), 0.4)]
 
     def test_counterexample_two_paths(self):
         net = tilde_network(counterexample_graph(0.01), 3)
-        dec = decompose(net, maxflow(net))
-        routes = sorted(p.nodes for p in dec.paths)
+        paths = decompose(net, maxflow(net))
+        routes = sorted(p.nodes for p in paths)
         assert routes == [(0, 1, 3), (0, 2, 3)]  # 1->2->4 and 1->3->4
 
     def test_reconstruction_random(self, rng):
@@ -193,10 +193,10 @@ class TestDecompose:
             fl = maxflow(net)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                dec = decompose(net, fl)
-            assert len(dec.paths) <= len(net.edges)
+                paths = decompose(net, fl)
+            assert len(paths) <= len(net.edges)
             recon = np.zeros(len(net.edges))
-            for p in dec.paths:
+            for p in paths:
                 assert len(set(p.nodes)) == len(p.nodes)  # simple
                 assert p.nodes[0] == net.source and p.nodes[-1] == net.destination
                 for eid in p.edge_ids:
@@ -214,9 +214,9 @@ class TestDecompose:
         net = Network(4, 0, 1, edges)
         fl = Flow(edge_flows=np.array([0.5, 0.25, 0.25]), total=0.5)
         with pytest.warns(UserWarning, match="circulation"):
-            dec = decompose(net, fl)
-        assert len(dec.paths) == 1
-        assert abs(dec.paths[0].value - 0.5) < 1e-12
+            paths = decompose(net, fl)
+        assert len(paths) == 1
+        assert abs(paths[0].value - 0.5) < 1e-12
 
     def test_step_into_a_cycle_off_to_the_sink_is_skipped(self):
         # edge 1 leads from a to b, whose only flow returns to a: the path
@@ -228,8 +228,8 @@ class TestDecompose:
         net = Network(4, 0, 3, edges)
         fl = Flow(edge_flows=np.ones(4), total=1.0)
         with pytest.warns(UserWarning, match="circulation"):
-            dec = decompose(net, fl)
-        assert [(p.nodes, p.edge_ids, p.value) for p in dec.paths] == [((0, 1, 3), (0, 3), 1.0)]
+            paths = decompose(net, fl)
+        assert [(p.nodes, p.edge_ids, p.value) for p in paths] == [((0, 1, 3), (0, 3), 1.0)]
 
     def test_deterministic_lexicographic(self):
         # two equal-value routes: the smaller edge-id sequence must win first
@@ -238,8 +238,8 @@ class TestDecompose:
             NetEdge(0, 2, 1.0, 2), NetEdge(2, 3, 1.0, 3),
         )
         net = Network(4, 0, 3, edges)
-        dec = decompose(net, maxflow(net))
-        assert dec.paths[0].edge_ids == (0, 1)
+        paths = decompose(net, maxflow(net))
+        assert paths[0].edge_ids == (0, 1)
 
 
 class TestMincutWithoutBackedges:
@@ -326,8 +326,8 @@ class TestPathEdgeBudgets:
     def test_two_equal_paths(self):
         edges = (NetEdge(0, 1, 1.0, 0), NetEdge(0, 1, 1.0, 1), NetEdge(1, 2, 2.0, 2))
         net = Network(3, 0, 2, edges)
-        dec = decompose(net, maxflow(net))
-        budgets, users = path_edge_budgets(dec, 10)
+        paths = decompose(net, maxflow(net))
+        budgets, users = path_edge_budgets(paths, 10)
         assert sorted(budgets[(i, 2)] for i in users[2]) == [5, 5]
 
     def test_three_equal_paths(self):
@@ -336,9 +336,9 @@ class TestPathEdgeBudgets:
             NetEdge(1, 2, 3.0, 3),
         )
         net = Network(3, 0, 2, edges)
-        dec = decompose(net, maxflow(net))
-        assert len(dec.paths) == 3
-        budgets, users = path_edge_budgets(dec, 10)
+        paths = decompose(net, maxflow(net))
+        assert len(paths) == 3
+        budgets, users = path_edge_budgets(paths, 10)
         assert [budgets[(i, 3)] for i in users[3]] == [4, 4, 4]
         assert sum(budgets[(i, 3)] for i in users[3]) <= 10 + 3
 
@@ -352,11 +352,11 @@ class TestPathEdgeBudgets:
                 continue
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                dec = decompose(net, fl)
-            budgets, _ = path_edge_budgets(dec, B)
+                paths = decompose(net, fl)
+            budgets, _ = path_edge_budgets(paths, B)
             caps = {e.id: e.capacity for e in net.edges}
             for (i, eid), sub in budgets.items():
-                assert sub * caps[eid] >= B * dec.paths[i].value - 1e-6
+                assert sub * caps[eid] >= B * paths[i].value - 1e-6
 
 
 class TestLeftToRightSums:

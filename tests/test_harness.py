@@ -12,7 +12,7 @@ import pytest
 from netexp.channel import bsc, identity_channel, ksym, make_dmc
 from netexp import channel, exponents, harness, protocol
 from netexp.errors import AlphabetTooLarge, BoundsViolation, ParameterOutOfRange
-from netexp.flow import Flow, make_channel_graph
+from netexp.flow import Flow, make_channel_graph, maxflow, per_channel, weighted_network
 from netexp.graphio import load_graph_file
 from netexp.protocol import path_tables
 from netexp.harness import (
@@ -59,7 +59,25 @@ class TestWilson:
         assert hi == 1.0 and lo > 0.95
 
 
+SAMPLE_GRAPHS = ("counterexample", "diamond", "noiseless", "series-2-bsc", "series-2-bsc005")
+
+
 class TestAnalyze:
+    @pytest.mark.parametrize("name", SAMPLE_GRAPHS)
+    def test_flow_totals_and_report_floats_are_builtin(self, name):
+        # np.float64 subclasses float, so an isinstance check would pass it
+        G = load_graph_file(ROOT / "graphs" / f"{name}.json").graph
+        for M in (2, 3):
+            per_edge = per_channel(G, lambda P: exponents.channel_exponents(P, M))
+            for weight in ("two", "tilde", "zero_rate"):
+                net = weighted_network(G, [getattr(rec, weight).value for rec in per_edge])
+                assert type(maxflow(net).total) is float
+            rep = analyze(G, M)
+            for obj in (rep, *rep.edges):
+                for f in dataclasses.fields(obj):
+                    if f.type == "float":
+                        assert type(getattr(obj, f.name)) is float, (name, M, f.name)
+
     def test_series_bsc(self):
         G = make_channel_graph(3, 0, 2, [(0, 1, bsc(0.1)), (1, 2, bsc(0.2))])
         rep = analyze(G, 2)

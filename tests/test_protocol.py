@@ -27,6 +27,7 @@ from netexp.protocol import (
     block_scores_ml,
     exact_block_distribution,
     make_series_spec,
+    path_tables,
     reduce_inputs,
     run_series_blocks_batch,
     series_forward_trace,
@@ -55,13 +56,14 @@ def codeword(m, ell, B, M):
 
 def engine_hops(spec, m, n_blocks, rng, tables=None):
     """Each hop's (sender states, blocks) from the engine, tiles concatenated
-    (copied as they come, since a relay hop's next tile reuses the array).
-    Without ``tables`` the chain's tables are built for this batch."""
+    (copied as they come, since a relay hop's next tile reuses the array),
+    with the source's one 0-d state repeated for every row.  Without
+    ``tables`` the chain's tables are built for this batch."""
     if tables is None:
         tables = protocol.path_tables(spec, n_blocks)
     hops = {}
     for hop, state, y in protocol._hop_blocks(spec, m, n_blocks, rng, tables):
-        hops.setdefault(hop, []).append((state.copy(), y.copy()))
+        hops.setdefault(hop, []).append((np.broadcast_to(state, len(y)).copy(), y.copy()))
     return [tuple(map(np.concatenate, zip(*hops[hop]))) for hop in sorted(hops)]
 
 
@@ -198,7 +200,7 @@ class TestReduceInputs:
         reduced, _, _ = reduce_inputs(chans, 3)
         assert calls == chans
         for P, r in zip(chans, reduced):
-            assert r.words == permutation_codebook(tilde_exponent(P, 3), 3).words
+            assert r.words == permutation_codebook(tilde_exponent(P, 3), 3)
 
     def test_plan_one_tilde_exponent_per_distinct_channel(self, monkeypatch):
         # the flow weights and both hops' codebooks share one report
@@ -373,13 +375,13 @@ class TestRunSeriesBlock:
         # single hop, M=2: ML over single blocks vs exact enumerated error
         channels, flow_value, _ = reduce_inputs([bsc(0.1)], 2)
         spec = SeriesSpec(channels=channels, M=2, B=2, flow_value=flow_value)
-        cd = exact_block_distribution(spec, update_mode="uniform")
-        exact = ml_error_probs(cd)
+        ld = exact_block_distribution(spec, update_mode="uniform")
+        exact = ml_error_probs(ld)
         trials = 10**5
         rng = np.random.default_rng(123)
         for m in (1, 2):
             blocks = destination_blocks(spec, m, trials, rng)
-            decisions = np.argmax(block_scores_ml(blocks, cd), axis=0) + 1
+            decisions = np.argmax(block_scores_ml(blocks, ld, path_tables(spec, 1)[-1]), axis=0) + 1
             p_hat = float(np.mean(decisions != m))
             sigma = math.sqrt(exact[m - 1] * (1 - exact[m - 1]) / trials)
             assert abs(p_hat - exact[m - 1]) <= 3 * sigma + 1e-12
@@ -394,18 +396,18 @@ class TestExactBlockDistribution:
     def test_single_hop_is_power_rows(self):
         channels = (bsc(0.1),)
         spec = SeriesSpec(channels=channels, M=2, B=2, flow_value=2 * DB_BSC01)
-        cd = exact_block_distribution(spec, "uniform")
+        ld = exact_block_distribution(spec, "uniform")
         P2 = power(bsc(0.1), 2)
-        assert np.allclose(np.exp(cd.log_dists[0]), P2.probs[0])  # codeword (1,1)
-        assert np.allclose(np.exp(cd.log_dists[1]), P2.probs[3])  # codeword (2,2)
+        assert np.allclose(np.exp(ld[0]), P2.probs[0])  # codeword (1,1)
+        assert np.allclose(np.exp(ld[1]), P2.probs[3])  # codeword (2,2)
 
     def test_mass_sums_to_one(self, reduced_bsc01_2hop):
         channels, flow_value, _ = reduced_bsc01_2hop
         for B in (2, 4):
             for mode in ("uniform", "exact"):
                 spec = SeriesSpec(channels=channels, M=2, B=B, flow_value=flow_value)
-                cd = exact_block_distribution(spec, update_mode=mode)
-                assert np.allclose(np.exp(cd.log_dists).sum(axis=1), 1.0, atol=1e-9)
+                ld = exact_block_distribution(spec, update_mode=mode)
+                assert np.allclose(np.exp(ld).sum(axis=1), 1.0, atol=1e-9)
 
     def test_divergence_increases_with_block_size(self, reduced_bsc01_2hop):
         channels, flow_value, _ = reduced_bsc01_2hop
@@ -471,16 +473,16 @@ class TestExactBlockDistribution:
     def test_monte_carlo_total_variation(self, reduced_bsc01_2hop):
         channels, flow_value, _ = reduced_bsc01_2hop
         spec = SeriesSpec(channels=channels, M=2, B=2, flow_value=flow_value)
-        cd = exact_block_distribution(spec, update_mode="uniform")
+        ld = exact_block_distribution(spec, update_mode="uniform")
         trials = 2 * 10**5
         from netexp.protocol import _encode_blocks
 
         rng = np.random.default_rng(9)
         for m in (1, 2):
             blocks = destination_blocks(spec, m, trials, rng)
-            idx = _encode_blocks(blocks, cd.base_output_size)
-            emp = np.bincount(idx, minlength=cd.log_dists.shape[1]) / trials
-            tv = 0.5 * np.abs(emp - np.exp(cd.log_dists[m - 1])).sum()
+            idx = _encode_blocks(blocks, path_tables(spec, 1)[-1].out)
+            emp = np.bincount(idx, minlength=ld.shape[1]) / trials
+            tv = 0.5 * np.abs(emp - np.exp(ld[m - 1])).sum()
             assert tv < 5e-3
 
 
@@ -560,11 +562,11 @@ class TestNetworkProtocol:
         ]
         for G, M, blocks in cases:
             net = weighted_network(G, per_channel(G, lambda P: tilde_exponent(P, M).value))
-            dec = decompose(net, maxflow(net))
+            paths = decompose(net, maxflow(net))
             for B in blocks:
                 plan = build_network_plan(G, M, B)
-                assert [p.edge_ids for p in plan.paths] == [p.edge_ids for p in dec.paths]
-                budgets, _ = path_edge_budgets(dec, B)
+                assert [p.edge_ids for p in plan.paths] == [p.edge_ids for p in paths]
+                budgets, _ = path_edge_budgets(paths, B)
                 raw = [p.spec.B * math.factorial(M) for p in plan.paths]
                 n = 6 * plan.window
                 counts = plan.blocks_per_path(n)
@@ -650,7 +652,7 @@ class TestDecoders:
         # exhaustive over all B=2 blocks of the reduced single-hop channel
         channels, flow_value, _ = reduce_inputs([bsc(0.1)], 2)
         spec = SeriesSpec(channels=channels, M=2, B=2, flow_value=flow_value)
-        cd = exact_block_distribution(spec, "uniform")
+        ld = exact_block_distribution(spec, "uniform")
         Q = channels[0].to_dmc()
         w1 = [s - 1 for s in codeword(1, 1, 2, 2)]
         w2 = [s - 1 for s in codeword(2, 1, 2, 2)]
@@ -661,7 +663,7 @@ class TestDecoders:
                     Q.log_probs[w1[0], y0] + Q.log_probs[w1[1], y1]
                     >= Q.log_probs[w2[0], y0] + Q.log_probs[w2[1], y1]
                 ) else 2
-                scores = cd.log_dists[:, idx]
+                scores = ld[:, idx]
                 ml = int(np.argmax(scores)) + 1
                 assert ml == direct
 
@@ -669,13 +671,13 @@ class TestDecoders:
         # paired trials on the tiny instance: heuristic error >= exact-ML error
         channels, flow_value, _ = reduce_inputs([bsc(0.1), bsc(0.1)], 2)
         spec = SeriesSpec(channels=channels, M=2, B=2, flow_value=flow_value)
-        cd = exact_block_distribution(spec, "uniform")
+        ld = exact_block_distribution(spec, "uniform")
         trials = 10**5
         err_ml = err_h = 0
         for m in (1, 2):
             rng = np.random.default_rng(40 + m)
             blocks = destination_blocks(spec, m, trials, rng)
-            s_ml = block_scores_ml(blocks, cd)
+            s_ml = block_scores_ml(blocks, ld, path_tables(spec, 1)[-1])
             from netexp.protocol import block_scores_heuristic
 
             s_h = block_scores_heuristic(blocks, protocol.path_tables(spec, trials)[-1], 2)
@@ -686,13 +688,13 @@ class TestDecoders:
     def test_two_hop_empirical_matches_enumerated(self):
         channels, flow_value, _ = reduce_inputs([bsc(0.1), bsc(0.1)], 2)
         spec = SeriesSpec(channels=channels, M=2, B=2, flow_value=flow_value)
-        cd = exact_block_distribution(spec, update_mode="uniform")
-        exact = ml_error_probs(cd)
+        ld = exact_block_distribution(spec, update_mode="uniform")
+        exact = ml_error_probs(ld)
         trials = 2 * 10**5
         for m in (1, 2):
             rng = np.random.default_rng(800 + m)
             blocks = destination_blocks(spec, m, trials, rng)
-            decisions = np.argmax(block_scores_ml(blocks, cd), axis=0) + 1
+            decisions = np.argmax(block_scores_ml(blocks, ld, path_tables(spec, 1)[-1]), axis=0) + 1
             p_hat = float(np.mean(decisions != m))
             sigma = math.sqrt(exact[m - 1] * (1 - exact[m - 1]) / trials)
             assert abs(p_hat - exact[m - 1]) <= 3 * sigma + 1e-12
@@ -976,7 +978,8 @@ class TestRowTiles:
         for m in range(1, spec.M + 1):
             tiles = {}
             for hop, state, y in protocol._hop_blocks(spec, m, n, np.random.default_rng(m), tables):
-                assert len(state) == len(y)
+                # states as stored: the source's one 0-d state, a relay's rows
+                assert state.shape == (() if hop == 0 else (len(y),))
                 tiles.setdefault(hop, []).append(len(y))
             assert tiles == {0: sizes, 1: sizes, 2: sizes}
             decided.clear()

@@ -338,24 +338,108 @@ def _function_defaults(tree) -> list:
     return found
 
 
+PACKAGE = "netexp"
+
+
+def _bindings(tree, fname: str, modules: dict) -> dict:
+    """What the names of file ``fname`` bind: (file, name) for a function or
+    class that the file defines at top level or imports from the package
+    ``modules`` (file name -> source), (file, None) for a package module,
+    and None for whatever comes from outside the package."""
+    binds = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            mod = node.module or ""
+            if node.level == 1:
+                sub = mod
+            elif node.level == 0 and (mod == PACKAGE or mod.startswith(PACKAGE + ".")):
+                sub = mod[len(PACKAGE) + 1 :]
+            else:
+                sub = None
+            for alias in node.names:
+                if sub is None:
+                    target = None
+                elif not sub and f"{alias.name}.py" in modules:
+                    target = (f"{alias.name}.py", None)
+                else:
+                    target = (f"{sub}.py" if sub else "__init__.py", alias.name)
+                binds[alias.asname or alias.name] = target
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                target = None
+                if parts[0] == PACKAGE:
+                    target = (f"{parts[1]}.py" if alias.asname and len(parts) > 1 else "__init__.py", None)
+                binds[alias.asname or parts[0]] = target
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            binds[node.name] = (fname, node.name)
+    return binds
+
+
+def _follow(target, binds: dict):
+    """``target`` traced through the re-exports of the files in ``binds``
+    to the file that defines it."""
+    for _ in range(len(binds) + 1):
+        if target is None or target[1] is None or target[0] not in binds:
+            break
+        nxt = binds[target[0]].get(target[1], target)
+        if nxt == target:
+            break
+        target = nxt
+    return target
+
+
+def _resolve(expr, fname: str, binds: dict):
+    """What ``expr``, a name or an attribute in file ``fname``, refers to:
+    (file, name) for a package function or class, (file, None) for a
+    package module, None for anything from outside the package, and False
+    for any other object."""
+    if isinstance(expr, ast.Name):
+        return _follow(binds[fname][expr.id], binds) if expr.id in binds[fname] else False
+    if isinstance(expr, ast.Attribute):
+        owner = _resolve(expr.value, fname, binds)
+        if owner and owner[1] is None:
+            return _follow((owner[0], expr.attr), binds)
+        return None if owner is None else False
+    return False
+
+
+def _call_target(func, fname: str, binds: dict):
+    """The (file, name) of the definition that a call's function refers to
+    in file ``fname`` (see :func:`_resolve`), or ("", name), matched by
+    name, for a name that the file neither defines nor imports and for a
+    method of any other object."""
+    target = _resolve(func, fname, binds)
+    if target is False:
+        return ("", func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    return target
+
+
 def _unsplit_defaults(modules: dict, roots_code: list) -> list:
     """``file:function.parameter`` of every parameter default in ``modules``
     (file name -> source), dataclass fields included, that the calls in
     ``modules`` and ``roots_code`` never omit, so it can be a required
-    argument, or never pass, so it is dead.  Calls are matched by name, as the reachability rule matches
-    uses; a call with ``*`` or ``**`` arguments is left out, since it
-    cannot tell which parameters it fills."""
-    calls = [node for text in list(modules.values()) + roots_code
-             for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Call)
+    argument, or never pass, so it is dead.  A call ``f(...)`` or
+    ``module.f(...)`` counts for the function that ``f`` resolves to
+    through the calling file's own definitions and imports; a call of a
+    name the file neither defines nor imports, or of a method of any other
+    object, counts for every function of that name.  A call with ``*`` or
+    ``**`` arguments is left out, since it cannot tell which parameters it
+    fills."""
+    files = dict(modules) | {f"<root {i}>": text for i, text in enumerate(roots_code)}
+    trees = {fname: ast.parse(text, filename=fname) for fname, text in files.items()}
+    binds = {fname: _bindings(tree, fname, modules) for fname, tree in trees.items()}
+    calls = [(_call_target(node.func, fname, binds), node) for fname, tree in trees.items()
+             for node in ast.walk(tree) if isinstance(node, ast.Call)
              and not any(isinstance(a, ast.Starred) for a in node.args)
              and all(k.arg is not None for k in node.keywords)]
     missed = []
-    for fname, text in modules.items():
-        for func, param, pos in _function_defaults(ast.parse(text, filename=fname)):
+    for fname in modules:
+        for func, param, pos in _function_defaults(trees[fname]):
             passed = omitted = False
-            for call in calls:
-                f = call.func
-                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) != func:
+            for target, call in calls:
+                if target not in ((fname, func), ("", func)):
                     continue
                 given = (pos is not None and len(call.args) > pos) or any(
                     k.arg == param for k in call.keywords)
@@ -423,3 +507,26 @@ def test_default_rule_reads_dataclass_fields():
     # the fourth positional argument is rows: the keyword-only half and
     # note take no position
     assert _unsplit_defaults(modules, ["Result(2.0)\nResult(2.0, 0.1, 'z', [], half=1.0)\nConfig(seed=3)\n"]) == []
+
+
+def test_default_rule_resolves_calls_through_imports():
+    # two modules each define main: a call counts for the main its own file
+    # defines or imports, not for every main
+    modules = {
+        "cli.py": (
+            "import sys\n\n"
+            "def main(argv=None):\n    return argv\n\n"
+            "if __name__ == '__main__':\n    sys.exit(main())\n"
+        ),
+        "report.py": (
+            "def main(rows, verbose=False):\n    return rows\n\n"
+            "def run(rows):\n    return main(rows, verbose=True)\n"
+        ),
+    }
+    tool = "import sys\n\ndef main(argv):\n    return argv\n\nmain(sys.argv[1:])\n"
+    # matched by name, each main's calls would both pass and omit
+    assert _unsplit_defaults(modules, [tool]) == ["cli.py:main.argv", "report.py:main.verbose"]
+    # a package module's attribute, and an imported name under an alias
+    bench = ("from netexp import cli\nfrom netexp.report import main as report\n\n"
+             "cli.main(['-h'])\nreport([1])\n")
+    assert _unsplit_defaults(modules, [tool, bench]) == []

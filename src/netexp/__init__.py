@@ -14,7 +14,6 @@ from .channel import (
     ksym,
     make_dmc,
     product,
-    restrict,
 )
 from .exponents import (
     ExponentReport,

@@ -15,7 +15,6 @@ from .errors import (
     AlphabetTooLarge,
     DimensionMismatch,
     IndexOutOfRange,
-    LengthMismatch,
     NegativeEntry,
     NonFiniteEntry,
     NonStochasticRow,
@@ -318,35 +317,6 @@ def product(P: Dmc, Q: Dmc) -> Dmc:
     if P.input_size * Q.input_size > PRODUCT_GUARD or P.output_size * Q.output_size > PRODUCT_GUARD:
         raise AlphabetTooLarge("product alphabet exceeds the 1e7 guard")
     return make_dmc(np.kron(P.probs, Q.probs))
-
-
-def product_row(P: Dmc, word) -> np.ndarray:
-    """Row of the len(word)-fold power of P at the given input sequence."""
-    row = np.ones(1)
-    for sym in word:
-        P.check_input(int(sym))
-        row = np.kron(row, P.probs[int(sym)])
-    return row
-
-
-def restrict(P: Dmc, codewords) -> Dmc:
-    """Restriction of P^ell to a list of equal-length input sequences.
-
-    The result has one input per codeword; its rows are the product-channel
-    rows of the codewords, so divergences between codewords are preserved.
-    """
-    words = [tuple(int(s) for s in w) for w in codewords]
-    if not words:
-        raise LengthMismatch("need at least one codeword")
-    ell = len(words[0])
-    if any(len(w) != ell for w in words):
-        raise LengthMismatch("codewords must all have the same length")
-    if ell < 1:
-        raise LengthMismatch("codewords must be non-empty")
-    if P.output_size**ell > PRODUCT_GUARD:
-        raise AlphabetTooLarge(f"output alphabet {P.output_size}^{ell} exceeds the 1e7 guard")
-    rows = np.stack([product_row(P, w) for w in words])
-    return make_dmc(rows)
 
 
 def channel_from_obj(obj) -> Dmc:

@@ -97,12 +97,9 @@ def cmd_decompose(args) -> int:
 
 
 def _series_channels(gf) -> list:
-    """Order the edges of a single source->destination chain, or fail."""
-    out_edges = {}
-    for e in gf.graph.edges:
-        if e.tail in out_edges:
-            raise NetexpError("oracle requires a series graph (one outgoing edge per node)")
-        out_edges[e.tail] = e
+    """The channels of the source->destination chain in order, or fail unless
+    that chain is acyclic and holds every edge (so no node has two)."""
+    out_edges = {e.tail: e for e in gf.graph.edges}
     chain = []
     node = gf.graph.source
     seen = {node}
@@ -115,6 +112,8 @@ def _series_channels(gf) -> list:
         if node in seen:
             raise NetexpError("oracle requires an acyclic series graph")
         seen.add(node)
+    if len(chain) < len(gf.graph.edges):
+        raise NetexpError("oracle requires a series graph (every edge on the source->destination chain)")
     return chain
 
 

@@ -29,10 +29,6 @@ class AlphabetTooLarge(NetexpError):
     pass
 
 
-class LengthMismatch(NetexpError):
-    pass
-
-
 class DimensionMismatch(NetexpError):
     pass
 

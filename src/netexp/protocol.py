@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Dmc, restrict
+from .channel import Dmc
 from .errors import (
     BoundsViolation,
     BTooSmall,
@@ -31,28 +31,19 @@ TABLE_BYTES_GUARD = 1 << 28  # one hop's sampling tables, see path_tables
 _TILE_ELEMS = 1 << 17  # raw symbols one hop samples at once
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReducedChannel:
-    """Lazy restriction of base^ell to M codewords (one per message).
-
-    Kept unmaterialized so the Monte Carlo path never enumerates the
-    output alphabet; ``to_dmc`` materializes the restriction for exact ops.
-    """
+    """One hop of the protocol: a base channel and the read-only (M, ell)
+    int64 array ``words`` whose row a lists the base inputs sent for protocol
+    symbol a+1.  Blocks stay in base symbols."""
 
     base: Dmc
-    words: tuple
-
-    @property
-    def input_size(self) -> int:
-        return len(self.words)
-
-    def to_dmc(self) -> Dmc:
-        return restrict(self.base, self.words)
+    words: np.ndarray
 
 
 @dataclass(frozen=True)
 class SeriesSpec:
-    """A chain of hop channels plus the protocol parameters.
+    """A chain of hops (:class:`ReducedChannel`) plus the protocol parameters.
 
     ``B`` counts hop-channel uses per block and must be even; ``flow_value``
     is the divergence scale |f| used in the confidence update (for reduced
@@ -70,21 +61,13 @@ class SeriesSpec:
         if self.M < 2:
             raise ParameterOutOfRange(f"need M >= 2, got {self.M}")
         for ch in self.channels:
-            if ch.input_size < self.M:
+            w = ch.words
+            if not (w.dtype == np.int64 and w.ndim == 2 and w.shape[0] == self.M and w.size
+                    and 0 <= w.min() and w.max() < ch.base.input_size):
                 raise ParameterOutOfRange(
-                    f"hop channel has {ch.input_size} inputs, needs at least M={self.M}"
+                    f"a hop needs {self.M} int64 codewords of one length whose symbols index "
+                    f"its channel's {ch.base.input_size} inputs, got {w.dtype} {w.shape} words"
                 )
-
-
-def _hop_view(chan, M: int):
-    """Uniform (base channel, codeword table) view of a hop channel.
-
-    words[a] lists the base symbols transmitted for protocol symbol a+1.
-    Every hop of a :class:`SeriesSpec` has at least M inputs.
-    """
-    if isinstance(chan, ReducedChannel):
-        return chan.base, np.asarray(chan.words[:M], dtype=np.int64)
-    return chan, np.arange(M, dtype=np.int64)[:, None]
 
 
 def _symbol_dtype(out: int) -> np.dtype:
@@ -258,7 +241,7 @@ def _states_from_loglik(msg_ll: np.ndarray, flow_value: float, half: int):
 def _relay_states(base_logp: np.ndarray, words: np.ndarray, B: int, flow_value: float,
                   y: np.ndarray, chunk=None):
     """Receiving relay's (m_idx, ell) for each row of raw base-symbol blocks
-    y, from the hop's base log-likelihoods and :func:`_hop_view` codewords.
+    y, from the hop's base log-likelihoods and codewords.
 
     Hypothesis likelihoods marginalize the sender's confidence uniformly:
     P(y|m) = mean over ell of P(y|codeword(m, ell)).  ``chunk`` is the
@@ -328,13 +311,14 @@ def _sample_symbols(thresholds: np.ndarray, state: np.ndarray, rng, out: np.ndar
 
 
 def reduce_inputs(channels, M: int, *, reports=None):
-    """Replace each hop channel by the permutation-codebook restriction of its
-    M!-fold power, giving M-input channels with equal pairwise distances.
+    """Give each hop channel the permutation codebook on its M!-fold power:
+    M codewords of M! symbols with equal pairwise distances.
 
-    Returns (reduced channels, flow_value, ell_factor) where flow_value is
-    the bottleneck pairwise Bhattacharyya distance per reduced use (M! times
-    the weakest hop's M-message exponent) and ell_factor = M!.  ``reports``,
-    the channels' ``tilde_exponent`` reports for M, saves recomputing them.
+    Returns (:class:`ReducedChannel` hops, flow_value, ell_factor) where
+    flow_value is the bottleneck pairwise Bhattacharyya distance per reduced
+    use (M! times the weakest hop's M-message exponent) and ell_factor = M!.
+    ``reports``, the channels' ``tilde_exponent`` reports for M, saves
+    recomputing them.
     """
     if M < 2 or M > 4:
         raise MTooLarge(f"input reduction supports 2 <= M <= 4, got {M}")
@@ -344,7 +328,9 @@ def reduce_inputs(channels, M: int, *, reports=None):
     reduced = []
     flow_value = math.inf
     for P, report in zip(channels, reports):
-        reduced.append(ReducedChannel(base=P, words=permutation_codebook(report, M)))
+        words = np.array(permutation_codebook(report, M), dtype=np.int64)
+        words.flags.writeable = False
+        reduced.append(ReducedChannel(base=P, words=words))
         flow_value = min(flow_value, ell * report.value)
     return tuple(reduced), float(flow_value), ell
 
@@ -364,12 +350,12 @@ class HopTables:
     """Read-only tables of one hop, built by :func:`path_tables`.
 
     ``thresholds`` is the hop's :func:`_sampling_thresholds`, ``log_probs``
-    its base channel's log-likelihoods and ``words`` its :func:`_hop_view`
-    codeword array.  On a relay hop whose out**L possible raw blocks are no
-    more than the rows the tables were built for, ``next_state[key]`` is
-    the receiving relay's sender-state index m_idx * (B/2+1) + ell for the
-    block whose :func:`_encode_blocks` key is ``key``, and ``chunk`` is
-    None.  Elsewhere ``next_state`` is None, and ``chunk`` is the
+    its base channel's log-likelihoods and ``words`` its codeword array.
+    On a relay hop whose out**L possible raw blocks are no more than the
+    rows the tables were built for, ``next_state[key]`` is the receiving
+    relay's sender-state index m_idx * (B/2+1) + ell for the block whose
+    :func:`_encode_blocks` key is ``key``, and ``chunk`` is None.
+    Elsewhere ``next_state`` is None, and ``chunk`` is the
     :func:`_chunk_table` sized for the hop's largest tile, which a relay
     that decides each row itself and the heuristic decoder of the final
     hop read.
@@ -411,19 +397,19 @@ def path_tables(spec: SeriesSpec, rows: int) -> tuple:
     ``TABLE_BYTES_GUARD``, and :class:`StateSpaceTooLarge` is raised above it.
     """
     width = spec.B // 2 + 1
-    views = [_hop_view(chan, spec.M) for chan in spec.channels]
-    for base, words in views:
+    for chan in spec.channels:
         # :func:`_sampling_thresholds`' int64 codeword index and its out-1
         # float64 threshold planes, each M*(B/2+1)*L entries
-        L = spec.B * words.shape[1]
-        size = 8 * base.output_size * spec.M * width * L
+        L = spec.B * chan.words.shape[1]
+        size = 8 * chan.base.output_size * spec.M * width * L
         if size > TABLE_BYTES_GUARD:
             raise StateSpaceTooLarge(
                 f"blocks of {L} raw symbols need {size} bytes of sampling tables "
                 f"per hop, above the {TABLE_BYTES_GUARD}-byte table guard"
             )
     tables = []
-    for hop, (base, words) in enumerate(views):
+    for hop, chan in enumerate(spec.channels):
+        base, words = chan.base, chan.words
         out, L = base.output_size, spec.B * words.shape[1]
         next_state = chunk = None
         if hop < len(spec.channels) - 1 and out**L <= rows:  # Python ints: no int64 wrap-around
@@ -535,6 +521,20 @@ def _enumerate_blocks(out_size: int, B: int) -> np.ndarray:
     return blocks
 
 
+def _product_logs(probs: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Log rows of base^ell at the M codewords, shape (M, out**ell), outputs
+    row-major over the base digits.  Each row is ``np.kron``'s left-to-right
+    product of the codeword's base rows, divided by its sum and logged in
+    place, as ``make_dmc`` normalizes a matrix."""
+    M, ell = words.shape
+    rows = probs[words[:, 0]]
+    for j in range(1, ell):
+        rows = (rows[:, :, None] * probs[words[:, j]][:, None, :]).reshape(M, -1)
+    rows /= rows.sum(axis=1)[:, None]
+    with np.errstate(divide="ignore"):
+        return np.log(rows, out=rows)
+
+
 def series_forward_trace(spec: SeriesSpec, update_mode: str) -> ForwardTrace:
     """Exact forward pass: enumerate every hop's block alphabet, map blocks to
     states deterministically, and propagate state occupancies.
@@ -556,19 +556,19 @@ def series_forward_trace(spec: SeriesSpec, update_mode: str) -> ForwardTrace:
     occupancies = [occ]
     block_logdists = []
 
+    ident = np.arange(M, dtype=np.int64)[:, None]
     for chan in spec.channels:
-        # the guard reads the base sizes, so it fires before to_dmc builds
-        # the restriction's out**ell product columns
-        base, words = _hop_view(chan, M)
+        # the guard reads the base sizes, so it fires before _product_logs
+        # builds the out**ell product columns
+        base, words = chan.base, chan.words
         symbols = B * words.shape[1]
         if base.output_size**symbols > EXACT_BLOCK_GUARD:
             raise StateSpaceTooLarge(
                 f"{base.output_size}^{symbols} block outcomes exceed the exact-enumeration guard"
             )
-        Q = chan.to_dmc() if isinstance(chan, ReducedChannel) else chan
-        blocks = _enumerate_blocks(Q.output_size, B)
-        ident = np.arange(M, dtype=np.int64)[:, None]
-        ll = _state_logliks(_symbol_logliks(Q.log_probs, ident, blocks, B), B)  # (half+1, M, K)
+        logq = _product_logs(base.probs, words)
+        blocks = _enumerate_blocks(logq.shape[1], B)
+        ll = _state_logliks(_symbol_logliks(logq, ident, blocks, B), B)  # (half+1, M, K)
         flat = ll.transpose(1, 0, 2).reshape(n_states, ll.shape[2])  # (state, block)
         prev = occupancies[-1]
         with np.errstate(divide="ignore"):
@@ -577,7 +577,7 @@ def series_forward_trace(spec: SeriesSpec, update_mode: str) -> ForwardTrace:
         for m_idx in range(M):
             ld[m_idx] = _logsumexp_leading(flat + logocc[m_idx][:, None])
         if update_mode == "uniform":
-            # the sampled relays' own decision; restrict's outputs run
+            # the sampled relays' own decision; the product columns run
             # row-major over the base digits, so these rows are the law's
             midx, ell = _relay_states(
                 base.log_probs, words, B, spec.flow_value, _enumerate_blocks(base.output_size, symbols)

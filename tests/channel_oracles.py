@@ -1,9 +1,10 @@
 """Channel operations that only tests use: the Chernoff divergence at a
-fixed s, the search of every input pair, the k-fold power of a channel and
-the cascade of two channels.  They are the reference forms for the
-divergence identities the tests check (additivity over products, the
-data-processing bound of a cascade) and for the pairs that
-``pairwise_chernoff`` leaves unsearched.  ``chernoff_array`` and
+fixed s, the search of every input pair, the k-fold power of a channel, its
+restriction to a set of codewords and the cascade of two channels.  They are
+the reference forms for the divergence identities the tests check
+(additivity over products, the data-processing bound of a cascade), for the
+pairs that ``pairwise_chernoff`` leaves unsearched and for the rows of the
+exact protocol law, which builds a hop's restriction in place.  ``chernoff_array`` and
 ``half_and_slope_array`` evaluate every d_C(s) with numpy's element-wise
 ufuncs on the masked log rows; ``channel.chernoff`` and
 ``channel._half_and_slope`` must return the same bits."""
@@ -148,3 +149,23 @@ def compose(P1: Dmc, P2: Dmc) -> Dmc:
             f"compose needs P1.output_size == P2.input_size, got {P1.output_size} vs {P2.input_size}"
         )
     return make_dmc(P1.probs @ P2.probs)
+
+
+def product_row(P: Dmc, word) -> np.ndarray:
+    """Row of the len(word)-fold power of P at the given input sequence,
+    by ``np.kron`` from the left."""
+    row = np.ones(1)
+    for sym in word:
+        P.check_input(int(sym))
+        row = np.kron(row, P.probs[int(sym)])
+    return row
+
+
+def restrict(P: Dmc, codewords) -> Dmc:
+    """Restriction of P^ell to a list of equal-length input sequences.
+
+    The result has one input per codeword; its rows are the product-channel
+    rows of the codewords, normalized by ``make_dmc``, so divergences between
+    codewords are preserved.
+    """
+    return make_dmc(np.stack([product_row(P, w) for w in codewords]))

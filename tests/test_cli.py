@@ -29,6 +29,12 @@ CLI_GOLDEN_CASES = (
     + [(f"oracle-{g}-{mode}", ["oracle", str(GRAPHS / f"{g}.json"), "--messages", "2",
                                "--block", "4", "--mode", mode])
        for g in ("series-2-bsc", "series-2-bsc005") for mode in ("uniform", "exact")]
+    # M=3 B=2 and M=2 B=8 have rounding-close relay decisions: a last-bit
+    # change to the law's rows moves these printed values by up to 1.5%
+    + [(f"oracle-{g}-{mode}-m{M}-b{B}", ["oracle", str(GRAPHS / f"{g}.json"), "--messages", M,
+                                        "--block", B, "--mode", mode])
+       for g in ("series-2-bsc", "series-2-bsc005") for mode in ("uniform", "exact")
+       for M, B in (("3", "2"), ("2", "8"))]
 )
 
 TEST_GRAPHS = Path(__file__).resolve().parent / "data" / "graphs"
@@ -397,6 +403,21 @@ class TestOracleCommand:
 
     def test_non_series_graph_exit_3(self, capsys):
         assert main(["oracle", str(GRAPHS / "diamond.json"), "--block", "2"]) == 3
+
+    def test_edges_off_the_chain_exit_3(self, tmp_path, capsys):
+        # every node has one outgoing edge, and s->r->t reaches the
+        # destination, but t->x and x->r are not on that chain
+        graph = tmp_path / "off-chain.json"
+        bsc = {"kind": "bsc", "p": 0.1}
+        graph.write_text(json.dumps({
+            "nodes": ["s", "r", "t", "x"], "source": "s", "destination": "t",
+            "edges": [{"from": a, "to": b, "channel": bsc}
+                      for a, b in (("s", "r"), ("r", "t"), ("t", "x"), ("x", "r"))],
+        }))
+        assert main(["oracle", str(graph), "--block", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "oracle requires a series graph" in captured.err
 
     @staticmethod
     def run_identical_rows_hop(tmp_path, mode, messages, block):

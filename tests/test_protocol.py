@@ -32,13 +32,14 @@ from netexp.protocol import (
     run_series_blocks_batch,
     series_forward_trace,
 )
-from channel_oracles import power
+from channel_oracles import power, restrict
 from protocol_oracles import (
     NodeState,
     destination_blocks,
     logsumexp,
     min_pairwise_composite_db,
     ml_error_probs,
+    raw_hops,
     run_series_block,
     state_pseudometric,
     verify_transition_bound,
@@ -76,9 +77,8 @@ def assert_hops_equal(got, want, width):
         assert np.array_equal(gy, wy)
 
 
-def relay_state(chan, M, B, flow_value, y):
-    base, words = protocol._hop_view(chan, M)
-    m_idx, ell = _relay_states(base.log_probs, words, B, flow_value, np.asarray([y]))
+def relay_state(chan, B, flow_value, y):
+    m_idx, ell = _relay_states(chan.base.log_probs, chan.words, B, flow_value, np.asarray([y]))
     return NodeState(m=int(m_idx[0]) + 1, ell=int(ell[0]))
 
 
@@ -137,7 +137,7 @@ class TestPseudometric:
     def test_divergence_dominates_pseudometric(self, reduced_bsc01_2hop):
         # on reduced channels, codeword divergence >= state distance
         channels, flow_value, _ = reduced_bsc01_2hop
-        Q = channels[0].to_dmc()
+        Q = restrict(channels[0].base, channels[0].words)
         for B in (2, 4, 6):
             states = [(m, l) for m in (1, 2) for l in range(B // 2 + 1)]
             for m1, l1 in states:
@@ -150,7 +150,7 @@ class TestPseudometric:
 
     def test_divergence_dominates_m3(self):
         channels, flow_value, _ = reduce_inputs([ksym(3, 0.1)], 3)
-        Q = channels[0].to_dmc()
+        Q = restrict(channels[0].base, channels[0].words)
         B = 6
         states = [(m, l) for m in (1, 2, 3) for l in range(B // 2 + 1)]
         for m1, l1 in states:
@@ -164,9 +164,9 @@ class TestReduceInputs:
     def test_single_bsc(self, reduced_bsc01_2hop):
         channels, flow_value, ell = reduced_bsc01_2hop
         assert ell == 2
-        assert channels[0].words == ((0, 1), (1, 0))
+        assert channels[0].words.tolist() == [[0, 1], [1, 0]]
         assert abs(flow_value - 2 * DB_BSC01) < 1e-9
-        Q = channels[0].to_dmc()
+        Q = restrict(channels[0].base, channels[0].words)
         assert abs(bhattacharyya(Q, 0, 1) - 2 * DB_BSC01) < 1e-9
 
     def test_bottleneck_flow(self):
@@ -180,7 +180,7 @@ class TestReduceInputs:
         channels, flow_value, ell = reduce_inputs([P], 2)
         assert ell == 2
         assert abs(flow_value - ell * DB_BSC01) < 1e-9
-        assert abs(bhattacharyya(channels[0].to_dmc(), 0, 1) - ell * DB_BSC01) < 1e-9
+        assert abs(bhattacharyya(restrict(channels[0].base, channels[0].words), 0, 1) - ell * DB_BSC01) < 1e-9
 
     def test_m_guard(self):
         with pytest.raises(MTooLarge):
@@ -200,7 +200,9 @@ class TestReduceInputs:
         reduced, _, _ = reduce_inputs(chans, 3)
         assert calls == chans
         for P, r in zip(chans, reduced):
-            assert r.words == permutation_codebook(tilde_exponent(P, 3), 3)
+            assert r.base is P
+            assert r.words.dtype == np.int64 and not r.words.flags.writeable
+            assert r.words.tolist() == [list(w) for w in permutation_codebook(tilde_exponent(P, 3), 3)]
 
     def test_plan_one_tilde_exponent_per_distinct_channel(self, monkeypatch):
         # the flow weights and both hops' codebooks share one report
@@ -216,7 +218,12 @@ class TestReduceInputs:
         G = make_channel_graph(3, 0, 2, [(0, 1, shared), (1, 2, shared)])
         plan = build_network_plan(G, 2, 4)
         assert calls == [shared]
-        assert plan.paths[0].spec == make_series_spec([shared, shared], 2, plan.paths[0].spec.B)
+        got = plan.paths[0].spec
+        want = make_series_spec([shared, shared], 2, got.B)
+        # a hop's codewords are an array, so the specs compare field by field
+        assert (got.M, got.B, got.flow_value) == (want.M, want.B, want.flow_value)
+        for g, w in zip(got.channels, want.channels, strict=True):
+            assert g.base is w.base and np.array_equal(g.words, w.words)
 
 
 class TestLogsumexp:
@@ -298,9 +305,9 @@ class TestLeadingLogsumexp:
 class TestStateUpdate:
     def test_noiseless_clamps_to_full_confidence(self):
         B, M = 6, 3
-        chan = identity_channel(3)
+        chan = raw_hops([identity_channel(3)], M)[0]
         y = [s - 1 for s in codeword(2, B // 2, B, M)]
-        st = relay_state(chan, M, B, 1.0, y)
+        st = relay_state(chan, B, 1.0, y)
         assert st == NodeState(2, B // 2)
 
     def test_equidistant_gives_zero(self):
@@ -308,17 +315,17 @@ class TestStateUpdate:
         from netexp.channel import bec
 
         B, M = 4, 2
-        st = relay_state(bec(0.3), M, B, 1.0, [2, 2, 2, 2])
+        st = relay_state(raw_hops([bec(0.3)], M)[0], B, 1.0, [2, 2, 2, 2])
         assert st == NodeState(m=1, ell=0)  # tie resolved to the lowest index
 
     def test_golden_reduced_chain(self, reduced_bsc01_2hop):
         # frozen from the exact likelihood table of the reduced chain
         channels, flow_value, _ = reduced_bsc01_2hop
-        Q = channels[0].to_dmc()
-        st = relay_state(Q, 2, 4, flow_value, (1, 1, 2, 2))
+        Q = restrict(channels[0].base, channels[0].words)
+        st = relay_state(raw_hops([Q], 2)[0], 4, flow_value, (1, 1, 2, 2))
         assert st == NodeState(m=1, ell=2)
         # base-granularity call agrees with the materialized channel
-        st2 = relay_state(channels[0], 2, 4, flow_value, (0, 1, 0, 1, 1, 0, 1, 0))
+        st2 = relay_state(channels[0], 4, flow_value, (0, 1, 0, 1, 1, 0, 1, 0))
         assert st2 == st
 
 
@@ -326,7 +333,7 @@ class TestRunSeriesBlock:
     def test_noiseless_chain_forwards_codeword(self):
         B, M = 4, 2
         spec = SeriesSpec(
-            channels=(identity_channel(2), identity_channel(2)),
+            channels=raw_hops([identity_channel(2), identity_channel(2)], M),
             M=M, B=B, flow_value=math.inf,
         )
         rng = np.random.default_rng(0)
@@ -391,11 +398,28 @@ class TestRunSeriesBlock:
         with pytest.raises(ParameterOutOfRange, match="block size must be even"):
             SeriesSpec(channels=channels, M=2, B=3, flow_value=flow_value)
 
+    @pytest.mark.parametrize("words", [
+        np.array([[0], [1], [2]]),  # 3 codewords at M=2
+        np.array([[0, 1]]),
+        np.array([[0], [3]]),
+        np.array([[-1], [1]]),
+        np.zeros((2, 0), dtype=np.int64),
+        np.array([0, 1]),
+        np.array([[0.0], [1.0]]),
+    ], ids=["three-words", "one-word", "symbol-past-the-inputs", "negative-symbol", "empty-words",
+            "flat-words", "float-words"])
+    def test_hop_codewords_are_checked(self, words):
+        # M codewords of one nonzero length, whose symbols index the base
+        # channel's inputs; a symbol past them once reached path_tables as a
+        # bare IndexError
+        hop = protocol.ReducedChannel(base=ksym(3, 0.1), words=words)
+        with pytest.raises(ParameterOutOfRange, match="needs 2 int64 codewords .* channel's 3 inputs"):
+            SeriesSpec(channels=(hop,), M=2, B=2, flow_value=1.0)
+
 
 class TestExactBlockDistribution:
     def test_single_hop_is_power_rows(self):
-        channels = (bsc(0.1),)
-        spec = SeriesSpec(channels=channels, M=2, B=2, flow_value=2 * DB_BSC01)
+        spec = SeriesSpec(channels=raw_hops([bsc(0.1)], 2), M=2, B=2, flow_value=2 * DB_BSC01)
         ld = exact_block_distribution(spec, "uniform")
         P2 = power(bsc(0.1), 2)
         assert np.allclose(np.exp(ld[0]), P2.probs[0])  # codeword (1,1)
@@ -461,7 +485,7 @@ class TestExactBlockDistribution:
         trace = series_forward_trace(spec, "uniform")
         n_states = spec.M * (B // 2 + 1)
         for j, chan in enumerate(spec.channels):
-            base, words = protocol._hop_view(chan, spec.M)
+            base, words = chan.base, chan.words
             # raw blocks in the law's block order (row-major digits)
             y = protocol._enumerate_blocks(base.output_size, B * words.shape[1])
             m_idx, ell = _relay_states(base.log_probs, words, B, spec.flow_value, y)
@@ -486,6 +510,60 @@ class TestExactBlockDistribution:
             assert tv < 5e-3
 
 
+def _dirichlet_dmc(rng, n_in, n_out):
+    """A random ``make_dmc`` channel with structural zeros in some rows."""
+    mat = rng.dirichlet(np.ones(n_out), size=n_in)
+    mat[rng.random(mat.shape) < 0.2] = 0.0
+    mat[np.arange(n_in), rng.integers(0, n_out, n_in)] += 0.05  # no all-zero row
+    return make_dmc(mat / mat.sum(axis=1, keepdims=True))
+
+
+class TestRestrictionLaw:
+    """The law builds each hop's product rows in place, as ``np.kron`` and
+    ``make_dmc`` would: its rows are the log rows of the materialized
+    restriction ``restrict(base, words)``, and the law is the one built from
+    that restriction, byte for byte."""
+
+    def test_rows_equal_the_restriction(self):
+        rng = np.random.default_rng(26)
+        channels = [bsc(0.1), bsc(0.37), bec(0.2), bec(0.6), ksym(3, 0.05), ksym(3, 0.3)]
+        channels += [_dirichlet_dmc(rng, int(rng.integers(3, 6)), int(rng.integers(2, 6)))
+                     for _ in range(60)]
+        renormalized = 0
+        for P in channels:
+            for M in (2, 3):
+                cases = [reduce_inputs([P], M)[0][0].words]
+                cases += [rng.integers(0, P.input_size, (M, ell)) for ell in (1, 2, 3)]
+                if M <= P.input_size:
+                    ident = np.arange(M)[:, None]
+                    cases.append(ident)
+                    renormalized += not np.array_equal(restrict(P, ident).log_probs, P.log_probs[:M])
+                for words in cases:
+                    got = protocol._product_logs(P.probs, words)
+                    want = restrict(P, words).log_probs
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+        # make_dmc's division moves last bits of rows that were already
+        # normalized, so a one-symbol hop's rows are not its base logs
+        assert renormalized > 0
+
+    @pytest.mark.parametrize("mode", ["uniform", "exact"])
+    @pytest.mark.parametrize("channels, M, B", [
+        pytest.param([bsc(0.1), bsc(0.2)], 2, 4, id="bsc-M2"),
+        pytest.param([bsc(0.1), bsc(0.05)], 3, 2, id="bsc-M3"),
+        pytest.param([bec(0.2), bec(0.3)], 2, 4, id="bec-M2"),
+        pytest.param([ksym(3, 0.05), ksym(3, 0.1)], 2, 2, id="ksym3-M2"),
+        pytest.param([_dirichlet_dmc(np.random.default_rng(3), 4, 3), bsc(0.1)], 2, 4, id="dirichlet-M2"),
+        pytest.param([_dirichlet_dmc(np.random.default_rng(4), 3, 2)] * 2, 3, 2, id="dirichlet-M3"),
+    ])
+    def test_law_equals_the_restriction_law(self, channels, M, B, mode):
+        spec = make_series_spec(channels, M, B)
+        got = exact_block_distribution(spec, mode)
+        want = oracles.restriction_law(spec, mode)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 class TestTransitionBounds:
     def test_source_node_point_mass(self, reduced_bsc01_2hop):
         channels, flow_value, _ = reduced_bsc01_2hop
@@ -508,7 +586,7 @@ class TestTransitionBounds:
 
     def test_noiseless_chain_vacuous(self):
         spec = SeriesSpec(
-            channels=(identity_channel(2), identity_channel(2)),
+            channels=raw_hops([identity_channel(2), identity_channel(2)], 2),
             M=2, B=4, flow_value=math.inf,
         )
         rep = verify_transition_bound(spec)
@@ -653,7 +731,7 @@ class TestDecoders:
         channels, flow_value, _ = reduce_inputs([bsc(0.1)], 2)
         spec = SeriesSpec(channels=channels, M=2, B=2, flow_value=flow_value)
         ld = exact_block_distribution(spec, "uniform")
-        Q = channels[0].to_dmc()
+        Q = restrict(channels[0].base, channels[0].words)
         w1 = [s - 1 for s in codeword(1, 1, 2, 2)]
         w2 = [s - 1 for s in codeword(2, 1, 2, 2)]
         for y0 in range(4):
@@ -858,12 +936,12 @@ class TestTableKernels:
         # the exact law reads ell=1 words over the whole block alphabet; the
         # heuristic decoder reads the reduced codewords
         spec = make_series_spec([bsc(0.1), make_dmc([[0.7, 0.3, 0.0], [0.0, 0.2, 0.8]])], 2, 4)
-        Q = spec.channels[1].to_dmc()
+        Q = restrict(spec.channels[1].base, spec.channels[1].words)
         blocks = protocol._enumerate_blocks(Q.output_size, 4)
         ident = np.arange(2, dtype=np.int64)[:, None]
         la = protocol._symbol_logliks(Q.log_probs, ident, blocks, 4)
         assert np.array_equal(la, oracles.symbol_logliks(Q.log_probs, ident, blocks, 4))
-        base, words = protocol._hop_view(spec.channels[1], 2)
+        base, words = spec.channels[1].base, spec.channels[1].words
         y = destination_blocks(spec, 2, 300, np.random.default_rng(4))
         want = oracles.state_logliks(oracles.symbol_logliks(base.log_probs, words, y, 4), 4)
         assert np.array_equal(
@@ -874,10 +952,10 @@ class TestTableKernels:
         "spec",
         [
             make_series_spec([bsc(0.05)] * 3, 2, 2),  # the golden hop: 2^4 blocks
-            SeriesSpec(channels=(bsc(0.05),) * 3, M=2, B=4, flow_value=0.8),
+            SeriesSpec(channels=raw_hops([bsc(0.05)] * 3, 2), M=2, B=4, flow_value=0.8),
             # zero entries: -inf likelihoods in every table row
-            SeriesSpec(channels=(bec(0.3),) * 3, M=2, B=4, flow_value=0.35),
-            SeriesSpec(channels=(ksym(3, 0.05),) * 3, M=3, B=4, flow_value=0.9),
+            SeriesSpec(channels=raw_hops([bec(0.3)] * 3, 2), M=2, B=4, flow_value=0.35),
+            SeriesSpec(channels=raw_hops([ksym(3, 0.05)] * 3, 3), M=3, B=4, flow_value=0.9),
         ],
         ids=["bsc-reduced", "bsc", "bec", "ksym3-M3"],
     )
@@ -885,7 +963,7 @@ class TestTableKernels:
         # Each relay reads its state from a table of every possible block
         # once out**L <= n_blocks; below that it decides each row itself.
         # States and every hop's blocks equal the per-row engine's.
-        base, words = protocol._hop_view(spec.channels[0], spec.M)
+        base, words = spec.channels[0].base, spec.channels[0].words
         K = base.output_size ** (spec.B * words.shape[1])
         decided = []  # rows each relay decision decides: a batch or a table
         relay_states = protocol._relay_states
@@ -908,8 +986,8 @@ class TestTableKernels:
         "spec",
         [
             make_series_spec([bsc(0.05)] * 3, 2, 2),
-            SeriesSpec(channels=(bec(0.3),) * 3, M=2, B=4, flow_value=0.35),
-            SeriesSpec(channels=(ksym(3, 0.05),) * 3, M=3, B=4, flow_value=0.9),
+            SeriesSpec(channels=raw_hops([bec(0.3)] * 3, 2), M=2, B=4, flow_value=0.35),
+            SeriesSpec(channels=raw_hops([ksym(3, 0.05)] * 3, 3), M=3, B=4, flow_value=0.9),
         ],
         ids=["bsc-reduced", "bec", "ksym3-M3"],
     )
@@ -917,7 +995,7 @@ class TestTableKernels:
         # tables decided once for 4*out**L rows serve batches of out**L-1,
         # out**L and 4*out**L rows with no per-row decision, and every hop's
         # states and blocks equal the per-row engine's
-        base, words = protocol._hop_view(spec.channels[0], spec.M)
+        base, words = spec.channels[0].base, spec.channels[0].words
         K = base.output_size ** (spec.B * words.shape[1])
         tables = protocol.path_tables(spec, 4 * K)
         assert [t.next_state is None for t in tables] == [False, False, True]
@@ -936,7 +1014,7 @@ class TestTableKernels:
     def test_one_output_channel_with_long_blocks(self):
         # 1**L <= n_blocks for any L: the relay table has one row, and
         # enumerating it must not build an L-dimensional index
-        spec = SeriesSpec(channels=(make_dmc([[1.0], [1.0]]),) * 2, M=2, B=70, flow_value=1.0)
+        spec = SeriesSpec(channels=raw_hops([make_dmc([[1.0], [1.0]])] * 2, 2), M=2, B=70, flow_value=1.0)
         hops = engine_hops(spec, 2, 5, np.random.default_rng(0))
         assert hops[1][1].shape == (5, 70) and not hops[1][1].any()
         assert not hops[1][0].any()  # no evidence: state 0 is (1, 0)
@@ -949,9 +1027,9 @@ class TestRowTiles:
     symbols; the tiles together equal the per-row oracles' one-piece runs."""
 
     SPECS = [
-        pytest.param(SeriesSpec(channels=(bsc(0.05),) * 3, M=2, B=4, flow_value=0.8), id="bsc"),
-        pytest.param(SeriesSpec(channels=(bec(0.3),) * 3, M=2, B=4, flow_value=0.35), id="bec"),
-        pytest.param(SeriesSpec(channels=(ksym(3, 0.05),) * 3, M=3, B=4, flow_value=0.9), id="ksym3"),
+        pytest.param(SeriesSpec(channels=raw_hops([bsc(0.05)] * 3, 2), M=2, B=4, flow_value=0.8), id="bsc"),
+        pytest.param(SeriesSpec(channels=raw_hops([bec(0.3)] * 3, 2), M=2, B=4, flow_value=0.35), id="bec"),
+        pytest.param(SeriesSpec(channels=raw_hops([ksym(3, 0.05)] * 3, 3), M=3, B=4, flow_value=0.9), id="ksym3"),
         pytest.param(make_series_spec([bsc(0.1)] * 3, 3, 2), id="reduced-M3"),
     ]
 
@@ -959,7 +1037,7 @@ class TestRowTiles:
     @pytest.mark.parametrize("tile_rows", [7, 1])
     @pytest.mark.parametrize("spec", SPECS)
     def test_tiles_equal_the_one_piece_run(self, spec, tile_rows, keyed, monkeypatch):
-        base, words = protocol._hop_view(spec.channels[0], spec.M)
+        base, words = spec.channels[0].base, spec.channels[0].words
         L = spec.B * words.shape[1]
         K = base.output_size**L
         tables = protocol.path_tables(spec, K if keyed else K - 1)
@@ -1037,7 +1115,7 @@ class TestRowTiles:
         # rows and compared with the draws a run at a time, then with the
         # rest of the tile; tiles of 300 rows leave a ragged last tile
         probs = _kernel_channel(np.random.default_rng(n_out), 3, n_out)
-        spec = SeriesSpec(channels=(make_dmc(probs),), M=3, B=8, flow_value=1.0)
+        spec = SeriesSpec(channels=raw_hops([make_dmc(probs)], 3), M=3, B=8, flow_value=1.0)
         monkeypatch.setattr(protocol, "_TILE_ELEMS", 300 * 8)
         seen = set()
         for n in (1, 127, 128, 261, 1000):
@@ -1059,13 +1137,13 @@ class TestRowTiles:
         spec = plan.paths[0].spec
         n = 2 * 2730 + 3
         tables = protocol.path_tables(spec, n)
-        base, words = protocol._hop_view(spec.channels[-1], spec.M)
+        base, words = spec.channels[-1].base, spec.channels[-1].words
         assert tables[-1].chunk[1] == 6
         assert protocol._chunk_table(base.log_probs, words, 3 * spec.B)[1] == 4
         sizes = []
         for blocks in run_series_blocks_batch(spec, 2, n, np.random.default_rng(3), tables):
             got = protocol.block_scores_heuristic(blocks, tables[-1], spec.B)
-            want = oracles.heuristic_scores(blocks, spec.channels[-1], spec.M, spec.B)
+            want = oracles.heuristic_scores(blocks, spec.channels[-1], spec.B)
             assert got.dtype == want.dtype and got.shape == want.shape == (3, len(blocks))
             assert got.tobytes() == want.tobytes()
             sizes.append(len(blocks))
@@ -1125,7 +1203,7 @@ class TestSymbolDtype:
         # a direct (unreduced) chain at B=2: two raw symbols a block, so
         # 289**2 blocks, inside the exact-law guard
         P = self.WIDE
-        spec = SeriesSpec(channels=(P, P), M=2, B=2, flow_value=bhattacharyya(P, 0, 1))
+        spec = SeriesSpec(channels=raw_hops([P, P], 2), M=2, B=2, flow_value=bhattacharyya(P, 0, 1))
         path = protocol.PathPlan(index=0, edge_ids=(0, 1), spec=spec)
         return protocol.NetworkPlan(M=2, window=2, paths=(path,))
 

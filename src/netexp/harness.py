@@ -384,8 +384,6 @@ def counterexample_experiment(p_grid) -> list:
         raise ParameterOutOfRange("p grid must be non-empty")
     rows = []
     for p in ps:
-        if not 0 < p < 1 / 3:
-            raise ParameterOutOfRange(f"need p in (0, 1/3), got {p}")
         Q = counterexample_channel(p)
         min_db = min(
             bhattacharyya(Q, a, b) for a in range(3) for b in range(a + 1, 3)

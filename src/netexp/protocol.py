@@ -60,6 +60,8 @@ class SeriesSpec:
             raise ParameterOutOfRange("block size must be even and at least 2")
         if self.M < 2:
             raise ParameterOutOfRange(f"need M >= 2, got {self.M}")
+        if not self.channels:
+            raise ParameterOutOfRange("a chain needs at least one hop")
         for ch in self.channels:
             w = ch.words
             if not (w.dtype == np.int64 and w.ndim == 2 and w.shape[0] == self.M and w.size
@@ -501,15 +503,6 @@ def run_series_blocks_batch(spec: SeriesSpec, m: int, n_blocks: int, rng, tables
     return [y for hop, _, y in _hop_blocks(spec, m, n_blocks, rng, tables) if hop == last]
 
 
-@dataclass(frozen=True)
-class ForwardTrace:
-    """Exact protocol law on a chain: per-node state occupancies given each
-    source message, and per-hop block log distributions."""
-
-    occupancies: tuple
-    block_logdists: tuple
-
-
 def _enumerate_blocks(out_size: int, B: int) -> np.ndarray:
     """Every block of B base symbols in row-major digit order (first digit
     slowest), so row k is the block whose ``_encode_blocks`` key is k, in
@@ -535,72 +528,62 @@ def _product_logs(probs: np.ndarray, words: np.ndarray) -> np.ndarray:
         return np.log(rows, out=rows)
 
 
-def series_forward_trace(spec: SeriesSpec, update_mode: str) -> ForwardTrace:
-    """Exact forward pass: enumerate every hop's block alphabet, map blocks to
-    states deterministically, and propagate state occupancies.
+def exact_block_distribution(spec: SeriesSpec, update_mode: str) -> np.ndarray:
+    """Exact per-message log distributions of the destination's block: shape
+    (M, out**L) for the final hop's out base outputs and L raw symbols a
+    block.  Blocks are indexed in row-major base-output digit order, so a
+    received block maps to its column by :func:`_encode_blocks`.
 
-    ``update_mode='uniform'`` decides relay states with the sampled relays'
-    own ``_relay_states``, so it is the sampled protocol's law; ``'exact'`` lets
-    each node weight hypothesis likelihoods by the true predecessor state
-    occupancies (computable without data since the protocol is known).
+    Every hop's block alphabet is enumerated; each relay maps blocks to
+    states deterministically and passes its state occupancies on.  The
+    destination's state is never decided.  ``update_mode='uniform'`` decides
+    relay states with the sampled relays' own ``_relay_states``, so it is the
+    sampled protocol's law; ``'exact'`` lets each relay weight hypothesis
+    likelihoods by the true predecessor state occupancies (computable without
+    data since the protocol is known).
     """
     if update_mode not in ("uniform", "exact"):
         raise ParameterOutOfRange(f"unknown update mode {update_mode!r}")
     M, B = spec.M, spec.B
     half = B // 2
     n_states = M * (half + 1)
+    # the guard reads the base sizes, so it fires before any hop is
+    # enumerated and before _product_logs builds the out**ell product columns
+    for chan in spec.channels:
+        symbols = B * chan.words.shape[1]
+        if chan.base.output_size**symbols > EXACT_BLOCK_GUARD:
+            raise StateSpaceTooLarge(
+                f"{chan.base.output_size}^{symbols} block outcomes exceed the exact-enumeration guard"
+            )
 
     occ = np.zeros((M, n_states))
-    for m_idx in range(M):
-        occ[m_idx, m_idx * (half + 1) + half] = 1.0
-    occupancies = [occ]
-    block_logdists = []
-
+    occ[np.arange(M), np.arange(M) * (half + 1) + half] = 1.0
     ident = np.arange(M, dtype=np.int64)[:, None]
-    for chan in spec.channels:
-        # the guard reads the base sizes, so it fires before _product_logs
-        # builds the out**ell product columns
+    for hop, chan in enumerate(spec.channels):
         base, words = chan.base, chan.words
-        symbols = B * words.shape[1]
-        if base.output_size**symbols > EXACT_BLOCK_GUARD:
-            raise StateSpaceTooLarge(
-                f"{base.output_size}^{symbols} block outcomes exceed the exact-enumeration guard"
-            )
         logq = _product_logs(base.probs, words)
         blocks = _enumerate_blocks(logq.shape[1], B)
         ll = _state_logliks(_symbol_logliks(logq, ident, blocks, B), B)  # (half+1, M, K)
         flat = ll.transpose(1, 0, 2).reshape(n_states, ll.shape[2])  # (state, block)
-        prev = occupancies[-1]
         with np.errstate(divide="ignore"):
-            logocc = np.log(prev)
+            logocc = np.log(occ)
         ld = np.empty((M, flat.shape[1]))
         for m_idx in range(M):
             ld[m_idx] = _logsumexp_leading(flat + logocc[m_idx][:, None])
+        if hop == len(spec.channels) - 1:
+            return ld
+        del ll, flat, blocks, logq
         if update_mode == "uniform":
             # the sampled relays' own decision; the product columns run
             # row-major over the base digits, so these rows are the law's
             midx, ell = _relay_states(
-                base.log_probs, words, B, spec.flow_value, _enumerate_blocks(base.output_size, symbols)
+                base.log_probs, words, B, spec.flow_value,
+                _enumerate_blocks(base.output_size, B * words.shape[1]),
             )
         else:
             midx, ell = _states_from_loglik(ld, spec.flow_value, half)
         sidx = midx * (half + 1) + ell
-        nxt = np.zeros((M, n_states))
-        for m_idx in range(M):
-            nxt[m_idx] = np.bincount(sidx, weights=np.exp(ld[m_idx]), minlength=n_states)
-        occupancies.append(nxt)
-        block_logdists.append(ld)
-
-    return ForwardTrace(occupancies=tuple(occupancies), block_logdists=tuple(block_logdists))
-
-
-def exact_block_distribution(spec: SeriesSpec, update_mode: str) -> np.ndarray:
-    """Exact per-message log distributions of the destination's block under
-    :func:`series_forward_trace`'s ``update_mode``: shape (M, out**L) for the
-    final hop's out base outputs and L raw symbols a block.  Blocks are
-    indexed in row-major base-output digit order, so a received block maps
-    to its column by :func:`_encode_blocks`."""
-    return series_forward_trace(spec, update_mode).block_logdists[-1]
+        occ = np.stack([np.bincount(sidx, weights=np.exp(ld[m]), minlength=n_states) for m in range(M)])
 
 
 def composite_db(log_dists: np.ndarray, m1: int, m2: int) -> float:

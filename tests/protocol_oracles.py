@@ -10,9 +10,10 @@ masked copy for the runner-up) are the oracles their results must equal bit
 for bit; ``logsumexp``, scipy's log-sum-exp step for step, is the one
 that the engine's leading-axis log-sum-exp must equal.  The
 law oracles (exact ML error, the state-transition inequalities) read
-``series_forward_trace`` and ``exact_block_distribution``, and
-``restriction_law`` rebuilds that law from each hop's materialized
-restriction (``channel_oracles.restrict``) with these kernels.  A one-block
+``exact_block_distribution`` and ``restriction_trace``, which rebuilds that
+law hop by hop from each hop's materialized restriction
+(``channel_oracles.restrict``) with these kernels, and keeps every node's
+state occupancies, the destination's included.  A one-block
 transcript (``run_series_block``) reads the engine's ``_hop_blocks`` and
 records what each hop sent, received and decided.
 """
@@ -36,7 +37,6 @@ from netexp.protocol import (
     composite_db,
     path_tables,
     run_series_blocks_batch,
-    series_forward_trace,
 )
 
 
@@ -277,16 +277,20 @@ def all_blocks(out: int, L: int) -> np.ndarray:
     return np.array(list(itertools.product(range(out), repeat=L)), dtype=np.int64).reshape(-1, L)
 
 
-def restriction_law(spec: SeriesSpec, update_mode: str) -> np.ndarray:
-    """``exact_block_distribution``'s array, built hop by hop from the log
-    rows of ``restrict(base, words)``, the materialized channel whose inputs
-    are the hop's codewords, and the direct kernels of this module.  Every
-    log-sum-exp runs over a leading axis, as the engine's does."""
+def restriction_trace(spec: SeriesSpec, update_mode: str):
+    """(occupancies, laws) of the chain: every node's state occupancies given
+    each source message, source first and destination last, and every hop's
+    ``exact_block_distribution`` array.  Each hop is built from the log rows
+    of ``restrict(base, words)``, the materialized channel whose inputs are
+    the hop's codewords, and the direct kernels of this module; the
+    destination's state is decided as a relay's would be.  Every log-sum-exp
+    runs over a leading axis, as the engine's does."""
     M, B = spec.M, spec.B
     half = B // 2
     n_states = M * (half + 1)
     occ = np.zeros((M, n_states))
     occ[np.arange(M), np.arange(M) * (half + 1) + half] = 1.0
+    occupancies, laws = [occ], []
     ident = np.arange(M)[:, None]
     for chan in spec.channels:
         Q = restrict(chan.base, chan.words)
@@ -304,7 +308,14 @@ def restriction_law(spec: SeriesSpec, update_mode: str) -> np.ndarray:
         m_idx, ell = states_from_loglik(msg, spec.flow_value, half)
         occ = np.stack([np.bincount(m_idx * (half + 1) + ell, weights=np.exp(ld[m]), minlength=n_states)
                         for m in range(M)])
-    return ld
+        occupancies.append(occ)
+        laws.append(ld)
+    return occupancies, laws
+
+
+def restriction_law(spec: SeriesSpec, update_mode: str) -> np.ndarray:
+    """The destination's block law of :func:`restriction_trace`."""
+    return restriction_trace(spec, update_mode)[1][-1]
 
 
 def min_pairwise_composite_db(ld: np.ndarray) -> float:
@@ -341,7 +352,7 @@ def verify_transition_bound(spec: SeriesSpec) -> TransitionReport:
 
     Both checks use the exact-occupancy update variant.
     """
-    trace = series_forward_trace(spec, update_mode="exact")
+    occupancies, laws = restriction_trace(spec, update_mode="exact")
     M, B = spec.M, spec.B
     half = B // 2
     f = spec.flow_value
@@ -350,7 +361,7 @@ def verify_transition_bound(spec: SeriesSpec) -> TransitionReport:
 
     details = []
     min_occ = math.inf
-    for j, occ in enumerate(trace.occupancies):
+    for j, occ in enumerate(occupancies):
         for m1 in range(1, M + 1):
             for mp in range(1, M + 1):
                 for ellp in range(half + 1):
@@ -364,7 +375,7 @@ def verify_transition_bound(spec: SeriesSpec) -> TransitionReport:
                         min_occ = min(min_occ, slack)
 
     min_div = math.inf
-    for j, ld in enumerate(trace.block_logdists):
+    for j, ld in enumerate(laws):
         rhs = B * f - 2 * (j + 1) * logmb - 2 * j * f - j * logm1
         for m1 in range(1, M + 1):
             for m2 in range(m1 + 1, M + 1):

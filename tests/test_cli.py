@@ -14,6 +14,7 @@ from netexp.errors import GraphFileError
 
 ROOT = Path(__file__).resolve().parent.parent
 GRAPHS = ROOT / "graphs"
+TEST_GRAPHS = Path(__file__).resolve().parent / "data" / "graphs"
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_simulate.csv"
 CLI_GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden"
 SAMPLE_GRAPHS = ("counterexample", "diamond", "noiseless", "series-2-bsc", "series-2-bsc005")
@@ -35,9 +36,12 @@ CLI_GOLDEN_CASES = (
                                         "--block", B, "--mode", mode])
        for g in ("series-2-bsc", "series-2-bsc005") for mode in ("uniform", "exact")
        for M, B in (("3", "2"), ("2", "8"))]
+    # three hops: occupancies passed across two relays
+    + [(f"oracle-series-3-mixed-{mode}-m{M}-b{B}",
+        ["oracle", str(TEST_GRAPHS / "series-3-mixed.json"), "--messages", M, "--block", B,
+         "--mode", mode])
+       for mode in ("uniform", "exact") for M, B in (("2", "4"), ("3", "2"))]
 )
-
-TEST_GRAPHS = Path(__file__).resolve().parent / "data" / "graphs"
 
 # (golden file stem, argv): simulate stdout recorded before the relays'
 # likelihoods kept the confidence level on the leading axis.  Diamond at

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -30,7 +31,6 @@ from netexp.protocol import (
     path_tables,
     reduce_inputs,
     run_series_blocks_batch,
-    series_forward_trace,
 )
 from channel_oracles import power, restrict
 from protocol_oracles import (
@@ -393,6 +393,11 @@ class TestRunSeriesBlock:
             sigma = math.sqrt(exact[m - 1] * (1 - exact[m - 1]) / trials)
             assert abs(p_hat - exact[m - 1]) <= 3 * sigma + 1e-12
 
+    def test_empty_chain_rejected(self):
+        # once accepted: the exact law then died with a bare IndexError
+        with pytest.raises(ParameterOutOfRange, match="at least one hop"):
+            SeriesSpec(channels=(), M=2, B=2, flow_value=1.0)
+
     def test_odd_block_size_rejected(self, reduced_bsc01_2hop):
         channels, flow_value, _ = reduced_bsc01_2hop
         with pytest.raises(ParameterOutOfRange, match="block size must be even"):
@@ -449,23 +454,41 @@ class TestExactBlockDistribution:
             exact_block_distribution(spec, "uniform")
 
     def test_guard_fires_before_the_power_is_built(self):
-        # 12 outputs at M=3: a reduced use has 12^6 outputs, and building
-        # them took ~200 MB before the 12^12-block guard was read
         P = make_dmc(np.random.default_rng(5).dirichlet(np.ones(12), size=3))
-        spec = make_series_spec([P], 3, 2)
+        # 12 outputs at M=3: a reduced use has 12^6 outputs, and building
+        # them took ~200 MB before the 12^12-block guard was read.  The
+        # second hop of the bsc chain has 12^16 blocks: hop 1's 2^16-block
+        # law once took 112 ms and a 30.8 MiB peak before that guard was read
+        for spec in (make_series_spec([P], 3, 2), make_series_spec([bsc(0.05), P], 2, 8)):
 
-        def run():
-            with pytest.raises(StateSpaceTooLarge):
-                exact_block_distribution(spec, "uniform")
+            def run():
+                with pytest.raises(StateSpaceTooLarge):
+                    exact_block_distribution(spec, "uniform")
 
-        assert peak_traced(run) < 4 * 2**20
+            assert peak_traced(run) < 4 * 2**20
+
+    @pytest.mark.parametrize("mode, kernel", [("uniform", "_relay_states"),
+                                              ("exact", "_states_from_loglik")])
+    def test_destination_is_never_decided(self, mode, kernel, monkeypatch):
+        # one decision per relay: the destination's block law needs no state
+        spec = make_series_spec([bsc(0.1), bec(0.2), bsc(0.05)], 2, 2)
+        calls = []
+        inner = getattr(protocol, kernel)
+
+        def counted(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(protocol, kernel, counted)
+        exact_block_distribution(spec, mode)
+        assert len(calls) == 2
 
     def test_exact_law_memory(self):
         # two bsc(0.05) hops at M=2, B=8: 4**8 blocks a hop.  Byte-wide
         # blocks and likelihoods built in place peak at 35.6 MiB; int64
         # blocks and fresh prefix, suffix and exp arrays peaked at 53.5 MiB
         spec = make_series_spec([bsc(0.05), bsc(0.05)], 2, 8)
-        assert peak_traced(lambda: series_forward_trace(spec, "uniform")) < 44 * 2**20
+        assert peak_traced(lambda: exact_block_distribution(spec, "uniform")) < 44 * 2**20
 
     @pytest.mark.parametrize(
         "P, M, B",
@@ -482,17 +505,16 @@ class TestExactBlockDistribution:
         # The occupancies the sampler's relay decisions give on every block
         # are the law's, float for float.
         spec = make_series_spec([P, P], M, B)
-        trace = series_forward_trace(spec, "uniform")
+        occupancies, laws = oracles.restriction_trace(spec, "uniform")
         n_states = spec.M * (B // 2 + 1)
         for j, chan in enumerate(spec.channels):
             base, words = chan.base, chan.words
             # raw blocks in the law's block order (row-major digits)
             y = protocol._enumerate_blocks(base.output_size, B * words.shape[1])
             m_idx, ell = _relay_states(base.log_probs, words, B, spec.flow_value, y)
-            ld = trace.block_logdists[j]
-            occ = np.stack([np.bincount(m_idx * (B // 2 + 1) + ell, weights=np.exp(ld[m]),
+            occ = np.stack([np.bincount(m_idx * (B // 2 + 1) + ell, weights=np.exp(laws[j][m]),
                                         minlength=n_states) for m in range(spec.M)])
-            assert np.array_equal(occ, trace.occupancies[j + 1])
+            assert np.array_equal(occ, occupancies[j + 1])
 
     def test_monte_carlo_total_variation(self, reduced_bsc01_2hop):
         channels, flow_value, _ = reduced_bsc01_2hop
@@ -555,6 +577,7 @@ class TestRestrictionLaw:
         pytest.param([ksym(3, 0.05), ksym(3, 0.1)], 2, 2, id="ksym3-M2"),
         pytest.param([_dirichlet_dmc(np.random.default_rng(3), 4, 3), bsc(0.1)], 2, 4, id="dirichlet-M2"),
         pytest.param([_dirichlet_dmc(np.random.default_rng(4), 3, 2)] * 2, 3, 2, id="dirichlet-M3"),
+        pytest.param([bsc(0.1), bec(0.2), bsc(0.05)], 2, 4, id="mixed-3-hop-M2"),
     ])
     def test_law_equals_the_restriction_law(self, channels, M, B, mode):
         spec = make_series_spec(channels, M, B)
@@ -562,16 +585,23 @@ class TestRestrictionLaw:
         want = oracles.restriction_law(spec, mode)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+        # every prefix of the chain, so each relay hop's law is pinned too
+        laws = oracles.restriction_trace(spec, mode)[1]
+        for j in range(len(spec.channels)):
+            prefix = dataclasses.replace(spec, channels=spec.channels[: j + 1])
+            got = exact_block_distribution(prefix, mode)
+            assert got.shape == laws[j].shape
+            assert got.tobytes() == laws[j].tobytes()
 
 
 class TestTransitionBounds:
     def test_source_node_point_mass(self, reduced_bsc01_2hop):
         channels, flow_value, _ = reduced_bsc01_2hop
         spec = SeriesSpec(channels=channels, M=2, B=4, flow_value=flow_value)
-        trace = series_forward_trace(spec, update_mode="exact")
+        occupancies, _ = oracles.restriction_trace(spec, update_mode="exact")
         half = 2
         for m_idx in range(2):
-            occ = trace.occupancies[0][m_idx]
+            occ = occupancies[0][m_idx]
             assert occ[m_idx * (half + 1) + half] == 1.0
             assert occ.sum() == 1.0
 
@@ -1018,8 +1048,8 @@ class TestTableKernels:
         hops = engine_hops(spec, 2, 5, np.random.default_rng(0))
         assert hops[1][1].shape == (5, 70) and not hops[1][1].any()
         assert not hops[1][0].any()  # no evidence: state 0 is (1, 0)
-        trace = series_forward_trace(spec, "uniform")
-        assert trace.occupancies[-1][:, 0].tolist() == [1.0, 1.0]
+        occupancies, _ = oracles.restriction_trace(spec, "uniform")
+        assert occupancies[-1][:, 0].tolist() == [1.0, 1.0]
 
 
 class TestRowTiles:

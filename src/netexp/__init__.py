@@ -39,7 +39,6 @@ from .flow import (
 )
 from .protocol import (
     SeriesSpec,
-    composite_db,
     exact_block_distribution,
     make_series_spec,
     reduce_inputs,

@@ -128,6 +128,8 @@ def ksym(K: int, p: float) -> Dmc:
     """K-ary symmetric channel: P(y|x) = 1-(K-1)p if y=x, else p."""
     if K < 2:
         raise ParameterOutOfRange(f"ksym requires K >= 2, got {K}")
+    if K * K > PRODUCT_GUARD:
+        raise AlphabetTooLarge(f"ksym({K}) has {K}x{K} entries, over the 1e7 guard")
     if not 0 < p < 1 / (K - 1):
         raise ParameterOutOfRange(f"ksym requires p in (0, 1/{K - 1}), got {p}")
     mat = np.full((K, K), p)
@@ -142,13 +144,18 @@ def identity_channel(K: int) -> Dmc:
     return make_dmc(np.eye(K), label=f"identity({K})")
 
 
-def _common_support(P: Dmc, x: int, xp: int):
-    """The log rows of inputs x and x' on the outputs both can produce, as a
-    list of (log P(y|x), log P(y|x')) Python float pairs, or None when their
-    supports are disjoint.  ``log_probs`` is -inf exactly where P is 0."""
-    lx, ly = P.log_probs[x].tolist(), P.log_probs[xp].tolist()
-    rows = [(a, b) for a, b in zip(lx, ly) if a != -math.inf and b != -math.inf]
-    return rows or None
+def _common_support(lx: np.ndarray, ly: np.ndarray):
+    """Two log rows (-inf exactly where the probability is 0) on the outputs
+    both can produce, or None when their supports are disjoint: a list of
+    (lx[y], ly[y]) Python float pairs below PAIRWISE_BLOCK outputs, from it
+    on two arrays, the rows themselves when neither has a zero."""
+    if lx.shape[0] < PAIRWISE_BLOCK:
+        rows = [(a, b) for a, b in zip(lx.tolist(), ly.tolist()) if a != -math.inf and b != -math.inf]
+        return rows or None
+    mask = np.isfinite(lx) & np.isfinite(ly)
+    if mask.all():
+        return lx, ly
+    return (lx[mask], ly[mask]) if mask.any() else None
 
 
 def _sum_left_to_right(values) -> float:
@@ -161,25 +168,28 @@ def _sum_left_to_right(values) -> float:
     return total
 
 
-def _probe(rows: list, s: float) -> tuple:
-    """d_C(s) over ``rows``, a :func:`_common_support` list, with rounding
+def _probe(rows, s: float) -> tuple:
+    """d_C(s) over ``rows``, a :func:`_common_support` value, with rounding
     noise (values <= 1e-12) read as 0, and the weights w = exp(v - max v)
     of v = (1-s) log P(.|x) + s log P(.|x') and their sum.
 
-    v, its maximum and the shift are one IEEE multiply, add or compare per
-    term in Python floats, bit-identical to numpy's element-wise ufuncs.
-    ``exp`` stays numpy's: ``math.exp`` rounds differently.  Below
-    PAIRWISE_BLOCK terms the weights are added left to right, as
-    ``np.add.reduce`` does; from it on the sum is ``np.add.reduce``'s
-    blocked one."""
+    Each step is one IEEE operation per term: in Python floats on a list,
+    whose fewer than PAIRWISE_BLOCK weights are added left to right as
+    ``np.add.reduce`` adds them, and as ufuncs, in place on v, on arrays.
+    ``exp`` is numpy's: ``math.exp`` rounds differently."""
     t = 1.0 - s
-    v = [t * a + s * b for a, b in rows]
-    mx = max(v)
-    w = np.exp([u - mx for u in v])
-    if len(v) < PAIRWISE_BLOCK:
+    if isinstance(rows, list):
+        v = [t * a + s * b for a, b in rows]
+        mx = max(v)
+        w = np.exp([u - mx for u in v])
         total = _sum_left_to_right(w.tolist())
     else:
-        total = np.add.reduce(w)
+        v = t * rows[0]
+        v += s * rows[1]
+        mx = float(np.maximum.reduce(v))
+        v -= mx
+        w = np.exp(v, out=v)
+        total = float(np.add.reduce(w))
     val = -(mx + math.log(total))
     return (val if val > 1e-12 else 0.0), w, total
 
@@ -193,7 +203,7 @@ def bhattacharyya(P: Dmc, x: int, xp: int) -> float:
     """
     P.check_input(x)
     P.check_input(xp)
-    return _half_and_slope(P, x, xp)[0]
+    return _half_and_slope(P.log_probs[x], P.log_probs[xp])[0]
 
 
 def chernoff(P: Dmc, x: int, xp: int) -> DivergenceResult:
@@ -205,7 +215,7 @@ def chernoff(P: Dmc, x: int, xp: int) -> DivergenceResult:
     """
     P.check_input(x)
     P.check_input(xp)
-    rows = _common_support(P, x, xp)
+    rows = _common_support(P.log_probs[x], P.log_probs[xp])
     if rows is None:
         return DivergenceResult(value=math.inf, argmax_s=0.5, at_half=math.inf)
 
@@ -237,24 +247,25 @@ def chernoff(P: Dmc, x: int, xp: int) -> DivergenceResult:
     return DivergenceResult(value=best_val, argmax_s=best_s, at_half=candidates[0][0])
 
 
-def _half_and_slope(P: Dmc, x: int, xp: int) -> tuple:
-    """d_C(1/2), bit-identical to the value :func:`chernoff` probes there,
-    and the slope d_C'(1/2): minus the mean of log(P_x'/P_x) under weights
-    proportional to sqrt(P_x P_x').  Disjoint rows give (+inf, 0)."""
-    rows = _common_support(P, x, xp)
+def _half_and_slope(lx: np.ndarray, ly: np.ndarray) -> tuple:
+    """d_C(1/2) between two log rows, a channel's inputs P_x and P_x' or two
+    messages' block laws, bit-identical to the value :func:`chernoff` probes
+    there, and the slope d_C'(1/2): minus the mean of log(P_x'/P_x) under
+    weights proportional to sqrt(P_x P_x').  Disjoint rows give (+inf, 0)."""
+    rows = _common_support(lx, ly)
     if rows is None:
         return math.inf, 0.0
     val, w, total = _probe(rows, 0.5)
-    slope = -float(w @ np.array([b - a for a, b in rows])) / float(total)
-    return val, slope
+    diff = np.array([b - a for a, b in rows]) if isinstance(rows, list) else rows[1] - rows[0]
+    return val, -float(w @ diff) / total
 
 
 def _pair_halves(P: Dmc) -> dict:
     """:func:`_half_and_slope` of every input pair (x, x'), x < x', keyed by
     pair: the one d_B pass that the Bhattacharyya matrix and the
     :func:`pairwise_chernoff` screen both read."""
-    n = P.input_size
-    return {(x, xp): _half_and_slope(P, x, xp) for x in range(n) for xp in range(x + 1, n)}
+    n, logs = P.input_size, P.log_probs
+    return {(x, xp): _half_and_slope(logs[x], logs[xp]) for x in range(n) for xp in range(x + 1, n)}
 
 
 def _off_half(res: DivergenceResult) -> bool:

@@ -11,12 +11,13 @@ import json
 import math
 import sys
 
+from .channel import _half_and_slope
 from .errors import GraphFileError, NetexpError
 from .exponents import exponent_two, tilde_exponent, zero_rate_exponent
 from .flow import decompose, maxflow, per_channel, weighted_network
 from .graphio import dump_normalized, load_graph_file
 from .harness import SimConfig, analyze, counterexample_experiment, simulate
-from .protocol import exact_block_distribution, composite_db, make_series_spec
+from .protocol import exact_block_distribution, make_series_spec
 
 
 def _fmt(x: float) -> str:
@@ -125,7 +126,7 @@ def cmd_oracle(args) -> int:
     print("m1,m2,db_nats")
     for a in range(1, args.messages + 1):
         for b in range(a + 1, args.messages + 1):
-            print(f"{a},{b},{_fmt(composite_db(log_dists, a, b))}")
+            print(f"{a},{b},{_fmt(_half_and_slope(log_dists[a - 1], log_dists[b - 1])[0])}")
     return 0
 
 

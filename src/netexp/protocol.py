@@ -586,20 +586,6 @@ def exact_block_distribution(spec: SeriesSpec, update_mode: str) -> np.ndarray:
         occ = np.stack([np.bincount(sidx, weights=np.exp(ld[m]), minlength=n_states) for m in range(M)])
 
 
-def composite_db(log_dists: np.ndarray, m1: int, m2: int) -> float:
-    """Bhattacharyya distance between two messages' exact block
-    distributions, the rows of :func:`exact_block_distribution`'s array."""
-    l1 = log_dists[m1 - 1]
-    l2 = log_dists[m2 - 1]
-    mask = np.isfinite(l1) & np.isfinite(l2)
-    if not mask.any():
-        return math.inf
-    half_sum = 0.5 * (l1[mask] + l2[mask])
-    val = -float(_logsumexp_leading(half_sum[:, None])[0])
-    # rounding noise (and -0.0) reads 0, as in channel._half_and_slope
-    return val if val > 1e-12 else 0.0
-
-
 @dataclass(frozen=True)
 class PathPlan:
     """Schedule for one decomposition path: its edges and reduced chain."""

@@ -4,10 +4,13 @@ restriction to a set of codewords and the cascade of two channels.  They are
 the reference forms for the divergence identities the tests check
 (additivity over products, the data-processing bound of a cascade), for the
 pairs that ``pairwise_chernoff`` leaves unsearched and for the rows of the
-exact protocol law, which builds a hop's restriction in place.  ``chernoff_array`` and
-``half_and_slope_array`` evaluate every d_C(s) with numpy's element-wise
-ufuncs on the masked log rows; ``channel.chernoff`` and
-``channel._half_and_slope`` must return the same bits."""
+exact protocol law, which builds a hop's restriction in place.
+``chernoff_array`` and ``half_and_slope_rows`` (``half_and_slope_array`` on a
+channel's input rows) evaluate every d_C(s) with numpy's element-wise ufuncs
+on the masked log rows.  ``channel.chernoff`` and ``channel._half_and_slope``
+must return the same bits, whether they read a channel's input rows, as a
+list of float pairs below 8 outputs and as arrays from 8 on, or two
+messages' rows of an exact block law, which ``oracle`` prints."""
 import math
 
 import numpy as np
@@ -36,10 +39,9 @@ def _lse(v: np.ndarray) -> float:
     return float(mx + math.log(np.add.reduce(np.exp(v - mx))))
 
 
-def common_support_array(P: Dmc, x: int, xp: int):
-    """The log rows of inputs x and x' on the outputs both can produce, as
-    (log P(.|x), log P(.|x')), or None when their supports are disjoint."""
-    lx, ly = P.log_probs[x], P.log_probs[xp]
+def common_support_array(lx: np.ndarray, ly: np.ndarray):
+    """Two log rows on the outputs both can produce, as (lx[mask], ly[mask]),
+    or None when their supports are disjoint."""
     mask = np.isfinite(lx) & np.isfinite(ly)
     if not mask.any():
         return None
@@ -55,7 +57,7 @@ def chernoff_array(P: Dmc, x: int, xp: int) -> DivergenceResult:
     """
     P.check_input(x)
     P.check_input(xp)
-    rows = common_support_array(P, x, xp)
+    rows = common_support_array(P.log_probs[x], P.log_probs[xp])
     if rows is None:
         return DivergenceResult(value=math.inf, argmax_s=0.5, at_half=math.inf)
     la, lb = rows
@@ -90,10 +92,16 @@ def chernoff_array(P: Dmc, x: int, xp: int) -> DivergenceResult:
 
 
 def half_and_slope_array(P: Dmc, x: int, xp: int) -> tuple:
-    """d_C(1/2), bit-identical to the value :func:`chernoff_array` probes there,
-    and the slope d_C'(1/2): minus the mean of log(P_x'/P_x) under weights
-    proportional to sqrt(P_x P_x').  Disjoint rows give (+inf, 0)."""
-    rows = common_support_array(P, x, xp)
+    """:func:`half_and_slope_rows` of the log rows of inputs x and x'."""
+    return half_and_slope_rows(P.log_probs[x], P.log_probs[xp])
+
+
+def half_and_slope_rows(lx: np.ndarray, ly: np.ndarray) -> tuple:
+    """d_C(1/2) between two log rows, P_x and P_x', bit-identical to the
+    value :func:`chernoff_array` probes there, and the slope d_C'(1/2): minus
+    the mean of log(P_x'/P_x) under weights proportional to sqrt(P_x P_x').
+    Disjoint rows give (+inf, 0)."""
+    rows = common_support_array(lx, ly)
     if rows is None:
         return math.inf, 0.0
     la, lb = rows
@@ -116,7 +124,7 @@ def chernoff_at(P: Dmc, x: int, xp: int, s: float) -> float:
     P.check_input(xp)
     if not 0.0 <= s <= 1.0:
         raise ParameterOutOfRange(f"s must lie in [0, 1], got {s}")
-    rows = common_support_array(P, x, xp)
+    rows = common_support_array(P.log_probs[x], P.log_probs[xp])
     if rows is None:
         return math.inf
     val = -_lse((1.0 - s) * rows[0] + s * rows[1])

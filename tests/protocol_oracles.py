@@ -17,7 +17,6 @@ state occupancies, the destination's included.  A one-block
 transcript (``run_series_block``) reads the engine's ``_hop_blocks`` and
 records what each hop sent, received and decided.
 """
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +24,7 @@ import numpy as np
 
 from channel_oracles import restrict
 
+from netexp.channel import _half_and_slope
 from netexp.protocol import (
     ReducedChannel,
     SeriesSpec,
@@ -34,7 +34,6 @@ from netexp.protocol import (
     _state_logliks,
     _symbol_logliks,
     block_scores_ml,
-    composite_db,
     path_tables,
     run_series_blocks_batch,
 )
@@ -274,7 +273,9 @@ def state_pseudometric(a: NodeState, b: NodeState, flow_value: float) -> float:
 
 def all_blocks(out: int, L: int) -> np.ndarray:
     """Every block of L symbols from 0..out-1, first digit slowest."""
-    return np.array(list(itertools.product(range(out), repeat=L)), dtype=np.int64).reshape(-1, L)
+    if out == 1:  # np.indices takes at most 64 dimensions
+        return np.zeros((1, L), dtype=np.int64)
+    return np.indices((out,) * L, dtype=np.int64).reshape(L, -1).T
 
 
 def restriction_trace(spec: SeriesSpec, update_mode: str):
@@ -318,9 +319,10 @@ def restriction_law(spec: SeriesSpec, update_mode: str) -> np.ndarray:
     return restriction_trace(spec, update_mode)[1][-1]
 
 
-def min_pairwise_composite_db(ld: np.ndarray) -> float:
+def min_pairwise_block_db(ld: np.ndarray) -> float:
+    """The smallest d_B between two messages' rows of the block law ``ld``."""
     M = ld.shape[0]
-    return min(composite_db(ld, a + 1, b + 1) for a in range(M) for b in range(a + 1, M))
+    return min(_half_and_slope(ld[a], ld[b])[0] for a in range(M) for b in range(a + 1, M))
 
 
 def ml_error_probs(ld: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from conftest import rand_dmc, rand_network, rand_channel_graph, rand_reversible
 from channel_oracles import chernoff_at, compose
 from protocol_oracles import (
     destination_blocks,
-    min_pairwise_composite_db,
+    min_pairwise_block_db,
     ml_error_probs,
     verify_transition_bound,
 )
@@ -189,7 +189,7 @@ def test_criterion_8_desk_scale_achievability_surrogates():
         vals = []
         for B in (2, 4, 6):
             spec = SeriesSpec(channels=channels, M=2, B=B, flow_value=flow_value)
-            vals.append(min_pairwise_composite_db(exact_block_distribution(spec, "uniform")))
+            vals.append(min_pairwise_block_db(exact_block_distribution(spec, "uniform")))
         assert vals[0] < vals[1] < vals[2]
 
         G = make_channel_graph(3, 0, 2, [(0, 1, bsc(0.05)), (1, 2, bsc(0.05))])

@@ -39,10 +39,12 @@ from channel_oracles import (
     compose,
     every_pair_chernoff,
     half_and_slope_array,
+    half_and_slope_rows,
     power,
     restrict,
 )
-from conftest import ROOT, perfbench_inputs, rand_dmc, rand_reversible
+from conftest import ROOT, peak_traced, perfbench_inputs, rand_dmc, rand_reversible
+from netexp.protocol import exact_block_distribution, make_series_spec
 
 DB_BSC01 = -math.log(0.6)  # 2*sqrt(0.1*0.9) = 0.6
 
@@ -109,6 +111,15 @@ class TestConstructors:
     def test_parameter_range(self, call):
         with pytest.raises(ParameterOutOfRange):
             call()
+
+    def test_ksym_guard_fires_before_the_matrix_is_built(self):
+        # 3163**2 entries pass PRODUCT_GUARD; the K x K matrix and
+        # make_dmc's copies took about 240 MB before the guard existed
+        def run():
+            with pytest.raises(AlphabetTooLarge):
+                ksym(3163, 1e-6)
+
+        assert peak_traced(run) < 2**20
 
 
 class TestBhattacharyya:
@@ -327,13 +338,13 @@ class TestPrunedPairs:
             assert self.check(ksym(K, p), searched) == (0, K * (K - 1) // 2)
             for row in (0, K - 1):
                 # the most tilted pair after the first, which is always searched
-                unit, pair = max((abs(_half_and_slope(tilted(K, p, row, 1e-9), x, xp)[1]) / 1e-9, (x, xp))
+                unit, pair = max((abs(_half_and_slope(*tilted(K, p, row, 1e-9).log_probs[[x, xp]])[1]) / 1e-9, (x, xp))
                                  for x in range(K) for xp in range(x + 1, K) if (x, xp) != (0, 1))
                 eps_list = [t / unit * f for t in (TIE_TOL, REVERSIBLE_TOL) for f in (0.9, 0.999, 1.001, 1.1)]
                 for eps in eps_list + list(np.logspace(-16, -6, 21)):
                     P = tilted(K, p, row, eps)
                     self.check(P, searched)
-                    slopes.append(abs(_half_and_slope(P, *pair)[1]))
+                    slopes.append(abs(_half_and_slope(*P.log_probs[list(pair)])[1]))
         for tol in (TIE_TOL, REVERSIBLE_TOL):
             assert any(tol / 1.1 < s <= tol for s in slopes)
             assert any(tol < s < tol * 1.1 for s in slopes)
@@ -358,7 +369,7 @@ class TestPrunedPairs:
             lo, hi = (mid, hi) if excess(mid) > 0 else (lo, mid)
         P = tuned(lo)
         full = every_pair_chernoff(P)
-        assert TIE_TOL < abs(_half_and_slope(P, 1, 2)[1]) < 1e-6
+        assert TIE_TOL < abs(_half_and_slope(P.log_probs[1], P.log_probs[2])[1]) < 1e-6
         assert full[(1, 2)].at_half < max(full[(0, 1)].value, full[(0, 2)].value) < full[(1, 2)].value
         assert exponent_two(P).optimizer == (1, 2)
         assert is_pairwise_reversible(pairwise_chernoff(P))[1][:2] == (0, 1)
@@ -403,7 +414,7 @@ def _one_ulp_tilts():
         return make_dmc(mat)
 
     twin = make_dmc([[0.2, 0.3, 0.5], [0.2, np.nextafter(0.3, 1), np.nextafter(0.5, 0)], [0.3, 0.3, 0.4]])
-    unit = abs(_half_and_slope(tilted(1e-9), 0, 1)[1]) / 1e-9
+    unit = abs(_half_and_slope(*tilted(1e-9).log_probs[[0, 1]])[1]) / 1e-9
     return [twin, tilted(np.spacing(0.1))] + [tilted(TIE_TOL / unit * f) for f in (0.99, 0.999, 1.001, 1.01)]
 
 
@@ -483,7 +494,7 @@ class TestFloatProbe:
         pairs = [(x, xp) for x in range(n) for xp in range(n) if x != xp and (both_orders or x < xp)]
         for x, xp in pairs:
             assert repr(chernoff(P, x, xp)) == repr(chernoff_array(P, x, xp)), (P.probs, x, xp)
-            assert repr(_half_and_slope(P, x, xp)) == repr(half_and_slope_array(P, x, xp)), (P.probs, x, xp)
+            assert repr(_half_and_slope(P.log_probs[x], P.log_probs[xp])) == repr(half_and_slope_array(P, x, xp)), (P.probs, x, xp)
         return len(pairs)
 
     @pytest.mark.parametrize("seed", [7, 11])
@@ -499,8 +510,10 @@ class TestFloatProbe:
 
     def test_both_sides_of_the_pairwise_block(self, rng):
         def sizes(P):
-            n = P.input_size
-            return {(x, xp): len(channel._common_support(P, x, xp)) for x in range(n) for xp in range(x + 1, n)}
+            # a list of pairs below PAIRWISE_BLOCK outputs, two arrays from it on
+            n, logs = P.input_size, P.log_probs
+            rows = {(x, xp): channel._common_support(logs[x], logs[xp]) for x in range(n) for xp in range(x + 1, n)}
+            return {pair: len(r) if isinstance(r, list) else len(r[0]) for pair, r in rows.items()}
 
         seven, eight, masked = _split_channels(rng)
         assert set(sizes(seven).values()) == {7}
@@ -531,10 +544,23 @@ class TestFloatProbe:
         ):
             self.check(make_dmc(rows), both_orders=True)
 
+    @pytest.mark.parametrize("P, M, B, modes", [
+        (bsc(0.05), 2, 8, ("uniform", "exact")),  # 2**16 outputs
+        (ksym(3, 0.05), 3, 2, ("uniform",)),  # 3**12 outputs
+    ], ids=["bsc-M2-8", "ksym3-M3-2"])
+    def test_block_law_rows(self, P, M, B, modes):
+        # the rows `oracle` reads: two messages' exact block laws
+        spec = make_series_spec([P, P], M, B)
+        for mode in modes:
+            law = exact_block_distribution(spec, mode)
+            for a in range(M):
+                for b in range(a + 1, M):
+                    assert repr(_half_and_slope(law[a], law[b])) == repr(half_and_slope_rows(law[a], law[b]))
+
     def test_rows_one_ulp_apart_and_slopes_at_the_tie_tolerance(self):
         channels = _one_ulp_tilts()
         assert np.count_nonzero(channels[0].probs[0] != channels[0].probs[1]) == 2
-        slopes = [abs(_half_and_slope(P, 0, 1)[1]) for P in channels[2:]]
+        slopes = [abs(_half_and_slope(P.log_probs[0], P.log_probs[1])[1]) for P in channels[2:]]
         assert any(TIE_TOL / 1.1 < s <= TIE_TOL for s in slopes)
         assert any(TIE_TOL < s < TIE_TOL * 1.1 for s in slopes)
         for P in channels:

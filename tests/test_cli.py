@@ -133,10 +133,12 @@ class TestAnalyzeCommand:
         ({"kind": "bsc", "p": "0.1"}, "bsc requires a number p, got '0.1'"),
         ({"kind": "bec", "p": True}, "bec requires a number p, got True"),
         ({"kind": "ksym", "k": 3, "p": None}, "ksym requires a number p, got None"),
-    ], ids=["nan-matrix", "fractional-k", "bool-k", "string-p", "bool-p", "null-p"])
+        ({"kind": "ksym", "k": 3163, "p": 1e-6}, "ksym(3163) has 3163x3163 entries, over the 1e7 guard"),
+    ], ids=["nan-matrix", "fractional-k", "bool-k", "string-p", "bool-p", "null-p", "huge-k"])
     def test_invalid_channel_parameter_exit_2(self, tmp_path, capsys, chan, message):
         # each once parsed: NaN gave inf exponents, k was truncated to an int,
-        # a string p was converted and a bool p read as 0 or 1
+        # a string p was converted, a bool p read as 0 or 1 and a huge k
+        # built its K x K matrix
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({
             "nodes": ["a", "b"], "source": "a", "destination": "b",

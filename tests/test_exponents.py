@@ -448,7 +448,7 @@ class TestChannelExponents:
             for x in range(P.input_size):
                 for xp in range(x + 1, P.input_size):
                     want = repr(bhattacharyya(P, x, xp))
-                    assert repr(_half_and_slope(P, x, xp)[0]) == want
+                    assert repr(_half_and_slope(P.log_probs[x], P.log_probs[xp])[0]) == want
                     assert repr(float(D[x, xp])) == repr(float(D[xp, x])) == want
 
     def test_one_pair_pass(self, rng, monkeypatch):

@@ -37,7 +37,7 @@ from protocol_oracles import (
     NodeState,
     destination_blocks,
     logsumexp,
-    min_pairwise_composite_db,
+    min_pairwise_block_db,
     ml_error_probs,
     raw_hops,
     run_series_block,
@@ -252,7 +252,7 @@ class TestLogsumexp:
 def _leading_lse_mismatches(reference):
     """Leading-axis lengths K = 2..300 at which the leading-axis log-sum-exp
     differs in any bit from ``reference`` on an array of shape (K, 3, 40),
-    (K, 1) -- the shape ``composite_db`` passes -- or (K, 5)."""
+    (K, 1), a single column, or (K, 5)."""
     rng = np.random.default_rng(77)
     bad = set()
     for K in range(2, 301):
@@ -444,7 +444,7 @@ class TestExactBlockDistribution:
             vals = []
             for B in (2, 4, 6):
                 spec = SeriesSpec(channels=channels, M=2, B=B, flow_value=flow_value)
-                vals.append(min_pairwise_composite_db(exact_block_distribution(spec, mode)))
+                vals.append(min_pairwise_block_db(exact_block_distribution(spec, mode)))
             assert vals[0] < vals[1] < vals[2]
 
     def test_state_space_guard(self):

@@ -92,12 +92,14 @@ def _best_multiset(D: np.ndarray, M: int):
 
     The sums add Python floats read from ``D.tolist()``: the same additions,
     in the same order, as indexing the array, without a numpy scalar per
-    term.  The first multiset to reach the maximum wins.
+    term.  The first multiset to reach the maximum wins.  The guard bounds
+    the multisets and their M(M-1)/2 additions each, as at M = 4.
     """
     n = D.shape[0]
-    if math.comb(n + M - 1, M) > MULTISET_GUARD:
+    count, sums = math.comb(n + M - 1, M), math.comb(M, 2)
+    if count > MULTISET_GUARD or count * sums > MULTISET_GUARD * math.comb(4, 2):
         raise SearchSpaceTooLarge(
-            f"{math.comb(n + M - 1, M)} multisets of size {M} from {n} inputs exceeds the 1e6 guard"
+            f"{count} multisets of size {M} from {n} inputs, {sums} pair sums each, exceed the 1e6 guard"
         )
     rows = D.tolist()
     pairs = [(i, j) for i in range(M) for j in range(i + 1, M)]

@@ -36,6 +36,9 @@ class ChannelGraph:
     edges: tuple
 
     def __post_init__(self):
+        for name, node in (("source", self.source), ("destination", self.destination)):
+            if not 0 <= node < self.node_count:
+                raise ParameterOutOfRange(f"{name} {node} is not a node of a {self.node_count}-node graph")
         if self.source == self.destination:
             raise ParameterOutOfRange("source and destination must differ")
         for i, e in enumerate(self.edges):

@@ -96,11 +96,11 @@ def _chunk_table(base_logp: np.ndarray, words: np.ndarray, chunks: int):
     """(table, g) for :func:`_symbol_logliks` on up to ``chunks`` chunks:
     table[a, k] sums log P(digit j | words[a, j]) over a chunk's first g
     raw digits, whose row-major key is k, in order from 0.0.  g is the
-    largest with out**g no larger than ``chunks``, so the table is never
-    bigger than the data it replaces."""
+    largest with out**g no larger than ``chunks``, but at least 1, so a
+    chunk always keys a digit."""
     M, ell = words.shape
     out = base_logp.shape[1]
-    g = 0
+    g = 1
     while g < ell and out ** (g + 1) <= chunks:
         g += 1
     table = np.zeros((M, 1))
@@ -110,15 +110,15 @@ def _chunk_table(base_logp: np.ndarray, words: np.ndarray, chunks: int):
 
 
 def _symbol_logliks(base_logp: np.ndarray, words: np.ndarray, y: np.ndarray, B: int,
-                    chunk=None) -> np.ndarray:
+                    chunk) -> np.ndarray:
     """Per-use log-likelihoods la[a, n, r] = log P(chunk r of y_n | symbol a+1).
 
-    A chunk's first g raw digits key one row of ``chunk``'s table
-    (:func:`_chunk_table`, by default built for y's N*B chunks); the
-    remaining digits are added one at a time.  Every sum runs over the
-    digits in order from 0.0, so the floats do not depend on g, and a table
-    built once for a hop's largest tile serves every tile.  The result is a
-    view whose memory runs use-major, la[a, :, r] contiguous.
+    A chunk's first g raw digits key a column of ``chunk``'s (table, g), or
+    of y's :func:`_chunk_table` if it is None; the rest are added one at a
+    time.  A :func:`_chunk_table` sums over the digits in order from 0.0, so
+    only its floats do not depend on g, and one built for a hop's largest
+    tile serves every tile.  The exact law passes :func:`_product_logs` rows
+    with g = ell.  The result is a view whose memory runs use-major.
     """
     ell = words.shape[1]
     N = y.shape[0]
@@ -251,6 +251,13 @@ def _relay_states(base_logp: np.ndarray, words: np.ndarray, B: int, flow_value: 
     """
     ll = _state_logliks(_symbol_logliks(base_logp, words, y, B, chunk), B)
     return _states_from_loglik(_uniform_message_loglik(ll), flow_value, B // 2)
+
+
+def _relay_table(spec: SeriesSpec, chan: ReducedChannel, blocks: np.ndarray) -> np.ndarray:
+    """:func:`_relay_states`' sender-state index m_idx * (B/2+1) + ell for
+    each row of ``blocks``, raw base-symbol blocks received over ``chan``."""
+    m_idx, ell = _relay_states(chan.base.log_probs, chan.words, spec.B, spec.flow_value, blocks)
+    return m_idx * (spec.B // 2 + 1) + ell
 
 
 def _sampling_thresholds(probs: np.ndarray, words: np.ndarray, B: int) -> np.ndarray:
@@ -398,12 +405,11 @@ def path_tables(spec: SeriesSpec, rows: int) -> tuple:
     grow with B**2: before any is built, each hop's size is checked against
     ``TABLE_BYTES_GUARD``, and :class:`StateSpaceTooLarge` is raised above it.
     """
-    width = spec.B // 2 + 1
     for chan in spec.channels:
         # :func:`_sampling_thresholds`' int64 codeword index and its out-1
         # float64 threshold planes, each M*(B/2+1)*L entries
         L = spec.B * chan.words.shape[1]
-        size = 8 * chan.base.output_size * spec.M * width * L
+        size = 8 * chan.base.output_size * spec.M * (spec.B // 2 + 1) * L
         if size > TABLE_BYTES_GUARD:
             raise StateSpaceTooLarge(
                 f"blocks of {L} raw symbols need {size} bytes of sampling tables "
@@ -415,10 +421,7 @@ def path_tables(spec: SeriesSpec, rows: int) -> tuple:
         out, L = base.output_size, spec.B * words.shape[1]
         next_state = chunk = None
         if hop < len(spec.channels) - 1 and out**L <= rows:  # Python ints: no int64 wrap-around
-            m_tab, ell_tab = _relay_states(
-                base.log_probs, words, spec.B, spec.flow_value, _enumerate_blocks(out, L)
-            )
-            next_state = m_tab * width + ell_tab
+            next_state = _relay_table(spec, chan, _enumerate_blocks(out, L))
         else:
             chunk = _chunk_table(base.log_probs, words, _tile_rows(rows, L) * spec.B)
         tables.append(HopTables(_sampling_thresholds(base.probs, words, spec.B), base.log_probs,
@@ -534,11 +537,12 @@ def exact_block_distribution(spec: SeriesSpec, update_mode: str) -> np.ndarray:
     block.  Blocks are indexed in row-major base-output digit order, so a
     received block maps to its column by :func:`_encode_blocks`.
 
-    Every hop's block alphabet is enumerated; each relay maps blocks to
-    states deterministically and passes its state occupancies on.  The
+    Each hop's blocks are enumerated once, in base digits, and read through
+    the hop's product rows (:func:`_symbol_logliks`); each relay maps blocks
+    to states deterministically and passes its state occupancies on.  The
     destination's state is never decided.  ``update_mode='uniform'`` decides
-    relay states with the sampled relays' own ``_relay_states``, so it is the
-    sampled protocol's law; ``'exact'`` lets each relay weight hypothesis
+    relay states with the sampled relays' own :func:`_relay_table`, so it is
+    the sampled protocol's law; ``'exact'`` lets each relay weight hypothesis
     likelihoods by the true predecessor state occupancies (computable without
     data since the protocol is known).
     """
@@ -547,42 +551,34 @@ def exact_block_distribution(spec: SeriesSpec, update_mode: str) -> np.ndarray:
     M, B = spec.M, spec.B
     half = B // 2
     n_states = M * (half + 1)
-    # the guard reads the base sizes, so it fires before any hop is
-    # enumerated and before _product_logs builds the out**ell product columns
+    # every hop's guard fires before any hop is enumerated
     for chan in spec.channels:
         symbols = B * chan.words.shape[1]
         if chan.base.output_size**symbols > EXACT_BLOCK_GUARD:
-            raise StateSpaceTooLarge(
-                f"{chan.base.output_size}^{symbols} block outcomes exceed the exact-enumeration guard"
-            )
+            raise StateSpaceTooLarge(f"{chan.base.output_size}^{symbols} block outcomes exceed the "
+                                     "exact-enumeration guard")
 
     occ = np.zeros((M, n_states))
     occ[np.arange(M), np.arange(M) * (half + 1) + half] = 1.0
-    ident = np.arange(M, dtype=np.int64)[:, None]
     for hop, chan in enumerate(spec.channels):
         base, words = chan.base, chan.words
-        logq = _product_logs(base.probs, words)
-        blocks = _enumerate_blocks(logq.shape[1], B)
-        ll = _state_logliks(_symbol_logliks(logq, ident, blocks, B), B)  # (half+1, M, K)
-        flat = ll.transpose(1, 0, 2).reshape(n_states, ll.shape[2])  # (state, block)
+        last = hop == len(spec.channels) - 1
+        blocks = _enumerate_blocks(base.output_size, B * words.shape[1])
+        if update_mode == "uniform" and not last:
+            sidx = _relay_table(spec, chan, blocks)  # first: only its index stays
+        chunk = (_product_logs(base.probs, words), words.shape[1])
+        flat = _state_logliks(_symbol_logliks(base.log_probs, words, blocks, B, chunk), B)
+        flat = flat.transpose(1, 0, 2).reshape(n_states, -1)  # a (state, block) copy: levels freed
+        del blocks
         with np.errstate(divide="ignore"):
             logocc = np.log(occ)
-        ld = np.empty((M, flat.shape[1]))
-        for m_idx in range(M):
-            ld[m_idx] = _logsumexp_leading(flat + logocc[m_idx][:, None])
-        if hop == len(spec.channels) - 1:
+        ld = np.stack([_logsumexp_leading(flat + logocc[m][:, None]) for m in range(M)])
+        if last:
             return ld
-        del ll, flat, blocks, logq
-        if update_mode == "uniform":
-            # the sampled relays' own decision; the product columns run
-            # row-major over the base digits, so these rows are the law's
-            midx, ell = _relay_states(
-                base.log_probs, words, B, spec.flow_value,
-                _enumerate_blocks(base.output_size, B * words.shape[1]),
-            )
-        else:
+        del flat
+        if update_mode == "exact":
             midx, ell = _states_from_loglik(ld, spec.flow_value, half)
-        sidx = midx * (half + 1) + ell
+            sidx = midx * (half + 1) + ell
         occ = np.stack([np.bincount(sidx, weights=np.exp(ld[m]), minlength=n_states) for m in range(M)])
 
 
@@ -630,6 +626,8 @@ def build_network_plan(G: ChannelGraph, M: int, B: int) -> NetworkPlan:
     """
     if B % 2 != 0 or B < 2:
         raise ParameterOutOfRange("block size must be even and at least 2")
+    if M > 4:
+        reduce_inputs((), M)  # raises its MTooLarge before any tilde exponent is computed
     tilde = per_channel(G, lambda P: tilde_exponent(P, M))
     net = weighted_network(G, [rep.value for rep in tilde])
     fl = maxflow(net)
@@ -664,11 +662,9 @@ def _encode_blocks(blocks: np.ndarray, base_out: int) -> np.ndarray:
     place over the contiguous rows of one column-major copy.  The copy's
     dtype is the narrowest unsigned one that holds every key, base_out**L - 1,
     and intp above 2**62, where keys wrap as intp arithmetic wraps.  The keys
-    come back as intp whatever the symbols' dtype, and a block of no symbols
-    has key 0."""
+    come back as intp whatever the symbols' dtype.  Blocks hold at least one
+    symbol: :func:`_chunk_table` keys at least one digit."""
     L = blocks.shape[1]
-    if not L:
-        return np.zeros(len(blocks), dtype=np.intp)
     keys = base_out**L  # Python ints: no wrap-around
     digits = np.array(blocks.T, order="C",
                       dtype=np.min_scalar_type(keys - 1) if keys <= 1 << 62 else np.intp)

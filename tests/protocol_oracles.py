@@ -232,7 +232,7 @@ def state_logliks(la: np.ndarray, B: int) -> np.ndarray:
 def heuristic_scores(blocks: np.ndarray, final_channel, B: int) -> np.ndarray:
     """``block_scores_heuristic``'s (M, n_blocks) scores with the final
     hop's chunk table built afresh for these blocks."""
-    la = _symbol_logliks(final_channel.base.log_probs, final_channel.words, blocks, B)
+    la = _symbol_logliks(final_channel.base.log_probs, final_channel.words, blocks, B, None)
     return np.maximum.reduce(_state_logliks(la, B))
 
 

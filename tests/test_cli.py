@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import peak_traced
-from netexp import cli
+from netexp import cli, protocol
 from netexp.graphio import dump_normalized, load_graph_file, parse_graph_obj
 from netexp.errors import GraphFileError
 
@@ -255,6 +255,19 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert "error: need M >= 2, got 1" in captured.err
+
+    def test_message_guard_fires_before_the_tilde_exponents(self, capsys, monkeypatch):
+        # input reduction stops at M = 4: no exponent is computed first
+        calls = []
+        monkeypatch.setattr(protocol, "tilde_exponent", lambda *a, **k: calls.append(a))
+        code = main([
+            "simulate", str(GRAPHS / "series-2-bsc.json"), "--messages", "300",
+            "--block", "4", "--horizons", "12", "--trials", "10",
+        ])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "error: input reduction supports 2 <= M <= 4, got 300" in captured.err
+        assert calls == []
 
     def test_table_guard_fires_before_the_tables_are_built(self, capsys):
         # --block 40000 on series-2-bsc005 at M=2: blocks of 40000 raw

@@ -32,7 +32,7 @@ from netexp.exponents import (
     zero_rate_exponent,
 )
 from channel_oracles import power
-from conftest import ROOT, perfbench_inputs, rand_dmc, rand_reversible
+from conftest import ROOT, peak_traced, perfbench_inputs, rand_dmc, rand_reversible
 from exponent_oracles import (
     adversarial_d_matrices,
     best_multiset_loop,
@@ -128,6 +128,25 @@ class TestTildeExponent:
     def test_search_guard(self):
         with pytest.raises(SearchSpaceTooLarge):
             tilde_exponent(ksym(100, 0.001), 6)
+
+    def test_search_guard_bounds_the_pair_sums(self):
+        # 3001 multisets pass the count guard, but each would cost 4498500
+        # additions: the guard fires before the pair list is built
+        def call():
+            with pytest.raises(SearchSpaceTooLarge, match="pair sums"):
+                tilde_exponent(bsc(0.1), 3000)
+
+        assert peak_traced(call) < 2**20
+
+    def test_search_guard_admits_every_search_it_admitted_at_four_messages(self):
+        # at M <= 4 the pair-sum bound is implied by the multiset count
+        # bound: the largest count under the guard still passes
+        n = 1
+        while math.comb(n + 1 + 3, 4) <= exponents.MULTISET_GUARD:
+            n += 1
+        assert math.comb(n + 3, 4) <= exponents.MULTISET_GUARD
+        D = np.zeros((n, n))
+        assert exponents._best_multiset(D, 4)[0] == (0, 0, 0, 0)
 
     def test_multiset_search_matches_array_loop(self, rng):
         # Python-float sums give the array loop's multiset and sum, bit for bit

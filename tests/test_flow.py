@@ -403,6 +403,17 @@ class TestChannelGraphValidation:
         with pytest.raises(ParameterOutOfRange):
             make_channel_graph(3, 0, 2, [(1, 0, bsc(0.1)), (2, 1, bsc(0.1))])
 
+    @pytest.mark.parametrize("nodes, source, destination, terminal", [
+        (3, -1, 2, "source"),  # -1 would index node 2, the destination
+        (3, 7, 1, "source"),
+        (3, 0, 3, "destination"),
+        (0, 0, 1, "source"),
+    ])
+    def test_terminal_outside_the_nodes(self, nodes, source, destination, terminal):
+        edges = [(0, 1, bsc(0.1))] if nodes else []
+        with pytest.raises(ParameterOutOfRange, match=f"^{terminal} "):
+            make_channel_graph(nodes, source, destination, edges)
+
     def test_bad_endpoint(self):
         with pytest.raises(ParameterOutOfRange):
             ChannelGraph(2, 0, 1, (GraphEdge(0, 5, bsc(0.1), 0),))

@@ -515,6 +515,8 @@ class TestExactBlockDistribution:
             occ = np.stack([np.bincount(m_idx * (B // 2 + 1) + ell, weights=np.exp(laws[j][m]),
                                         minlength=n_states) for m in range(spec.M)])
             assert np.array_equal(occ, occupancies[j + 1])
+        # and the law itself, byte for byte, at the guard's scale too
+        assert exact_block_distribution(spec, "uniform").tobytes() == laws[-1].tobytes()
 
     def test_monte_carlo_total_variation(self, reduced_bsc01_2hop):
         channels, flow_value, _ = reduced_bsc01_2hop
@@ -578,6 +580,7 @@ class TestRestrictionLaw:
         pytest.param([_dirichlet_dmc(np.random.default_rng(3), 4, 3), bsc(0.1)], 2, 4, id="dirichlet-M2"),
         pytest.param([_dirichlet_dmc(np.random.default_rng(4), 3, 2)] * 2, 3, 2, id="dirichlet-M3"),
         pytest.param([bsc(0.1), bec(0.2), bsc(0.05)], 2, 4, id="mixed-3-hop-M2"),
+        pytest.param([bsc(0.05), bsc(0.05)], 2, 8, id="bsc-M2-8"),  # 4**8 blocks a hop
     ])
     def test_law_equals_the_restriction_law(self, channels, M, B, mode):
         spec = make_series_spec(channels, M, B)
@@ -953,7 +956,7 @@ class TestTableKernels:
             for N in (1, 7):
                 y = rng.integers(0, n_out, (N, B * ell))
                 want = oracles.symbol_logliks(logp, words, y, B)
-                got = protocol._symbol_logliks(logp, words, y, B)
+                got = protocol._symbol_logliks(logp, words, y, B, None)
                 assert np.array_equal(got, want), (M, ell, B, N)
                 neg_inf += int(np.isneginf(want).sum())
                 # the engine keeps the confidence level leading: ll[ell, m, n]
@@ -963,15 +966,20 @@ class TestTableKernels:
         assert neg_inf > 0
 
     def test_exact_law_and_decoder_paths(self):
-        # the exact law reads ell=1 words over the whole block alphabet; the
-        # heuristic decoder reads the reduced codewords
+        # the exact law keys each chunk of ell base digits into the hop's
+        # product rows, so it reads the restriction's one-symbol words over
+        # the product alphabet; the heuristic decoder reads the reduced
+        # codewords
         spec = make_series_spec([bsc(0.1), make_dmc([[0.7, 0.3, 0.0], [0.0, 0.2, 0.8]])], 2, 4)
-        Q = restrict(spec.channels[1].base, spec.channels[1].words)
-        blocks = protocol._enumerate_blocks(Q.output_size, 4)
-        ident = np.arange(2, dtype=np.int64)[:, None]
-        la = protocol._symbol_logliks(Q.log_probs, ident, blocks, 4)
-        assert np.array_equal(la, oracles.symbol_logliks(Q.log_probs, ident, blocks, 4))
         base, words = spec.channels[1].base, spec.channels[1].words
+        blocks = protocol._enumerate_blocks(base.output_size, 4 * words.shape[1])
+        la = protocol._symbol_logliks(base.log_probs, words, blocks, 4,
+                                      (protocol._product_logs(base.probs, words), words.shape[1]))
+        Q = restrict(base, words)
+        ident = np.arange(2, dtype=np.int64)[:, None]
+        want = oracles.symbol_logliks(Q.log_probs, ident, oracles.all_blocks(Q.output_size, 4), 4)
+        assert la.shape == want.shape
+        assert la.tobytes() == want.tobytes()
         y = destination_blocks(spec, 2, 300, np.random.default_rng(4))
         want = oracles.state_logliks(oracles.symbol_logliks(base.log_probs, words, y, 4), 4)
         assert np.array_equal(
@@ -1288,12 +1296,12 @@ class TestBlockKeys:
 
     @staticmethod
     def widths(out):
-        """Block widths on both sides of each dtype boundary, out**L at or
-        below 2**8, 2**16, 2**32 and 2**62 and above it, plus one whose
-        keys wrap in intp (out**L above 2**64)."""
+        """Block widths of at least one symbol on both sides of each dtype
+        boundary, out**L at or below 2**8, 2**16, 2**32 and 2**62 and above
+        it, plus one whose keys wrap in intp (out**L above 2**64)."""
         if out == 1:
-            return [0, 1, 2, 70]
-        widths = {0}
+            return [1, 2, 70]
+        widths = set()
         for bound in (2**8, 2**16, 2**32, 2**62):
             L = 0
             while out ** (L + 1) <= bound:
@@ -1302,7 +1310,7 @@ class TestBlockKeys:
         L = max(widths)
         while out**L <= 2**64:
             L += 1
-        return sorted(widths | {L})
+        return sorted((widths | {L}) - {0})
 
     @pytest.mark.parametrize("out", [1, 2, 3, 17, 256, 289])
     def test_keys_equal_the_strided_horner(self, out):

@@ -58,7 +58,10 @@ def _db_matrix(P: Dmc, halves: dict | None = None) -> np.ndarray:
 def channel_exponents(P: Dmc, M: int) -> ChannelExponents:
     """Every exponent of P for M messages, from one (d_B, d_C'(1/2)) pass over
     the input pairs and one pass of pairwise Chernoff.  The pass fills the
-    Bhattacharyya matrix and feeds the Chernoff screen."""
+    Bhattacharyya matrix and feeds the Chernoff screen.  The tilde and
+    zero-rate guards fire first, in that order, before the pass."""
+    _tilde_guard(P.input_size, M)
+    _zero_rate_guard(P.input_size)
     halves = _pair_halves(P)
     D = _db_matrix(P, halves)
     pairs = pairwise_chernoff(P, halves=halves)
@@ -87,20 +90,34 @@ def exponent_two(P: Dmc, *, pairs: dict | None = None) -> ExponentReport:
     return ExponentReport(value=best_val, optimizer=best_pair, method="exhaustive")
 
 
+def _tilde_guard(n: int, M: int) -> None:
+    """Raise what :func:`tilde_exponent` raises for M messages on n inputs,
+    from n and M alone: M < 2, then, above one input, more multisets, or
+    multisets times M(M-1)/2 pair sums, than the guard admits at M = 4."""
+    if M < 2:
+        raise ParameterOutOfRange(f"need M >= 2, got {M}")
+    count, sums = math.comb(n + M - 1, M), math.comb(M, 2)
+    if n > 1 and (count > MULTISET_GUARD or count * sums > MULTISET_GUARD * math.comb(4, 2)):
+        raise SearchSpaceTooLarge(
+            f"{count} multisets of size {M} from {n} inputs, {sums} pair sums each, exceed the 1e6 guard"
+        )
+
+
+def _zero_rate_guard(n: int) -> None:
+    """Raise what :func:`zero_rate_exponent` raises on n inputs, from n alone."""
+    if n > ZERO_RATE_INPUT_GUARD:
+        raise SearchSpaceTooLarge(f"zero-rate search supports at most {ZERO_RATE_INPUT_GUARD} inputs, got {n}")
+
+
 def _best_multiset(D: np.ndarray, M: int):
     """Maximize sum of pairwise D over size-M multisets of row indices.
 
     The sums add Python floats read from ``D.tolist()``: the same additions,
     in the same order, as indexing the array, without a numpy scalar per
-    term.  The first multiset to reach the maximum wins.  The guard bounds
-    the multisets and their M(M-1)/2 additions each, as at M = 4.
+    term.  The first multiset to reach the maximum wins; :func:`_tilde_guard`
+    bounds the search.
     """
     n = D.shape[0]
-    count, sums = math.comb(n + M - 1, M), math.comb(M, 2)
-    if count > MULTISET_GUARD or count * sums > MULTISET_GUARD * math.comb(4, 2):
-        raise SearchSpaceTooLarge(
-            f"{count} multisets of size {M} from {n} inputs, {sums} pair sums each, exceed the 1e6 guard"
-        )
     rows = D.tolist()
     pairs = [(i, j) for i in range(M) for j in range(i + 1, M)]
     best_sum = -1.0
@@ -120,10 +137,10 @@ def tilde_exponent(P: Dmc, M: int, *, db_matrix: np.ndarray | None = None) -> Ex
     Maximizes (2 / (M(M-1))) * sum of pairwise d_B over input tuples with
     repetition; the objective is permutation-invariant so only multisets are
     enumerated.  ``db_matrix``, the channel's pairwise Bhattacharyya
-    distances, saves recomputing them.
+    distances, saves recomputing them.  :func:`_tilde_guard` fires before
+    any pass over the inputs.
     """
-    if M < 2:
-        raise ParameterOutOfRange(f"need M >= 2, got {M}")
+    _tilde_guard(P.input_size, M)
     if P.input_size == 1:
         return ExponentReport(value=0.0, optimizer=None, method="exhaustive")
     combo, pair_sum = _best_multiset(_db_matrix(P) if db_matrix is None else db_matrix, M)
@@ -229,8 +246,7 @@ def zero_rate_exponent(P: Dmc, *, db_matrix: np.ndarray | None = None) -> Expone
     enumeration relies on.
     """
     n = P.input_size
-    if n > ZERO_RATE_INPUT_GUARD:
-        raise SearchSpaceTooLarge(f"zero-rate search supports at most {ZERO_RATE_INPUT_GUARD} inputs, got {n}")
+    _zero_rate_guard(n)
     if n == 1:
         return ExponentReport(value=0.0, optimizer=(1.0,), method="closed_form")
     D = _db_matrix(P) if db_matrix is None else db_matrix

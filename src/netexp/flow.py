@@ -9,8 +9,6 @@ import warnings
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
 from .channel import Dmc, _sum_left_to_right
 from .errors import GraphTooLarge, ParameterOutOfRange
 
@@ -80,10 +78,11 @@ class Network:
 
 @dataclass(frozen=True)
 class Flow:
-    """Per-edge flow values (indexed like net.edges) and the total s->t value,
-    a built-in float, +inf when the maxflow is unbounded."""
+    """Per-edge flow values, a tuple of built-in floats indexed like
+    net.edges, and the total s->t value, a built-in float, +inf when the
+    maxflow is unbounded."""
 
-    edge_flows: np.ndarray
+    edge_flows: tuple
     total: float
 
 
@@ -186,11 +185,9 @@ def maxflow(net: Network) -> Flow:
             v = to[ridx ^ 1]
         total += bottleneck
 
-    flows = np.maximum(res[1::2], 0.0)
-    flows[flows < FLOW_TOL] = 0.0
     if total >= sentinel - 1e-9:
         total = math.inf
-    return Flow(edge_flows=flows, total=total)
+    return Flow(edge_flows=tuple(f if f >= FLOW_TOL else 0.0 for f in res[1::2]), total=total)
 
 
 def mincut(net: Network, flow: Flow) -> Cut:
@@ -204,13 +201,14 @@ def mincut(net: Network, flow: Flow) -> Cut:
             arcs.append((e.tail, e.head))
         if f > 1e-9:
             arcs.append((e.head, e.tail))
-    side_a = _reach(net.node_count, arcs, net.source)
-    side_b = frozenset(range(net.node_count)) - side_a
-    return Cut(side_a=side_a, side_b=side_b, size=_cut_size(net, side_a))
+    return _cut(net, _reach(net.node_count, arcs, net.source))
 
 
-def _cut_size(net: Network, side_a) -> float:
-    return _sum_left_to_right(e.capacity for e in net.edges if e.tail in side_a and e.head not in side_a)
+def _cut(net: Network, side_a: frozenset) -> Cut:
+    """The cut whose source side is ``side_a``, sized by the capacities of
+    the edges that leave it, added in edge order."""
+    size = _sum_left_to_right(e.capacity for e in net.edges if e.tail in side_a and e.head not in side_a)
+    return Cut(side_a=side_a, side_b=frozenset(range(net.node_count)) - side_a, size=size)
 
 
 def _all_partitions(net: Network):
@@ -224,17 +222,11 @@ def _all_partitions(net: Network):
 
 
 def brute_force_mincut(net: Network) -> Cut:
-    """Exhaustive minimum cut; oracle for duality tests (node_count <= 20)."""
+    """Exhaustive minimum cut, the first of the smallest; oracle for duality
+    tests (node_count <= 20)."""
     if net.node_count > 20:
         raise GraphTooLarge(f"brute force supports at most 20 nodes, got {net.node_count}")
-    best = None
-    for side_a in _all_partitions(net):
-        size = _cut_size(net, side_a)
-        if best is None or size < best[0]:
-            best = (size, side_a)
-    size, side_a = best
-    side_b = frozenset(range(net.node_count)) - side_a
-    return Cut(side_a=side_a, side_b=side_b, size=size)
+    return min((_cut(net, side_a) for side_a in _all_partitions(net)), key=lambda cut: cut.size)
 
 
 def mincut_without_backedges(net: Network, flow: Flow) -> Cut | None:
@@ -268,8 +260,7 @@ def mincut_without_backedges(net: Network, flow: Flow) -> Cut | None:
         if abs(aug_flow.total - total) > 1e-9:
             return None
         side_a = mincut(aug, aug_flow).side_a
-    side_b = frozenset(range(net.node_count)) - side_a
-    return Cut(side_a=side_a, side_b=side_b, size=_cut_size(net, side_a))
+    return _cut(net, side_a)
 
 
 def decompose(net: Network, flow: Flow) -> tuple:
@@ -287,7 +278,7 @@ def decompose(net: Network, flow: Flow) -> tuple:
     adj = [[] for _ in range(n)]
     for i, e in enumerate(net.edges):
         adj[e.tail].append((i, e.head))
-    remaining = flow.edge_flows.copy().astype(float)
+    remaining = list(flow.edge_flows)
     paths = []
     while True:
         nodes, eids = [net.source], []
@@ -311,7 +302,7 @@ def decompose(net: Network, flow: Flow) -> tuple:
             if remaining[eid] < FLOW_TOL:
                 remaining[eid] = 0.0
         paths.append(PathFlow(nodes=tuple(nodes), value=float(value), edge_ids=tuple(eids)))
-    leftover = float(remaining.sum())
+    leftover = _sum_left_to_right(remaining)
     if leftover > 1e-9:
         warnings.warn(f"discarding {leftover:.3g} units of circulation flow not on any source-sink path")
     return tuple(paths)

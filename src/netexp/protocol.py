@@ -224,11 +224,12 @@ def _first_max_rows(scores: np.ndarray):
     return idx, best, second
 
 
-def _states_from_loglik(msg_ll: np.ndarray, flow_value: float, half: int):
-    """Most likely message plus quantized log-likelihood-ratio confidence,
-    from message log-likelihoods msg_ll[m, n].
+def _states_from_loglik(msg_ll: np.ndarray, flow_value: float, half: int) -> np.ndarray:
+    """Sender-state index m_idx * (half+1) + ell per column of message
+    log-likelihoods msg_ll[m, n], as int64: the most likely message m_idx
+    plus the quantized log-likelihood-ratio confidence ell.
 
-    Ties break to the lowest message index; an infinite ratio clamps to B/2.
+    Ties break to the lowest message index; an infinite ratio clamps to half.
     """
     m_idx, val1, val2 = _first_max_rows(msg_ll)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -237,13 +238,14 @@ def _states_from_loglik(msg_ll: np.ndarray, flow_value: float, half: int):
     # fmax takes NaN (from 0/0, inf/inf or inf - inf) to 0
     ell = np.fmin(np.fmax(ell, 0.0), half)
     np.copyto(ell, half, where=llr == np.inf)
-    return m_idx, ell.astype(np.int64)
+    return m_idx * (half + 1) + ell.astype(np.int64)
 
 
 def _relay_states(base_logp: np.ndarray, words: np.ndarray, B: int, flow_value: float,
-                  y: np.ndarray, chunk=None):
-    """Receiving relay's (m_idx, ell) for each row of raw base-symbol blocks
-    y, from the hop's base log-likelihoods and codewords.
+                  y: np.ndarray, chunk=None) -> np.ndarray:
+    """Receiving relay's sender-state index m_idx * (B/2+1) + ell for each
+    row of raw base-symbol blocks y, from the hop's base log-likelihoods and
+    codewords (see :func:`_states_from_loglik`).
 
     Hypothesis likelihoods marginalize the sender's confidence uniformly:
     P(y|m) = mean over ell of P(y|codeword(m, ell)).  ``chunk`` is the
@@ -251,13 +253,6 @@ def _relay_states(base_logp: np.ndarray, words: np.ndarray, B: int, flow_value: 
     """
     ll = _state_logliks(_symbol_logliks(base_logp, words, y, B, chunk), B)
     return _states_from_loglik(_uniform_message_loglik(ll), flow_value, B // 2)
-
-
-def _relay_table(spec: SeriesSpec, chan: ReducedChannel, blocks: np.ndarray) -> np.ndarray:
-    """:func:`_relay_states`' sender-state index m_idx * (B/2+1) + ell for
-    each row of ``blocks``, raw base-symbol blocks received over ``chan``."""
-    m_idx, ell = _relay_states(chan.base.log_probs, chan.words, spec.B, spec.flow_value, blocks)
-    return m_idx * (spec.B // 2 + 1) + ell
 
 
 def _sampling_thresholds(probs: np.ndarray, words: np.ndarray, B: int) -> np.ndarray:
@@ -359,27 +354,24 @@ class HopTables:
     """Read-only tables of one hop, built by :func:`path_tables`.
 
     ``thresholds`` is the hop's :func:`_sampling_thresholds`, ``log_probs``
-    its base channel's log-likelihoods and ``words`` its codeword array.
-    On a relay hop whose out**L possible raw blocks are no more than the
-    rows the tables were built for, ``next_state[key]`` is the receiving
-    relay's sender-state index m_idx * (B/2+1) + ell for the block whose
-    :func:`_encode_blocks` key is ``key``, and ``chunk`` is None.
-    Elsewhere ``next_state`` is None, and ``chunk`` is the
-    :func:`_chunk_table` sized for the hop's largest tile, which a relay
-    that decides each row itself and the heuristic decoder of the final
-    hop read.
+    its base channel's log-likelihoods, ``words`` its codeword array and
+    ``chunk`` its :func:`_chunk_table` sized for the hop's largest tile,
+    through which its receiving node decides or scores blocks.  On a relay
+    hop whose out**L possible raw blocks are no more than the rows the
+    tables were built for, ``next_state[key]`` is the receiving relay's
+    :func:`_relay_states` index for the block whose :func:`_encode_blocks`
+    key is ``key``; elsewhere it is None.
     """
 
     thresholds: np.ndarray
     log_probs: np.ndarray
     words: np.ndarray
     next_state: np.ndarray | None
-    chunk: tuple | None
+    chunk: tuple
 
     def __post_init__(self):
         # shared by every batch and worker thread of a call
-        table = self.chunk[0] if self.chunk else None
-        for arr in (self.thresholds, self.words, self.next_state, table):
+        for arr in (self.thresholds, self.words, self.next_state, self.chunk[0]):
             if arr is not None:
                 arr.flags.writeable = False
 
@@ -398,12 +390,12 @@ def _tile_rows(n_blocks: int, L: int) -> int:
 def path_tables(spec: SeriesSpec, rows: int) -> tuple:
     """Every hop's :class:`HopTables` for batches of up to ``rows`` blocks.
 
-    A relay table is decided once from every possible block, so it is never
-    bigger than the largest batch that reads it.  Every other hop's chunk
-    table is built here once, for the hop's largest tile, and not per tile.
-    A hop's sampling tables
-    grow with B**2: before any is built, each hop's size is checked against
-    ``TABLE_BYTES_GUARD``, and :class:`StateSpaceTooLarge` is raised above it.
+    Every hop's chunk table is built here once, for the hop's largest tile,
+    and not per tile.  A relay table is decided once from every possible
+    block, through that chunk table, so it is never bigger than the largest
+    batch that reads it.  A hop's sampling tables grow with B**2: before any
+    is built, each hop's size is checked against ``TABLE_BYTES_GUARD``, and
+    :class:`StateSpaceTooLarge` is raised above it.
     """
     for chan in spec.channels:
         # :func:`_sampling_thresholds`' int64 codeword index and its out-1
@@ -419,11 +411,11 @@ def path_tables(spec: SeriesSpec, rows: int) -> tuple:
     for hop, chan in enumerate(spec.channels):
         base, words = chan.base, chan.words
         out, L = base.output_size, spec.B * words.shape[1]
-        next_state = chunk = None
+        chunk = _chunk_table(base.log_probs, words, _tile_rows(rows, L) * spec.B)
+        next_state = None
         if hop < len(spec.channels) - 1 and out**L <= rows:  # Python ints: no int64 wrap-around
-            next_state = _relay_table(spec, chan, _enumerate_blocks(out, L))
-        else:
-            chunk = _chunk_table(base.log_probs, words, _tile_rows(rows, L) * spec.B)
+            next_state = _relay_states(base.log_probs, words, spec.B, spec.flow_value,
+                                       _enumerate_blocks(out, L), chunk)
         tables.append(HopTables(_sampling_thresholds(base.probs, words, spec.B), base.log_probs,
                                 words, next_state, chunk))
     return tuple(tables)
@@ -485,10 +477,8 @@ def _hop_blocks(spec: SeriesSpec, m: int, n_blocks: int, rng, tables):
                 # keys index the table's rows, so "clip" moves none
                 np.take(tab.next_state, _encode_blocks(y, tab.out), out=decided, mode="clip")
             else:
-                m_idx, ell = _relay_states(tab.log_probs, tab.words, spec.B, spec.flow_value, y,
-                                           tab.chunk)
-                np.multiply(m_idx, width, out=decided)
-                decided += ell
+                decided[...] = _relay_states(tab.log_probs, tab.words, spec.B, spec.flow_value, y,
+                                             tab.chunk)
         if hop < last:
             state = nxt
 
@@ -541,7 +531,7 @@ def exact_block_distribution(spec: SeriesSpec, update_mode: str) -> np.ndarray:
     the hop's product rows (:func:`_symbol_logliks`); each relay maps blocks
     to states deterministically and passes its state occupancies on.  The
     destination's state is never decided.  ``update_mode='uniform'`` decides
-    relay states with the sampled relays' own :func:`_relay_table`, so it is
+    relay states with the sampled relays' own :func:`_relay_states`, so it is
     the sampled protocol's law; ``'exact'`` lets each relay weight hypothesis
     likelihoods by the true predecessor state occupancies (computable without
     data since the protocol is known).
@@ -565,7 +555,8 @@ def exact_block_distribution(spec: SeriesSpec, update_mode: str) -> np.ndarray:
         last = hop == len(spec.channels) - 1
         blocks = _enumerate_blocks(base.output_size, B * words.shape[1])
         if update_mode == "uniform" and not last:
-            sidx = _relay_table(spec, chan, blocks)  # first: only its index stays
+            # first: only its index stays
+            sidx = _relay_states(base.log_probs, words, B, spec.flow_value, blocks)
         chunk = (_product_logs(base.probs, words), words.shape[1])
         flat = _state_logliks(_symbol_logliks(base.log_probs, words, blocks, B, chunk), B)
         flat = flat.transpose(1, 0, 2).reshape(n_states, -1)  # a (state, block) copy: levels freed
@@ -577,8 +568,7 @@ def exact_block_distribution(spec: SeriesSpec, update_mode: str) -> np.ndarray:
             return ld
         del flat
         if update_mode == "exact":
-            midx, ell = _states_from_loglik(ld, spec.flow_value, half)
-            sidx = midx * (half + 1) + ell
+            sidx = _states_from_loglik(ld, spec.flow_value, half)
         occ = np.stack([np.bincount(sidx, weights=np.exp(ld[m]), minlength=n_states) for m in range(M)])
 
 

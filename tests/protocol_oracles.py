@@ -122,9 +122,9 @@ def run_series_block(spec: SeriesSpec, m: int, rng) -> Transcript:
             for _, state, y in _hop_blocks(spec, m, 1, rng, path_tables(spec, 1))]
     y_last = hops[-1][1]
     chan = spec.channels[-1]
-    m_idx, ell = _relay_states(chan.base.log_probs, chan.words, spec.B, spec.flow_value, y_last[None])
+    final = _relay_states(chan.base.log_probs, chan.words, spec.B, spec.flow_value, y_last[None])
     received = [divmod(state, width) for state, _ in hops[1:]]
-    received.append((int(m_idx[0]), int(ell[0])))
+    received.append(divmod(int(final[0]), width))
     table = _codeword_table(spec.M, spec.B).reshape(-1, spec.B)
     records = tuple(
         HopRecord(
@@ -161,7 +161,7 @@ def hop_blocks(spec: SeriesSpec, m: int, n_blocks: int, rng):
         y = sample_symbols(base.probs, words[table[m_idx, ell]].reshape(n_blocks, -1), rng)
         yield m_idx, ell, y
         if hop < len(spec.channels) - 1:
-            m_idx, ell = _relay_states(base.log_probs, words, spec.B, spec.flow_value, y)
+            m_idx, ell = np.divmod(_relay_states(base.log_probs, words, spec.B, spec.flow_value, y), half + 1)
 
 
 def encode_blocks(blocks: np.ndarray, base_out: int) -> np.ndarray:

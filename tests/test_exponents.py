@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from netexp import channel, exponents
+from netexp import channel, exponents, harness
 from netexp.channel import (
     _half_and_slope,
     bhattacharyya,
@@ -17,6 +17,7 @@ from netexp.channel import (
     product,
 )
 from netexp.errors import ParameterOutOfRange, SearchSpaceTooLarge
+from netexp.flow import make_channel_graph
 from netexp.exponents import (
     ZERO_RATE_INPUT_GUARD,
     ChannelExponents,
@@ -469,6 +470,27 @@ class TestChannelExponents:
                     want = repr(bhattacharyya(P, x, xp))
                     assert repr(_half_and_slope(P.log_probs[x], P.log_probs[xp])[0]) == want
                     assert repr(float(D[x, xp])) == repr(float(D[xp, x])) == want
+
+    def test_guards_fire_before_the_pair_pass(self, monkeypatch):
+        # every guard reads only the input count and M, so neither channel's
+        # d_B pass over its input pairs (1.1 million and 320 thousand pairs)
+        # runs before its guard fires
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a guarded call passed over the input pairs")
+
+        monkeypatch.setattr(exponents, "_pair_halves", no_pass)
+        monkeypatch.setattr(exponents, "_db_matrix", no_pass)
+        big, wide = ksym(1500, 1e-4), ksym(800, 1e-3)
+        for call in (lambda: tilde_exponent(big, 2), lambda: channel_exponents(big, 2)):
+            with pytest.raises(SearchSpaceTooLarge, match="1125750 multisets of size 2 from 1500 inputs"):
+                call()
+        # the order stays: M < 2, then the multisets, then the zero-rate inputs
+        with pytest.raises(ParameterOutOfRange, match="need M >= 2, got 1"):
+            channel_exponents(big, 1)
+        for call in (lambda: channel_exponents(wide, 2),
+                     lambda: harness.analyze(make_channel_graph(2, 0, 1, [(0, 1, wide)]), 2)):
+            with pytest.raises(SearchSpaceTooLarge, match="at most 12 inputs, got 800"):
+                call()
 
     def test_one_pair_pass(self, rng, monkeypatch):
         calls = {"half": 0, "bhattacharyya": 0}

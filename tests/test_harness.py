@@ -71,12 +71,22 @@ class TestAnalyze:
             per_edge = per_channel(G, lambda P: exponents.channel_exponents(P, M))
             for weight in ("two", "tilde", "zero_rate"):
                 net = weighted_network(G, [getattr(rec, weight).value for rec in per_edge])
-                assert type(maxflow(net).total) is float
+                flow = maxflow(net)
+                assert type(flow.total) is float
+                assert {type(f) for f in flow.edge_flows} == {float}
             rep = analyze(G, M)
             for obj in (rep, *rep.edges):
                 for f in dataclasses.fields(obj):
                     if f.type == "float":
                         assert type(getattr(obj, f.name)) is float, (name, M, f.name)
+
+    def test_edge_flows_are_builtin_floats_on_the_corpus(self):
+        for case in perfbench_inputs().corpus_cases(ROOT, 7):
+            per_edge = per_channel(case.graph, lambda P: exponents.channel_exponents(P, case.M))
+            for weight in ("two", "tilde", "zero_rate"):
+                flow = maxflow(weighted_network(case.graph, [getattr(rec, weight).value for rec in per_edge]))
+                assert type(flow.edge_flows) is tuple and len(flow.edge_flows) == len(case.graph.edges)
+                assert {type(f) for f in flow.edge_flows} == {float}, (case.name, weight)
 
     def test_series_bsc(self):
         G = make_channel_graph(3, 0, 2, [(0, 1, bsc(0.1)), (1, 2, bsc(0.2))])

@@ -78,8 +78,9 @@ def assert_hops_equal(got, want, width):
 
 
 def relay_state(chan, B, flow_value, y):
-    m_idx, ell = _relay_states(chan.base.log_probs, chan.words, B, flow_value, np.asarray([y]))
-    return NodeState(m=int(m_idx[0]) + 1, ell=int(ell[0]))
+    state = _relay_states(chan.base.log_probs, chan.words, B, flow_value, np.asarray([y]))
+    m_idx, ell = divmod(int(state[0]), B // 2 + 1)
+    return NodeState(m=m_idx + 1, ell=ell)
 
 
 @pytest.fixture(scope="module")
@@ -511,9 +512,9 @@ class TestExactBlockDistribution:
             base, words = chan.base, chan.words
             # raw blocks in the law's block order (row-major digits)
             y = protocol._enumerate_blocks(base.output_size, B * words.shape[1])
-            m_idx, ell = _relay_states(base.log_probs, words, B, spec.flow_value, y)
-            occ = np.stack([np.bincount(m_idx * (B // 2 + 1) + ell, weights=np.exp(laws[j][m]),
-                                        minlength=n_states) for m in range(spec.M)])
+            state = _relay_states(base.log_probs, words, B, spec.flow_value, y)
+            occ = np.stack([np.bincount(state, weights=np.exp(laws[j][m]), minlength=n_states)
+                            for m in range(spec.M)])
             assert np.array_equal(occ, occupancies[j + 1])
         # and the law itself, byte for byte, at the guard's scale too
         assert exact_block_distribution(spec, "uniform").tobytes() == laws[-1].tobytes()
@@ -1049,6 +1050,57 @@ class TestTableKernels:
                 assert len(got) == 3
                 assert_hops_equal(got, want, spec.B // 2 + 1)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            make_series_spec([bsc(0.05)] * 3, 2, 2),
+            SeriesSpec(channels=raw_hops([bec(0.3)] * 3, 2), M=2, B=4, flow_value=0.35),
+            make_series_spec([bsc(0.1)] * 3, 3, 2),
+        ],
+        ids=["bsc-reduced", "bec", "reduced-M3"],
+    )
+    def test_every_hop_has_its_chunk_table(self, spec):
+        # keyed relays, direct relays and the destination alike: the chunk
+        # table is built for the hop's largest tile, and is read-only
+        base, words = spec.channels[0].base, spec.channels[0].words
+        L = spec.B * words.shape[1]
+        K = base.output_size**L
+        for rows in (1, K - 1, K, 4 * K):
+            tables = protocol.path_tables(spec, rows)
+            assert [t.next_state is not None for t in tables] == [rows >= K, rows >= K, False]
+            for tab, chan in zip(tables, spec.channels):
+                table, g = protocol._chunk_table(chan.base.log_probs, chan.words,
+                                                 protocol._tile_rows(rows, L) * spec.B)
+                assert tab.chunk[1] == g
+                assert tab.chunk[0].tobytes() == table.tobytes()
+                assert not tab.chunk[0].flags.writeable
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            make_series_spec([bsc(0.05)] * 3, 2, 2),
+            make_series_spec([ksym(3, 0.05)] * 3, 2, 2),
+            make_series_spec([bsc(0.1)] * 3, 3, 2),
+        ],
+        ids=["bsc-M2", "ksym3-M2", "bsc-M3"],
+    )
+    def test_keyed_relay_decides_through_its_chunk_table(self, spec, monkeypatch):
+        # one-row tiles key one digit of each chunk (g = 1 < ell); the relay
+        # table decided through that chunk table equals a decision of the
+        # same blocks through a table built for them (g = ell), byte for byte
+        base, words = spec.channels[0].base, spec.channels[0].words
+        L = spec.B * words.shape[1]
+        K = base.output_size**L
+        monkeypatch.setattr(protocol, "_TILE_ELEMS", L)
+        tables = protocol.path_tables(spec, K)
+        blocks = protocol._enumerate_blocks(base.output_size, L)
+        want = _relay_states(base.log_probs, words, spec.B, spec.flow_value, blocks, chunk=None)
+        assert protocol._chunk_table(base.log_probs, words, K * spec.B)[1] == words.shape[1]
+        for tab in tables[:-1]:
+            assert tab.chunk[1] == 1 < words.shape[1]
+            assert tab.next_state.dtype == want.dtype == np.int64
+            assert tab.next_state.tobytes() == want.tobytes()
+
     def test_one_output_channel_with_long_blocks(self):
         # 1**L <= n_blocks for any L: the relay table has one row, and
         # enumerating it must not build an L-dimensional index
@@ -1372,6 +1424,6 @@ class TestFirstMaxScan:
             s = self.scores(M, rng)
             for half in (1, 4):
                 got = protocol._states_from_loglik(s, flow_value, half)
-                want = oracles.states_from_loglik(s, flow_value, half)
-                for g, w in zip(got, want):
-                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+                m_idx, ell = oracles.states_from_loglik(s, flow_value, half)
+                want = m_idx * (half + 1) + ell
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

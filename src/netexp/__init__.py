@@ -32,7 +32,6 @@ from .flow import (
     decompose,
     make_channel_graph,
     maxflow,
-    mincut,
     mincut_without_backedges,
     per_channel,
     weighted_network,

@@ -39,13 +39,13 @@ BOUND_SLACK = 1e-9
 PAIRWISE_BLOCK = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dmc:
     """Finite channel: ``probs[x, y] = P(y | x)``, rows sum to one.
 
     ``log_probs`` caches entrywise natural logs, -inf where the entry is 0.
-    Instances are immutable; build them through :func:`make_dmc` or the
-    named constructors below.
+    Instances are immutable and compare and hash by identity; build them
+    through :func:`make_dmc` or the named constructors below.
     """
 
     probs: np.ndarray

@@ -85,8 +85,6 @@ def exponent_two(P: Dmc, *, pairs: dict | None = None) -> ExponentReport:
     for pair, res in pairs.items():
         if best_pair is None or res.value > best_val:
             best_val, best_pair = res.value, pair
-    if best_pair is None:
-        return ExponentReport(value=0.0, optimizer=None, method="exhaustive")
     return ExponentReport(value=best_val, optimizer=best_pair, method="exhaustive")
 
 

@@ -1,6 +1,7 @@
-"""Exponent-weighted directed multigraphs: maxflow, mincut, flow
-decomposition into simple paths, per-path edge budgets, and the
-back-edge-free mincut test (one extra maxflow).
+"""Exponent-weighted directed multigraphs: maxflow with its
+residual-reachability cut side, flow decomposition into simple paths,
+per-path edge budgets, and the back-edge-free mincut test (one extra
+maxflow).
 """
 from __future__ import annotations
 
@@ -79,17 +80,19 @@ class Network:
 @dataclass(frozen=True)
 class Flow:
     """Per-edge flow values, a tuple of built-in floats indexed like
-    net.edges, and the total s->t value, a built-in float, +inf when the
-    maxflow is unbounded."""
+    net.edges; the total s->t value, a built-in float, +inf when the
+    maxflow is unbounded; and the source side of the residual-reachability
+    minimum cut, the nodes the source reaches over residual arcs above
+    FLOW_TOL."""
 
     edge_flows: tuple
     total: float
+    source_side: frozenset
 
 
 @dataclass(frozen=True)
 class Cut:
     side_a: frozenset
-    side_b: frozenset
     size: float
 
 
@@ -187,28 +190,15 @@ def maxflow(net: Network) -> Flow:
 
     if total >= sentinel - 1e-9:
         total = math.inf
-    return Flow(edge_flows=tuple(f if f >= FLOW_TOL else 0.0 for f in res[1::2]), total=total)
-
-
-def mincut(net: Network, flow: Flow) -> Cut:
-    """Residual-reachability cut for ``flow``, a maximum flow of ``net``; size
-    matches the flow total."""
-    sentinel = net.sentinel()
-    arcs = []
-    for e, f in zip(net.edges, flow.edge_flows):
-        cap = e.capacity if math.isfinite(e.capacity) else sentinel
-        if cap - f > 1e-9:
-            arcs.append((e.tail, e.head))
-        if f > 1e-9:
-            arcs.append((e.head, e.tail))
-    return _cut(net, _reach(net.node_count, arcs, net.source))
+    return Flow(edge_flows=tuple(f if f >= FLOW_TOL else 0.0 for f in res[1::2]), total=total,
+                source_side=frozenset(v for v in range(n) if prev[v] != -1))
 
 
 def _cut(net: Network, side_a: frozenset) -> Cut:
     """The cut whose source side is ``side_a``, sized by the capacities of
     the edges that leave it, added in edge order."""
     size = _sum_left_to_right(e.capacity for e in net.edges if e.tail in side_a and e.head not in side_a)
-    return Cut(side_a=side_a, side_b=frozenset(range(net.node_count)) - side_a, size=size)
+    return Cut(side_a=side_a, size=size)
 
 
 def _all_partitions(net: Network):
@@ -259,7 +249,7 @@ def mincut_without_backedges(net: Network, flow: Flow) -> Cut | None:
         aug_flow = maxflow(aug)
         if abs(aug_flow.total - total) > 1e-9:
             return None
-        side_a = mincut(aug, aug_flow).side_a
+        side_a = aug_flow.source_side
     return _cut(net, side_a)
 
 

@@ -47,6 +47,8 @@ def wilson_interval(errors: int, trials: int):
     """Wilson score interval for a binomial proportion at z = WILSON_Z."""
     if trials < 1:
         raise ParameterOutOfRange("trials must be >= 1")
+    if not 0 <= errors <= trials:
+        raise ParameterOutOfRange(f"errors must lie in [0, {trials}], got {errors}")
     p = errors / trials
     z = WILSON_Z
     denom = 1.0 + z * z / trials

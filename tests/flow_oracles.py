@@ -1,6 +1,9 @@
-"""Enumeration oracle for the back-edge-free minimum cut test."""
+"""Enumeration oracle for the back-edge-free minimum cut test, and a
+second residual search for maxflow's cut side."""
+import math
+
 from netexp.errors import GraphTooLarge
-from netexp.flow import Cut, Network
+from netexp.flow import Cut, Flow, Network, _reach
 
 
 def _cut_size(net: Network, side_a) -> float:
@@ -34,4 +37,19 @@ def enumerate_mincut_without_backedges(net: Network) -> Cut | None:
     (backs, _), side_a, size = best
     if backs > 0:
         return None
-    return Cut(side_a=side_a, side_b=frozenset(range(net.node_count)) - side_a, size=size)
+    return Cut(side_a=side_a, size=size)
+
+
+def residual_source_side(net: Network, flow: Flow) -> frozenset:
+    """Nodes the source reaches over the residual arcs of ``flow``, rebuilt
+    from its rounded edge flows with tolerance 1e-9; +inf capacities stand
+    at the network's sentinel, as in maxflow."""
+    sentinel = net.sentinel()
+    arcs = []
+    for e, f in zip(net.edges, flow.edge_flows):
+        cap = e.capacity if math.isfinite(e.capacity) else sentinel
+        if cap - f > 1e-9:
+            arcs.append((e.tail, e.head))
+        if f > 1e-9:
+            arcs.append((e.head, e.tail))
+    return _reach(net.node_count, arcs, net.source)

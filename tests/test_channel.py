@@ -33,6 +33,7 @@ from netexp.errors import (
     ParameterOutOfRange,
 )
 from netexp.exponents import exponent_two
+from netexp.graphio import load_graph_file
 from channel_oracles import (
     chernoff_array,
     chernoff_at,
@@ -89,6 +90,24 @@ class TestMakeDmc:
         P = bsc(0.1)
         with pytest.raises(ValueError):
             P.probs[0, 0] = 0.3
+
+
+class TestIdentity:
+    """Channels compare and hash by identity, as per_channel and the
+    benchmark's distinct-channel count tell them apart."""
+
+    def test_channels(self):
+        P = bsc(0.1)
+        assert P == P
+        assert bsc(0.1) != bsc(0.1)
+        assert P in [bsc(0.1), P]
+        assert len({P, P, bsc(0.1)}) == 2
+
+    def test_graphs(self):
+        path = str(ROOT / "graphs" / "diamond.json")
+        G = load_graph_file(path).graph
+        assert G == G
+        assert G != load_graph_file(path).graph
 
 
 class TestConstructors:

@@ -6,26 +6,26 @@ import pytest
 
 from netexp.channel import _sum_left_to_right, bsc, identity_channel, ksym
 from netexp.errors import GraphTooLarge, ParameterOutOfRange
-from netexp.exponents import exponent_two, tilde_exponent
+from netexp.exponents import channel_exponents, exponent_two, tilde_exponent
 from netexp.flow import (
     ChannelGraph,
     Flow,
     GraphEdge,
     NetEdge,
     Network,
+    _cut,
     brute_force_mincut,
     decompose,
     make_channel_graph,
     maxflow,
-    mincut,
     mincut_without_backedges,
     path_edge_budgets,
     per_channel,
     weighted_network,
 )
 from netexp.harness import counterexample_graph
-from conftest import rand_network
-from flow_oracles import enumerate_mincut_without_backedges
+from conftest import ROOT, perfbench_inputs, rand_network
+from flow_oracles import enumerate_mincut_without_backedges, residual_source_side
 
 
 def two_network(G):
@@ -39,6 +39,21 @@ def tilde_network(G, M):
 def backedge_free(net):
     """mincut_without_backedges given net's own maximum flow."""
     return mincut_without_backedges(net, maxflow(net))
+
+
+def mixed_networks():
+    """2000 seeded networks of 2-10 nodes whose capacities mix +inf, 0,
+    tied dyadic values and U[0,1] draws."""
+    rng = np.random.default_rng(20261018)
+    levels = [math.inf, 0.0, 0.25, 0.5, 0.5, 0.75, 1.0]
+    for _ in range(2000):
+        n = int(rng.integers(2, 11))
+        edges = []
+        for j in range(int(rng.integers(1, 2 * n + 3))):
+            t, h = (int(v) for v in rng.choice(n, size=2, replace=False))
+            cap = levels[int(rng.integers(len(levels)))] if rng.random() < 0.7 else float(rng.random())
+            edges.append(NetEdge(t, h, cap, j))
+        yield Network(n, 0, n - 1, tuple(edges))
 
 
 def series_net(*caps):
@@ -127,22 +142,54 @@ class TestMaxflow:
 class TestMincut:
     def test_series(self):
         net = series_net(0.5108, 0.2231)
-        cut = mincut(net, maxflow(net))
+        cut = _cut(net, maxflow(net).source_side)
         assert cut.side_a == frozenset({0, 1})
         assert abs(cut.size - 0.2231) < 1e-12
 
     def test_parallel(self):
         net = parallel_net(0.3, 0.4)
-        cut = mincut(net, maxflow(net))
+        cut = _cut(net, maxflow(net).source_side)
         assert cut.side_a == frozenset({0})
         assert abs(cut.size - 0.7) < 1e-12
 
     def test_counterexample_cut_sides(self):
         net = tilde_network(counterexample_graph(0.01), 3)
-        cut = mincut(net, maxflow(net))
+        cut = _cut(net, maxflow(net).source_side)
         # nodes are 1..4 at indices 0..3; the only mincut is {1,3} | {2,4}
         assert cut.side_a == frozenset({0, 2})
         assert abs(cut.size - maxflow(net).total) < 1e-9
+
+
+class TestSourceSide:
+    """maxflow's cut side against the second residual search that it
+    replaced, rebuilt from the edge flows at tolerance 1e-9."""
+
+    def check(self, net):
+        fl = maxflow(net)
+        assert fl.source_side == residual_source_side(net, fl)
+        if math.isfinite(fl.total):
+            assert abs(_cut(net, fl.source_side).size - fl.total) <= 1e-9
+
+    def test_mixed_networks(self):
+        for net in mixed_networks():
+            self.check(net)
+
+    def test_benchmark_networks(self):
+        inputs = perfbench_inputs()
+        cases = inputs.corpus_cases(ROOT, inputs.DEFAULT_SEED) + inputs.wide_cases(inputs.DEFAULT_SEED)
+        for case in cases:
+            per_edge = per_channel(case.graph, lambda P: channel_exponents(P, case.M))
+            for exponent in ("tilde", "two", "zero_rate"):
+                self.check(weighted_network(case.graph, [getattr(rec, exponent).value for rec in per_edge]))
+
+    def test_capacity_below_the_old_tolerance(self):
+        # the 3e-12 arc is residual above FLOW_TOL but not above 1e-9: the
+        # source reaches node 1, and the cut, the zero edge 1->2, meets the
+        # zero total where the cut {0} would miss it by 3e-12
+        net = series_net(3e-12, 0.0)
+        fl = maxflow(net)
+        assert fl.source_side == frozenset({0, 1}) != residual_source_side(net, fl)
+        assert _cut(net, fl.source_side).size == fl.total == 0.0
 
 
 class TestBruteForceMincut:
@@ -212,7 +259,7 @@ class TestDecompose:
             NetEdge(3, 2, 1.0, 2),
         )
         net = Network(4, 0, 1, edges)
-        fl = Flow(edge_flows=np.array([0.5, 0.25, 0.25]), total=0.5)
+        fl = Flow(edge_flows=np.array([0.5, 0.25, 0.25]), total=0.5, source_side=frozenset({0}))
         with pytest.warns(UserWarning, match="circulation"):
             paths = decompose(net, fl)
         assert len(paths) == 1
@@ -226,7 +273,7 @@ class TestDecompose:
             NetEdge(2, 1, 1.0, 2), NetEdge(1, 3, 1.0, 3),
         )
         net = Network(4, 0, 3, edges)
-        fl = Flow(edge_flows=np.ones(4), total=1.0)
+        fl = Flow(edge_flows=np.ones(4), total=1.0, source_side=frozenset({0}))
         with pytest.warns(UserWarning, match="circulation"):
             paths = decompose(net, fl)
         assert [(p.nodes, p.edge_ids, p.value) for p in paths] == [((0, 1, 3), (0, 3), 1.0)]
@@ -281,18 +328,8 @@ class TestMincutWithoutBackedges:
         assert backedge_free(Network(2, 0, 1, edges)) is not None
 
     def test_matches_enumeration_oracle(self):
-        # capacities mix +inf, 0, tied dyadic values and U[0,1] draws
-        rng = np.random.default_rng(20261018)
-        levels = [math.inf, 0.0, 0.25, 0.5, 0.5, 0.75, 1.0]
         found = 0
-        for _ in range(2000):
-            n = int(rng.integers(2, 11))
-            edges = []
-            for j in range(int(rng.integers(1, 2 * n + 3))):
-                t, h = (int(v) for v in rng.choice(n, size=2, replace=False))
-                cap = levels[int(rng.integers(len(levels)))] if rng.random() < 0.7 else float(rng.random())
-                edges.append(NetEdge(t, h, cap, j))
-            net = Network(n, 0, n - 1, tuple(edges))
+        for net in mixed_networks():
             cut = backedge_free(net)
             assert (cut is None) == (enumerate_mincut_without_backedges(net) is None)
             if cut is None:
@@ -300,8 +337,8 @@ class TestMincutWithoutBackedges:
             found += 1
             want = brute_force_mincut(net).size
             assert cut.size == want or abs(cut.size - want) <= 1e-9
-            assert net.source in cut.side_a and net.destination in cut.side_b
-            assert not any(e.capacity > 0 and e.tail in cut.side_b and e.head in cut.side_a
+            assert net.source in cut.side_a and net.destination not in cut.side_a
+            assert not any(e.capacity > 0 and e.tail not in cut.side_a and e.head in cut.side_a
                            for e in net.edges)
         assert 400 < found < 1600  # both answers are well represented
 
@@ -375,7 +412,7 @@ class TestLeftToRightSums:
     def test_cut_size(self):
         net = parallel_net(*self.CAPS)
         assert brute_force_mincut(net).size == 1e16
-        assert mincut(net, maxflow(net)).size == 1e16
+        assert _cut(net, maxflow(net).source_side).size == 1e16
 
 
 class TestMonotonicity:

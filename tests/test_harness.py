@@ -58,6 +58,11 @@ class TestWilson:
         lo, hi = wilson_interval(100, 100)
         assert hi == 1.0 and lo > 0.95
 
+    @pytest.mark.parametrize("errors, trials", [(5, 3), (-1, 10)])
+    def test_errors_outside_trials_raise(self, errors, trials):
+        with pytest.raises(ParameterOutOfRange, match="errors"):
+            wilson_interval(errors, trials)
+
 
 SAMPLE_GRAPHS = ("counterexample", "diamond", "noiseless", "series-2-bsc", "series-2-bsc005")
 
@@ -255,7 +260,7 @@ class TestAnalyze:
         totals = iter([2.0, 1.0, 1.0])
         monkeypatch.setattr(
             harness, "maxflow",
-            lambda net: Flow(edge_flows=np.zeros(len(net.edges)), total=next(totals)),
+            lambda net: Flow(edge_flows=np.zeros(len(net.edges)), total=next(totals), source_side=frozenset()),
         )
         G = make_channel_graph(3, 0, 2, [(0, 1, bsc(0.1)), (1, 2, bsc(0.2))])
         with pytest.raises(BoundsViolation, match="exceeded two-message maxflow"):

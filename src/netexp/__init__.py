@@ -40,7 +40,6 @@ from .protocol import (
     SeriesSpec,
     exact_block_distribution,
     make_series_spec,
-    reduce_inputs,
 )
 from .harness import (
     BoundsReport,

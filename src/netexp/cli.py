@@ -99,22 +99,19 @@ def cmd_decompose(args) -> int:
 
 def _series_channels(gf) -> list:
     """The channels of the source->destination chain in order, or fail unless
-    that chain is acyclic and holds every edge (so no node has two)."""
-    out_edges = {e.tail: e for e in gf.graph.edges}
-    chain = []
-    node = gf.graph.source
-    seen = {node}
-    while node != gf.graph.destination:
-        if node not in out_edges:
-            raise NetexpError("oracle requires a series graph reaching the destination")
-        e = out_edges[node]
+    every edge lies on that one chain: the walk from the source follows a
+    node's only out-edge until the destination, at most one step an edge."""
+    g = gf.graph
+    out_edges = {}
+    for e in g.edges:
+        out_edges.setdefault(e.tail, []).append(e)
+    chain, node = [], g.source
+    while node != g.destination and len(chain) < len(g.edges) and len(out_edges.get(node, ())) == 1:
+        (e,) = out_edges[node]
         chain.append(e.channel)
         node = e.head
-        if node in seen:
-            raise NetexpError("oracle requires an acyclic series graph")
-        seen.add(node)
-    if len(chain) < len(gf.graph.edges):
-        raise NetexpError("oracle requires a series graph (every edge on the source->destination chain)")
+    if node != g.destination or len(chain) < len(g.edges):
+        raise NetexpError("oracle requires a series graph: one source->destination chain holding every edge")
     return chain
 
 

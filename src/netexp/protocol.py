@@ -314,39 +314,33 @@ def _sample_symbols(thresholds: np.ndarray, state: np.ndarray, rng, out: np.ndar
     return out
 
 
-def reduce_inputs(channels, M: int, *, reports=None):
-    """Give each hop channel the permutation codebook on its M!-fold power:
-    M codewords of M! symbols with equal pairwise distances.
-
-    Returns (:class:`ReducedChannel` hops, flow_value, ell_factor) where
-    flow_value is the bottleneck pairwise Bhattacharyya distance per reduced
-    use (M! times the weakest hop's M-message exponent) and ell_factor = M!.
-    ``reports``, the channels' ``tilde_exponent`` reports for M, saves
-    recomputing them.
-    """
-    if M < 2 or M > 4:
+def _reduction_guard(M: int) -> None:
+    """Raise unless the permutation codebook serves M: M < 2, then M > 4."""
+    if M < 2:
+        raise ParameterOutOfRange(f"need M >= 2, got {M}")
+    if M > 4:
         raise MTooLarge(f"input reduction supports 2 <= M <= 4, got {M}")
+
+
+def make_series_spec(channels, M: int, B: int, *, reports=None) -> SeriesSpec:
+    """The chain of hop channels, each with the permutation codebook on its
+    M!-fold power: M codewords of M! symbols with equal pairwise distances.
+
+    ``B`` counts reduced uses per block (each spends M! raw channel uses);
+    ``flow_value`` is M! times the weakest hop's M-message exponent, the
+    bottleneck pairwise Bhattacharyya distance per reduced use.  ``reports``,
+    the channels' ``tilde_exponent`` reports for M, saves recomputing them.
+    """
+    _reduction_guard(M)
     if reports is None:
         reports = [tilde_exponent(P, M) for P in channels]
-    ell = math.factorial(M)
-    reduced = []
-    flow_value = math.inf
+    hops = []
     for P, report in zip(channels, reports):
         words = np.array(permutation_codebook(report, M), dtype=np.int64)
         words.flags.writeable = False
-        reduced.append(ReducedChannel(base=P, words=words))
-        flow_value = min(flow_value, ell * report.value)
-    return tuple(reduced), float(flow_value), ell
-
-
-def make_series_spec(channels, M: int, B: int) -> SeriesSpec:
-    """Reduce raw hop channels and wrap them in a SeriesSpec.
-
-    ``B`` here counts reduced uses per block (each reduced use spends M!
-    raw channel uses).
-    """
-    reduced, flow_value, _ = reduce_inputs(channels, M)
-    return SeriesSpec(channels=reduced, M=M, B=B, flow_value=flow_value)
+        hops.append(ReducedChannel(base=P, words=words))
+    flow_value = math.factorial(M) * min((report.value for report in reports), default=math.inf)
+    return SeriesSpec(channels=tuple(hops), M=M, B=B, flow_value=float(flow_value))
 
 
 @dataclass(frozen=True)
@@ -541,10 +535,11 @@ def exact_block_distribution(spec: SeriesSpec, update_mode: str) -> np.ndarray:
     M, B = spec.M, spec.B
     half = B // 2
     n_states = M * (half + 1)
-    # every hop's guard fires before any hop is enumerated
+    # every hop's guard fires before any hop is enumerated, and without
+    # forming out**symbols: 2**20 already exceeds it
     for chan in spec.channels:
         symbols = B * chan.words.shape[1]
-        if chan.base.output_size**symbols > EXACT_BLOCK_GUARD:
+        if chan.base.output_size ** min(symbols, EXACT_BLOCK_GUARD.bit_length()) > EXACT_BLOCK_GUARD:
             raise StateSpaceTooLarge(f"{chan.base.output_size}^{symbols} block outcomes exceed the "
                                      "exact-enumeration guard")
 
@@ -616,8 +611,7 @@ def build_network_plan(G: ChannelGraph, M: int, B: int) -> NetworkPlan:
     """
     if B % 2 != 0 or B < 2:
         raise ParameterOutOfRange("block size must be even and at least 2")
-    if M > 4:
-        reduce_inputs((), M)  # raises its MTooLarge before any tilde exponent is computed
+    _reduction_guard(M)  # before any tilde exponent is computed
     tilde = per_channel(G, lambda P: tilde_exponent(P, M))
     net = weighted_network(G, [rep.value for rep in tilde])
     fl = maxflow(net)
@@ -632,17 +626,16 @@ def build_network_plan(G: ChannelGraph, M: int, B: int) -> NetworkPlan:
     for eid, idxs in users.items():
         window = max(window, sum(budgets[(i, eid)] for i in idxs))
 
-    paths = []
+    paths, ell = [], math.factorial(M)
     for i, p in enumerate(flow_paths):
         raw_budget = min(budgets[(i, eid)] for eid in p.edge_ids)
-        hops = [G.edges[eid].channel for eid in p.edge_ids]
-        reduced, flow_value, ell = reduce_inputs(hops, M, reports=[tilde[eid] for eid in p.edge_ids])
         b_red = (raw_budget // ell) // 2 * 2
         if b_red < 2:
             raise BTooSmall(
                 f"path {i} gets only {raw_budget} uses per window; needs at least {2 * ell}"
             )
-        spec = SeriesSpec(channels=reduced, M=M, B=b_red, flow_value=flow_value)
+        spec = make_series_spec([G.edges[eid].channel for eid in p.edge_ids], M, b_red,
+                                reports=[tilde[eid] for eid in p.edge_ids])
         paths.append(PathPlan(index=i, edge_ids=p.edge_ids, spec=spec))
     return NetworkPlan(M=M, window=window, paths=tuple(paths))
 

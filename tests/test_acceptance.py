@@ -19,11 +19,10 @@ from netexp.harness import (
     simulate,
 )
 from netexp.protocol import (
-    SeriesSpec,
     block_scores_ml,
     exact_block_distribution,
+    make_series_spec,
     path_tables,
-    reduce_inputs,
 )
 from netexp.protocol import _encode_blocks
 from conftest import rand_dmc, rand_network, rand_channel_graph, rand_reversible
@@ -147,9 +146,8 @@ def test_criterion_5_zero_rate_sandwich():
 
 def test_criterion_6_transition_inequalities():
     with criterion(6, "transition-inequality oracle", 60.0):
-        channels, flow_value, _ = reduce_inputs([bsc(0.1), bsc(0.1)], 2)
         for B in (2, 4, 6):
-            spec = SeriesSpec(channels=channels, M=2, B=B, flow_value=flow_value)
+            spec = make_series_spec([bsc(0.1), bsc(0.1)], 2, B)
             rep = verify_transition_bound(spec)
             assert rep.all_hold
             assert rep.min_slack_occupancy >= -1e-9
@@ -158,8 +156,7 @@ def test_criterion_6_transition_inequalities():
 
 def test_criterion_7_exact_vs_monte_carlo():
     with criterion(7, "exact vs Monte Carlo (1e6 trials)", 300.0):
-        channels, flow_value, _ = reduce_inputs([bsc(0.1), bsc(0.1)], 2)
-        spec = SeriesSpec(channels=channels, M=2, B=2, flow_value=flow_value)
+        spec = make_series_spec([bsc(0.1), bsc(0.1)], 2, 2)
         ld = exact_block_distribution(spec, update_mode="uniform")
         exact_err = ml_error_probs(ld)
         trials = 10**6
@@ -185,10 +182,9 @@ def test_criterion_8_desk_scale_achievability_surrogates():
     # (b) the fitted Monte Carlo exponent is positive with non-increasing
     # error rates, (c) the invariant suites (the rest of this pytest run).
     with criterion(8, "desk-scale achievability surrogates", 600.0):
-        channels, flow_value, _ = reduce_inputs([bsc(0.1), bsc(0.1)], 2)
         vals = []
         for B in (2, 4, 6):
-            spec = SeriesSpec(channels=channels, M=2, B=B, flow_value=flow_value)
+            spec = make_series_spec([bsc(0.1), bsc(0.1)], 2, B)
             vals.append(min_pairwise_block_db(exact_block_distribution(spec, "uniform")))
         assert vals[0] < vals[1] < vals[2]
 

@@ -3,14 +3,17 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import peak_traced
 from netexp import cli, protocol
+from netexp.channel import bsc
+from netexp.flow import make_channel_graph
 from netexp.graphio import dump_normalized, load_graph_file, parse_graph_obj
-from netexp.errors import GraphFileError
+from netexp.errors import GraphFileError, NetexpError
 
 ROOT = Path(__file__).resolve().parent.parent
 GRAPHS = ROOT / "graphs"
@@ -423,6 +426,13 @@ class TestOracleCommand:
     def test_non_series_graph_exit_3(self, capsys):
         assert main(["oracle", str(GRAPHS / "diamond.json"), "--block", "2"]) == 3
 
+    def test_one_message_exit_3(self, capsys):
+        # too few messages is a range error, not "M too large"
+        code = main(["oracle", str(GRAPHS / "series-2-bsc.json"), "--messages", "1", "--block", "2"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "error: need M >= 2, got 1" in captured.err
+
     def test_edges_off_the_chain_exit_3(self, tmp_path, capsys):
         # every node has one outgoing edge, and s->r->t reaches the
         # destination, but t->x and x->r are not on that chain
@@ -475,6 +485,87 @@ class TestOracleCommand:
         assert proc.returncode == 0
         assert proc.stdout == "m1,m2,db_nats\n" + "".join(f"{a},{b},0\n" for a, b in pairs)
         assert proc.stderr == ""
+
+
+def series_channels_reference(gf) -> list:
+    """The series check that the one walk of ``cli._series_channels``
+    replaced: follow the last out-edge of each node from the source, fail
+    at a dead end or a repeated node, then fail unless every edge was used."""
+    out_edges = {e.tail: e for e in gf.graph.edges}
+    chain = []
+    node = gf.graph.source
+    seen = {node}
+    while node != gf.graph.destination:
+        if node not in out_edges:
+            raise NetexpError("oracle requires a series graph reaching the destination")
+        e = out_edges[node]
+        chain.append(e.channel)
+        node = e.head
+        if node in seen:
+            raise NetexpError("oracle requires an acyclic series graph")
+        seen.add(node)
+    if len(chain) < len(gf.graph.edges):
+        raise NetexpError("oracle requires a series graph (every edge on the source->destination chain)")
+    return chain
+
+
+def series_graph(nodes, source, destination, arcs):
+    """A graph file stand-in whose edges each carry their own channel."""
+    edges = [(t, h, bsc(0.1)) for t, h in arcs]
+    return SimpleNamespace(graph=make_channel_graph(nodes, source, destination, edges))
+
+
+def series_outcome(check, gf):
+    """``check``'s chain as edge ids, or None when it raises."""
+    try:
+        chain = check(gf)
+    except NetexpError:
+        return None
+    return [next(e.id for e in gf.graph.edges if e.channel is ch) for ch in chain]
+
+
+class TestSeriesChannels:
+    @pytest.mark.parametrize("arcs, want", [
+        pytest.param([(0, 1), (1, 2), (2, 3)], [0, 1, 2], id="chain"),
+        pytest.param([(1, 2), (0, 1), (2, 3)], [1, 0, 2], id="chain-out-of-order"),
+        pytest.param([(0, 1), (1, 1), (1, 2), (2, 3)], None, id="self-loop"),
+        pytest.param([(0, 1), (1, 2), (2, 3), (0, 1)], None, id="parallel-edges"),
+        pytest.param([(0, 3), (0, 3)], None, id="parallel-s-t-edges"),
+        pytest.param([(0, 1), (1, 2), (2, 3), (1, 4)], None, id="dead-end-branch"),
+        pytest.param([(0, 1), (1, 2), (2, 3), (4, 1)], None, id="edge-off-the-walk"),
+        pytest.param([(0, 1), (1, 3), (3, 2)], None, id="destination-out-edge"),
+        pytest.param([(0, 1), (1, 3), (3, 2), (2, 3)], None, id="cycle-through-the-destination"),
+        pytest.param([(0, 1), (1, 2), (2, 1), (2, 3)], None, id="cycle-back-into-the-chain"),
+        pytest.param([(0, 1), (1, 2), (2, 3), (3, 0)], None, id="cycle-back-to-the-source"),
+    ])
+    def test_named_graphs(self, arcs, want):
+        # five nodes, source 0, destination 3
+        gf = series_graph(5, 0, 3, arcs)
+        assert series_outcome(cli._series_channels, gf) == want
+        assert series_outcome(series_channels_reference, gf) == want
+        if want is None:  # one message for every way a graph is not a series
+            with pytest.raises(NetexpError, match="^oracle requires a series graph: one source->destination "
+                                                  "chain holding every edge$"):
+                cli._series_channels(gf)
+
+    def test_matches_the_reference_on_random_multigraphs(self):
+        # self-loops and parallel edges allowed; the walk must return the
+        # same chain as the reference, or fail where it fails
+        rng = np.random.default_rng(32)
+        valid = accepted = 0
+        for _ in range(10000):
+            nodes = int(rng.integers(2, 6))
+            source, destination = (int(v) for v in rng.choice(nodes, 2, replace=False))
+            arcs = [tuple(int(v) for v in rng.integers(0, nodes, 2)) for _ in range(int(rng.integers(1, 7)))]
+            try:
+                gf = series_graph(nodes, source, destination, arcs)
+            except NetexpError:  # the destination is out of reach
+                continue
+            got = series_outcome(cli._series_channels, gf)
+            assert got == series_outcome(series_channels_reference, gf), (source, destination, arcs)
+            valid += 1
+            accepted += got is not None
+        assert valid > 3500 and accepted > 200, (valid, accepted)
 
 
 class TestDumpNormalized:

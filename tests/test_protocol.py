@@ -29,7 +29,6 @@ from netexp.protocol import (
     exact_block_distribution,
     make_series_spec,
     path_tables,
-    reduce_inputs,
     run_series_blocks_batch,
 )
 from channel_oracles import power, restrict
@@ -85,8 +84,7 @@ def relay_state(chan, B, flow_value, y):
 
 @pytest.fixture(scope="module")
 def reduced_bsc01_2hop():
-    channels, flow_value, ell = reduce_inputs([bsc(0.1), bsc(0.1)], 2)
-    return channels, flow_value, ell
+    return make_series_spec([bsc(0.1), bsc(0.1)], 2, 2)
 
 
 class TestCodeword:
@@ -137,8 +135,8 @@ class TestPseudometric:
 
     def test_divergence_dominates_pseudometric(self, reduced_bsc01_2hop):
         # on reduced channels, codeword divergence >= state distance
-        channels, flow_value, _ = reduced_bsc01_2hop
-        Q = restrict(channels[0].base, channels[0].words)
+        hop, flow_value = reduced_bsc01_2hop.channels[0], reduced_bsc01_2hop.flow_value
+        Q = restrict(hop.base, hop.words)
         for B in (2, 4, 6):
             states = [(m, l) for m in (1, 2) for l in range(B // 2 + 1)]
             for m1, l1 in states:
@@ -150,8 +148,8 @@ class TestPseudometric:
                     assert div >= dist - 1e-9
 
     def test_divergence_dominates_m3(self):
-        channels, flow_value, _ = reduce_inputs([ksym(3, 0.1)], 3)
-        Q = restrict(channels[0].base, channels[0].words)
+        spec = make_series_spec([ksym(3, 0.1)], 3, 2)
+        Q, flow_value = restrict(spec.channels[0].base, spec.channels[0].words), spec.flow_value
         B = 6
         states = [(m, l) for m in (1, 2, 3) for l in range(B // 2 + 1)]
         for m1, l1 in states:
@@ -161,32 +159,44 @@ class TestPseudometric:
                 assert div >= state_pseudometric(NodeState(m1, l1), NodeState(m2, l2), flow_value) - 1e-9
 
 
-class TestReduceInputs:
+class TestMakeSeriesSpec:
     def test_single_bsc(self, reduced_bsc01_2hop):
-        channels, flow_value, ell = reduced_bsc01_2hop
-        assert ell == 2
-        assert channels[0].words.tolist() == [[0, 1], [1, 0]]
-        assert abs(flow_value - 2 * DB_BSC01) < 1e-9
-        Q = restrict(channels[0].base, channels[0].words)
-        assert abs(bhattacharyya(Q, 0, 1) - 2 * DB_BSC01) < 1e-9
+        hop = reduced_bsc01_2hop.channels[0]
+        assert hop.words.tolist() == [[0, 1], [1, 0]]  # M! = 2 symbols a codeword
+        assert abs(reduced_bsc01_2hop.flow_value - 2 * DB_BSC01) < 1e-9
+        assert abs(bhattacharyya(restrict(hop.base, hop.words), 0, 1) - 2 * DB_BSC01) < 1e-9
 
-    def test_bottleneck_flow(self):
-        _, flow_value, _ = reduce_inputs([bsc(0.1), bsc(0.2)], 2)
-        assert abs(flow_value - 2 * (-math.log(0.8))) < 1e-9
+    def test_wraps_reduction(self):
+        # the weaker hop's exponent sets the flow value, M! times over
+        spec = make_series_spec([bsc(0.1), bsc(0.2)], 2, 6)
+        assert spec.B == 6 and spec.M == 2
+        assert abs(spec.flow_value - 2 * (-math.log(0.8))) < 1e-9
 
     def test_ideal_channel_reduction_consistent(self):
         # a channel already having M separated inputs keeps its guarantee:
         # the reduced pairwise distance is exactly M! times the tilde exponent
-        P = ksym(2, 0.1)
-        channels, flow_value, ell = reduce_inputs([P], 2)
-        assert ell == 2
-        assert abs(flow_value - ell * DB_BSC01) < 1e-9
-        assert abs(bhattacharyya(restrict(channels[0].base, channels[0].words), 0, 1) - ell * DB_BSC01) < 1e-9
+        spec = make_series_spec([ksym(2, 0.1)], 2, 2)
+        hop = spec.channels[0]
+        assert hop.words.shape == (2, math.factorial(2))
+        assert abs(spec.flow_value - 2 * DB_BSC01) < 1e-9
+        assert abs(bhattacharyya(restrict(hop.base, hop.words), 0, 1) - 2 * DB_BSC01) < 1e-9
 
     def test_m_guard(self):
-        with pytest.raises(MTooLarge):
-            reduce_inputs([bsc(0.1)], 5)
+        with pytest.raises(MTooLarge, match="supports 2 <= M <= 4, got 5"):
+            make_series_spec([bsc(0.1)], 5, 2)
+        # too few messages is out of range, as tilde_exponent says it
+        with pytest.raises(ParameterOutOfRange, match="need M >= 2, got 1"):
+            make_series_spec([bsc(0.1)], 1, 2)
 
+    def test_reports_give_the_same_spec(self, monkeypatch):
+        chans = [bsc(0.1), ksym(3, 0.05), bsc(0.3)]
+        cases = [(M, make_series_spec(chans, M, 4), [tilde_exponent(P, M) for P in chans]) for M in (2, 3)]
+        monkeypatch.setattr(protocol, "tilde_exponent", None)  # with reports= none is computed
+        for M, want, reports in cases:
+            got = make_series_spec(chans, M, 4, reports=reports)
+            assert repr(got.flow_value) == repr(want.flow_value)
+            for g, w in zip(got.channels, want.channels, strict=True):
+                assert g.base is w.base and g.words.tobytes() == w.words.tobytes()
 
     def test_one_tilde_exponent_per_hop(self, monkeypatch):
         calls = []
@@ -198,7 +208,7 @@ class TestReduceInputs:
 
         monkeypatch.setattr(protocol, "tilde_exponent", counted)
         chans = [bsc(0.1), ksym(3, 0.05), make_dmc([[0.7, 0.2, 0.1], [0.1, 0.1, 0.8], [0.3, 0.4, 0.3]])]
-        reduced, _, _ = reduce_inputs(chans, 3)
+        reduced = make_series_spec(chans, 3, 2).channels
         assert calls == chans
         for P, r in zip(chans, reduced):
             assert r.base is P
@@ -321,12 +331,12 @@ class TestStateUpdate:
 
     def test_golden_reduced_chain(self, reduced_bsc01_2hop):
         # frozen from the exact likelihood table of the reduced chain
-        channels, flow_value, _ = reduced_bsc01_2hop
-        Q = restrict(channels[0].base, channels[0].words)
+        hop, flow_value = reduced_bsc01_2hop.channels[0], reduced_bsc01_2hop.flow_value
+        Q = restrict(hop.base, hop.words)
         st = relay_state(raw_hops([Q], 2)[0], 4, flow_value, (1, 1, 2, 2))
         assert st == NodeState(m=1, ell=2)
         # base-granularity call agrees with the materialized channel
-        st2 = relay_state(channels[0], 4, flow_value, (0, 1, 0, 1, 1, 0, 1, 0))
+        st2 = relay_state(hop, 4, flow_value, (0, 1, 0, 1, 1, 0, 1, 0))
         assert st2 == st
 
 
@@ -346,8 +356,7 @@ class TestRunSeriesBlock:
                     assert hop.state == NodeState(m, B // 2)
 
     def test_golden_transcript_seed0(self, reduced_bsc01_2hop):
-        channels, flow_value, _ = reduced_bsc01_2hop
-        spec = SeriesSpec(channels=channels, M=2, B=4, flow_value=flow_value)
+        spec = dataclasses.replace(reduced_bsc01_2hop, B=4)
         t = run_series_block(spec, 1, np.random.default_rng(0))
         assert t.dump() == (
             "hop=1 state=(1,1) sent=1111 recv=01000101\n"
@@ -356,8 +365,7 @@ class TestRunSeriesBlock:
         assert t.final_block == (0, 1, 0, 0, 0, 0, 1, 0)
 
     def test_transcript_is_one_row_batch(self, reduced_bsc01_2hop):
-        channels, flow_value, _ = reduced_bsc01_2hop
-        spec = SeriesSpec(channels=channels, M=2, B=4, flow_value=flow_value)
+        spec = dataclasses.replace(reduced_bsc01_2hop, B=4)
         for seed in range(5):
             for m in (1, 2):
                 t = run_series_block(spec, m, np.random.default_rng(seed))
@@ -381,8 +389,7 @@ class TestRunSeriesBlock:
 
     def test_one_hop_matches_oracle_3sigma(self):
         # single hop, M=2: ML over single blocks vs exact enumerated error
-        channels, flow_value, _ = reduce_inputs([bsc(0.1)], 2)
-        spec = SeriesSpec(channels=channels, M=2, B=2, flow_value=flow_value)
+        spec = make_series_spec([bsc(0.1)], 2, 2)
         ld = exact_block_distribution(spec, update_mode="uniform")
         exact = ml_error_probs(ld)
         trials = 10**5
@@ -400,9 +407,8 @@ class TestRunSeriesBlock:
             SeriesSpec(channels=(), M=2, B=2, flow_value=1.0)
 
     def test_odd_block_size_rejected(self, reduced_bsc01_2hop):
-        channels, flow_value, _ = reduced_bsc01_2hop
         with pytest.raises(ParameterOutOfRange, match="block size must be even"):
-            SeriesSpec(channels=channels, M=2, B=3, flow_value=flow_value)
+            dataclasses.replace(reduced_bsc01_2hop, B=3)
 
     @pytest.mark.parametrize("words", [
         np.array([[0], [1], [2]]),  # 3 codewords at M=2
@@ -432,25 +438,22 @@ class TestExactBlockDistribution:
         assert np.allclose(np.exp(ld[1]), P2.probs[3])  # codeword (2,2)
 
     def test_mass_sums_to_one(self, reduced_bsc01_2hop):
-        channels, flow_value, _ = reduced_bsc01_2hop
         for B in (2, 4):
             for mode in ("uniform", "exact"):
-                spec = SeriesSpec(channels=channels, M=2, B=B, flow_value=flow_value)
+                spec = dataclasses.replace(reduced_bsc01_2hop, B=B)
                 ld = exact_block_distribution(spec, update_mode=mode)
                 assert np.allclose(np.exp(ld).sum(axis=1), 1.0, atol=1e-9)
 
     def test_divergence_increases_with_block_size(self, reduced_bsc01_2hop):
-        channels, flow_value, _ = reduced_bsc01_2hop
         for mode in ("uniform", "exact"):
             vals = []
             for B in (2, 4, 6):
-                spec = SeriesSpec(channels=channels, M=2, B=B, flow_value=flow_value)
+                spec = dataclasses.replace(reduced_bsc01_2hop, B=B)
                 vals.append(min_pairwise_block_db(exact_block_distribution(spec, mode)))
             assert vals[0] < vals[1] < vals[2]
 
     def test_state_space_guard(self):
-        channels, flow_value, _ = reduce_inputs([bsc(0.1)], 3)  # 2^6 = 64 outputs
-        spec = SeriesSpec(channels=channels, M=3, B=4, flow_value=flow_value)
+        spec = make_series_spec([bsc(0.1)], 3, 4)  # 2^6 = 64 outputs
         with pytest.raises(StateSpaceTooLarge):
             exact_block_distribution(spec, "uniform")
 
@@ -467,6 +470,17 @@ class TestExactBlockDistribution:
                     exact_block_distribution(spec, "uniform")
 
             assert peak_traced(run) < 4 * 2**20
+
+    def test_guard_does_not_form_the_block_count(self):
+        # 3**(4 * 10**6) blocks a hop, a 6.3-million-bit integer: the guard
+        # once formed it before comparing, a 3.7 MiB peak and most of a second
+        spec = make_series_spec([ksym(3, 0.05)] * 2, 2, 2 * 10**6)
+
+        def run():
+            with pytest.raises(StateSpaceTooLarge, match="3\\^4000000 block outcomes exceed"):
+                exact_block_distribution(spec, "uniform")
+
+        assert peak_traced(run) < 64 * 2**10
 
     @pytest.mark.parametrize("mode, kernel", [("uniform", "_relay_states"),
                                               ("exact", "_states_from_loglik")])
@@ -520,8 +534,7 @@ class TestExactBlockDistribution:
         assert exact_block_distribution(spec, "uniform").tobytes() == laws[-1].tobytes()
 
     def test_monte_carlo_total_variation(self, reduced_bsc01_2hop):
-        channels, flow_value, _ = reduced_bsc01_2hop
-        spec = SeriesSpec(channels=channels, M=2, B=2, flow_value=flow_value)
+        spec = reduced_bsc01_2hop
         ld = exact_block_distribution(spec, update_mode="uniform")
         trials = 2 * 10**5
         from netexp.protocol import _encode_blocks
@@ -557,7 +570,7 @@ class TestRestrictionLaw:
         renormalized = 0
         for P in channels:
             for M in (2, 3):
-                cases = [reduce_inputs([P], M)[0][0].words]
+                cases = [make_series_spec([P], M, 2).channels[0].words]
                 cases += [rng.integers(0, P.input_size, (M, ell)) for ell in (1, 2, 3)]
                 if M <= P.input_size:
                     ident = np.arange(M)[:, None]
@@ -600,8 +613,7 @@ class TestRestrictionLaw:
 
 class TestTransitionBounds:
     def test_source_node_point_mass(self, reduced_bsc01_2hop):
-        channels, flow_value, _ = reduced_bsc01_2hop
-        spec = SeriesSpec(channels=channels, M=2, B=4, flow_value=flow_value)
+        spec = dataclasses.replace(reduced_bsc01_2hop, B=4)
         occupancies, _ = oracles.restriction_trace(spec, update_mode="exact")
         half = 2
         for m_idx in range(2):
@@ -610,9 +622,8 @@ class TestTransitionBounds:
             assert occ.sum() == 1.0
 
     def test_two_hop_inequalities_hold(self, reduced_bsc01_2hop):
-        channels, flow_value, _ = reduced_bsc01_2hop
         for B in (2, 4):
-            spec = SeriesSpec(channels=channels, M=2, B=B, flow_value=flow_value)
+            spec = dataclasses.replace(reduced_bsc01_2hop, B=B)
             rep = verify_transition_bound(spec)
             assert rep.all_hold
             assert rep.min_slack_occupancy >= -1e-9
@@ -726,8 +737,7 @@ class TestNetworkProtocol:
     def test_fresh_state_every_block(self):
         # blocks at different indices come from disjoint substreams and
         # restart from full confidence; identical substream -> identical block
-        channels, flow_value, _ = reduce_inputs([bsc(0.1), bsc(0.1)], 2)
-        spec = SeriesSpec(channels=channels, M=2, B=2, flow_value=flow_value)
+        spec = make_series_spec([bsc(0.1), bsc(0.1)], 2, 2)
 
         def stream(b):
             ss = np.random.SeedSequence(entropy=3, spawn_key=(0, 1, 0, b))
@@ -762,10 +772,9 @@ class TestDecoders:
 
     def test_single_hop_ml_agrees_with_pairwise_test(self):
         # exhaustive over all B=2 blocks of the reduced single-hop channel
-        channels, flow_value, _ = reduce_inputs([bsc(0.1)], 2)
-        spec = SeriesSpec(channels=channels, M=2, B=2, flow_value=flow_value)
+        spec = make_series_spec([bsc(0.1)], 2, 2)
         ld = exact_block_distribution(spec, "uniform")
-        Q = restrict(channels[0].base, channels[0].words)
+        Q = restrict(spec.channels[0].base, spec.channels[0].words)
         w1 = [s - 1 for s in codeword(1, 1, 2, 2)]
         w2 = [s - 1 for s in codeword(2, 1, 2, 2)]
         for y0 in range(4):
@@ -781,8 +790,7 @@ class TestDecoders:
 
     def test_heuristic_no_better_than_ml(self):
         # paired trials on the tiny instance: heuristic error >= exact-ML error
-        channels, flow_value, _ = reduce_inputs([bsc(0.1), bsc(0.1)], 2)
-        spec = SeriesSpec(channels=channels, M=2, B=2, flow_value=flow_value)
+        spec = make_series_spec([bsc(0.1), bsc(0.1)], 2, 2)
         ld = exact_block_distribution(spec, "uniform")
         trials = 10**5
         err_ml = err_h = 0
@@ -798,8 +806,7 @@ class TestDecoders:
         assert err_h >= err_ml
 
     def test_two_hop_empirical_matches_enumerated(self):
-        channels, flow_value, _ = reduce_inputs([bsc(0.1), bsc(0.1)], 2)
-        spec = SeriesSpec(channels=channels, M=2, B=2, flow_value=flow_value)
+        spec = make_series_spec([bsc(0.1), bsc(0.1)], 2, 2)
         ld = exact_block_distribution(spec, update_mode="uniform")
         exact = ml_error_probs(ld)
         trials = 2 * 10**5
@@ -814,8 +821,7 @@ class TestDecoders:
 
 class TestTranscriptFormat:
     def test_dump_line_shape(self, reduced_bsc01_2hop):
-        channels, flow_value, _ = reduced_bsc01_2hop
-        spec = SeriesSpec(channels=channels, M=2, B=4, flow_value=flow_value)
+        spec = dataclasses.replace(reduced_bsc01_2hop, B=4)
         t = run_series_block(spec, 2, np.random.default_rng(4))
         lines = t.dump().splitlines()
         assert len(lines) == 2
@@ -823,12 +829,6 @@ class TestTranscriptFormat:
             assert line.startswith(f"hop={j} state=(")
             assert " sent=" in line and " recv=" in line
 
-
-class TestMakeSeriesSpec:
-    def test_wraps_reduction(self):
-        spec = make_series_spec([bsc(0.1), bsc(0.2)], 2, 6)
-        assert spec.B == 6 and spec.M == 2
-        assert abs(spec.flow_value - 2 * (-math.log(0.8))) < 1e-9
 
 
 class _FixedDraws:

@@ -8,8 +8,10 @@ writes ``BENCH_<pr>.json`` at the repository root: run.py's provenance
 (git sha, nproc, versions, ``src_nonblank_lines``) and, per workload, the
 end-to-end and per-layer metrics, the output digest and ``correct``.
 When an earlier ``BENCH_*.json`` exists, it prints each end-to-end
-metric's relative change next to its BENCHMARK.json bound.  It exits
-non-zero when any run is not correct.
+metric's relative change next to its BENCHMARK.json bound.  Both sides
+are one run each, and one run of a workload can spread wider than its
+bound, so a row outside its bound is a prompt to measure more, not a
+verdict.  It exits non-zero when any run is not correct.
 """
 from __future__ import annotations
 
@@ -23,13 +25,17 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_workload(command, workload: str, *options) -> tuple[dict, dict]:
-    """One benchmark run: its JSON report line and its result object."""
+    """One benchmark run: its JSON report line and its result object, the
+    last two lines it prints."""
     cmd = command + ["--workload", workload, *options]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
-    lines = proc.stdout.splitlines()
-    if len(lines) < 2:
-        raise SystemExit(f"bench_record: {' '.join(cmd)} printed no result:\n{proc.stderr}")
-    return json.loads(lines[-2]), json.loads(lines[-1])
+    try:
+        report, result = (json.loads(line) for line in proc.stdout.splitlines()[-2:])
+    except ValueError:  # fewer than two lines, or one that is not JSON
+        report = result = None
+    if isinstance(report, dict) and isinstance(result, dict):
+        return report, result
+    raise SystemExit(f"bench_record: {' '.join(cmd)} printed no report and result:\n{proc.stderr}")
 
 
 def record(bench: dict) -> dict:
@@ -89,9 +95,9 @@ def main(argv) -> int:
     prev = previous_record(pr)
     if prev is not None:
         old = json.loads(prev.read_text(encoding="utf-8"))
-        print(f"change against {prev.name} (positive is worse):")
+        print(f"change against {prev.name}, one run per side (positive is worse):")
         for workload, name, a, b, worse, bound, beyond in compare(old, new, bench["end_to_end"]):
-            flag = "  BEYOND BOUND" if beyond else ""
+            flag = "  outside bound in one run" if beyond else ""
             print(f"  {workload} {name}: {a:.6g} -> {b:.6g}  {worse:+.1%} (bound {bound:.1%}){flag}")
     bad = [name for name, rec in new["workloads"].items() if not rec["correct"]]
     if bad:

@@ -172,6 +172,12 @@ class TestMakeSeriesSpec:
         assert spec.B == 6 and spec.M == 2
         assert abs(spec.flow_value - 2 * (-math.log(0.8))) < 1e-9
 
+    def test_bottleneck_flow(self):
+        # the weaker hop bounds the flow wherever it sits on the chain
+        for chans in ([bsc(0.2), bsc(0.1)], [bsc(0.1), bsc(0.2), bsc(0.1)]):
+            spec = make_series_spec(chans, 2, 2)
+            assert abs(spec.flow_value - 2 * (-math.log(0.8))) < 1e-9
+
     def test_ideal_channel_reduction_consistent(self):
         # a channel already having M separated inputs keeps its guarantee:
         # the reduced pairwise distance is exactly M! times the tilde exponent
